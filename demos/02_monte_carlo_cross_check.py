@@ -42,7 +42,7 @@ n = 400_000
 seed = 314159
 scenario = Scenario(params, fit, cfg)
 events = [event for event, _ in analytic.values()]
-estimates = estimate_many(events, n, seed, scenario)
+estimates = estimate_many(events, n, seed, [scenario])[0]
 
 print(f"n = {n} samples, seed = {seed}")
 print(f"{'quantity':<26} {'closed form':>12} {'monte carlo':>12} {'sigmas':>7}")

@@ -19,7 +19,7 @@ for preset in ("fig2", "fig3", "fig6"):
     print(f"{preset}:")
     for label, doc in expand_preset(base, preset):
         scenario = parse_scenario_config(doc, label=label)
-        csv_path, manifest_path = run_scenario(scenario, out_dir)
+        csv_path, manifest_path = run_scenario(scenario, out_dir, preset=preset)
         print(f"  {csv_path.relative_to(out_root.parent)}")
 print()
 print("columns: axis_value, pi_h, pi_b, pi_s, net_all, net_any, s_range,")

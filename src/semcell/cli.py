@@ -312,13 +312,12 @@ _MC_EVENTS = {
 }
 
 
-def evaluate_point(sc: ScenarioConfig, axis_value: float, thr_shared,
-                   workers: int | None = None) -> dict[str, float]:
-    """All metric columns at one grid point (analytic, plus MC if enabled)."""
-    params, cfg, thr = _point_state(sc, axis_value, thr_shared)
+def _analytic_row(sc: ScenarioConfig, axis_value: float, params: NetworkParams,
+                  thr) -> dict[str, float]:
+    """Closed-form metric columns at one grid point."""
     report = outage_report(thr, params)
     num_users = params.num_users
-    row = {
+    return {
         "axis_value": axis_value,
         "pi_h": report.pi_h,
         "pi_b": report.pi_b,
@@ -329,25 +328,30 @@ def evaluate_point(sc: ScenarioConfig, axis_value: float, thr_shared,
         "pi_g": report.pi_g,
         "util_range": binom_range_prob(report.pi_g, num_users, sc.util_lo, sc.util_hi),
     }
-    if sc.mc_samples > 0:
-        point_scenario = Scenario(params=params, fit=sc.scenario.fit, cfg=cfg)
-        mc_sc = replace(sc, scenario=point_scenario)
-        events = [_MC_EVENTS[name](mc_sc) for name in _METRICS]
-        estimates = estimate_many(events, sc.mc_samples, sc.mc_seed,
-                                  point_scenario, workers=workers)
-        for name, est in zip(_METRICS, estimates):
-            row[f"mc_{name}"] = est.estimate
-            row[f"mc_{name}_stderr"] = est.std_error
-    return row
 
 
 def evaluate_sweep(sc: ScenarioConfig, workers: int | None = None) -> list[dict[str, float]]:
-    """Rows for every grid point, in axis order."""
+    """Rows for every grid point, in axis order (analytic, plus MC if enabled).
+
+    One Monte Carlo call covers the whole grid, so every point reuses the
+    same channel draws.
+    """
     fit = sc.scenario.fit
     thr_shared = None
     if sc.sweep_axis in ("radius_m", "edge_snr_db"):
         thr_shared = thresholds(sc.scenario.cfg, fit)
-    return [evaluate_point(sc, value, thr_shared, workers=workers) for value in sc.grid]
+    states = [_point_state(sc, value, thr_shared) for value in sc.grid]
+    rows = [_analytic_row(sc, value, params, thr)
+            for value, (params, _, thr) in zip(sc.grid, states)]
+    if sc.mc_samples > 0:
+        scenarios = [Scenario(params=params, fit=fit, cfg=cfg) for params, cfg, _ in states]
+        events = [_MC_EVENTS[name](sc) for name in _METRICS]
+        estimates = estimate_many(events, sc.mc_samples, sc.mc_seed, scenarios, workers=workers)
+        for row, point_estimates in zip(rows, estimates):
+            for name, est in zip(_METRICS, point_estimates):
+                row[f"mc_{name}"] = est.estimate
+                row[f"mc_{name}_stderr"] = est.std_error
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +458,8 @@ def _cmd_validate(args) -> int:
                         "grid": [doc.get("network", {}).get("cell_radius_m", 1.0)]}
     sc = parse_scenario_config(doc, label="validate")
     samples = sc.mc_samples if sc.mc_samples > 0 else 1_000_000
-    sc = replace(sc, mc_samples=samples)
-    thr = thresholds(sc.scenario.cfg, sc.scenario.fit)
-    row = evaluate_point(sc, sc.scenario.params.cell_radius_m if sc.sweep_axis == "radius_m"
-                         else sc.grid[0], thr)
+    point = sc.scenario.params.cell_radius_m if sc.sweep_axis == "radius_m" else sc.grid[0]
+    row = evaluate_sweep(replace(sc, mc_samples=samples, grid=(point,)))[0]
     failures = 0
     print(f"closed form vs Monte Carlo at n={samples} (tolerance 3 standard errors)")
     for name in _METRICS:

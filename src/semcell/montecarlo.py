@@ -3,13 +3,23 @@
 Simulation draws raw channel realizations (area-uniform user placement,
 unit-mean exponential fading power) and evaluates outage/utilization
 events directly from the similarity curve and the two rate formulas --
-never from the piecewise branch tables the closed forms use -- so an
-agreement check between the two is a genuine cross-validation.
+never from the piecewise branch tables or the SNR breakpoints the closed
+forms use -- so an agreement check between the two is a genuine
+cross-validation.
 
 Reproducibility: samples are generated in fixed blocks of 2^16, each
 block from a counter-based Philox stream keyed by (seed, block index).
 Workers merge integer event counts, so an estimate is bit-identical for
 any worker count and any partition of blocks over workers.
+
+Draw sharing: :func:`estimate_many` estimates a whole sweep in one call.
+All grid points reuse one set of channel draws per block -- the draws
+they already shared through identical (seed, block) keys -- and a point
+whose SNR scale c_L R^(-a) differs from the first point's gets its SNRs
+by one multiplication with the ratio of the two scales.  The Monte Carlo
+errors of the points of one sweep are therefore correlated (common
+random numbers): a curve is smoother than its per-point standard errors
+suggest, and its points are not independent checks.
 """
 
 from __future__ import annotations
@@ -132,85 +142,135 @@ def sample_user(stream: np.random.Generator, params: NetworkParams, size=None):
     r = R sqrt(U1) (area-uniform disc), |h|^2 = -ln(1 - U2) (unit-mean
     exponential by inverse transform), g = c_L |h|^2 r^(-a).
     """
-    u1 = stream.random(size)
-    u2 = stream.random(size)
-    r = params.cell_radius_m * np.sqrt(u1)
-    gain = -np.log1p(-u2)
+    u1 = np.atleast_1d(stream.random(size))
+    u2 = np.atleast_1d(stream.random(size))
+    # in place, so two arrays stay live: r in u1, the fading gain and then g in u2
+    r = np.multiply(np.sqrt(u1, out=u1), params.cell_radius_m, out=u1)
+    at_origin = r == 0.0
+    g = np.negative(np.log1p(np.negative(u2, out=u2), out=u2), out=u2)
+    np.multiply(g, snr_scale(params), out=g)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = snr_scale(params) * gain * r ** (-params.pathloss_exp)
+        np.multiply(g, np.power(r, -params.pathloss_exp, out=r), out=g)
     # r == 0 has probability zero but a float can land on it: the SNR is +inf
-    g = np.where(r == 0.0, np.inf, g)
+    g[at_origin] = np.inf
     if size is None:
-        return float(g)
+        return float(g[0])
     return g
 
 
-def _user_event_mask(event: UserEvent, g: np.ndarray, scenario: Scenario, gap: float) -> np.ndarray:
-    """Evaluate a per-user event directly from similarity and raw rates."""
-    fit = scenario.fit
-    cfg = scenario.cfg
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = fit.c1 * 10.0 * np.log10(g) + fit.c2
-    z = np.where(np.isnan(z), -np.inf, z)  # g == 0 corner: similarity floor
-    m = fit.a1 + (fit.a2 - fit.a1) / (1.0 + np.exp(-np.clip(z, -745.0, 745.0)))
-    rate_sem = m / fit.k
-    with np.errstate(invalid="ignore"):
-        rate_bit = np.log2(1.0 + g / gap) / cfg.mu
-    if isinstance(event, BitOutage):
-        return rate_bit <= cfg.r_out
-    if isinstance(event, SemOutage):
-        return (rate_sem <= cfg.r_out) | (m <= cfg.m_th)
-    prefers_sem = (m >= cfg.m_th) & (rate_sem >= rate_bit)
-    if isinstance(event, HybridOutage):
-        return np.where(prefers_sem, rate_sem <= cfg.r_out, rate_bit <= cfg.r_out)
-    if isinstance(event, SemUtilization):
-        return prefers_sem & (rate_sem > cfg.r_out)
-    raise TypeError(f"unknown per-user event {event!r}")
+def _curves(g: np.ndarray, scenario: Scenario, gap: float,
+            m: np.ndarray, rate_sem: np.ndarray, rate_bit: np.ndarray) -> None:
+    """Similarity, semantic rate and bit rate at SNR ``g``, into the last three arguments.
+
+    m = a1 + (a2 - a1) / (1 + e^(-z)) with z = c1 10 log10(g) + c2 clipped
+    to +-745, rate_sem = info m / k and rate_bit = info log2(1 + g / gap) / mu,
+    each evaluated operation by operation in that order.  ``g`` may be
+    ``m`` itself: the bit rate is taken from it first.
+    """
+    fit, cfg = scenario.fit, scenario.cfg
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(g, gap, out=rate_bit)
+        np.add(rate_bit, 1.0, out=rate_bit)
+        np.log2(rate_bit, out=rate_bit)
+        np.multiply(rate_bit, cfg.info_per_word, out=rate_bit)
+        np.divide(rate_bit, cfg.mu, out=rate_bit)
+        np.log10(g, out=m)
+        np.multiply(m, fit.c1 * 10.0, out=m)
+        np.add(m, fit.c2, out=m)
+        # fmax/fmin, unlike a clip, send a NaN SNR to the similarity floor
+        np.fmax(m, -745.0, out=m)
+        np.fmin(m, 745.0, out=m)
+        np.exp(np.negative(m, out=m), out=m)
+        np.add(m, 1.0, out=m)
+        np.divide(fit.a2 - fit.a1, m, out=m)
+        np.add(m, fit.a1, out=m)
+    np.multiply(m, cfg.info_per_word, out=rate_sem)
+    np.divide(rate_sem, fit.k, out=rate_sem)
 
 
-def _count_matches(event: ExactCount | RangeCount, counts: np.ndarray) -> int:
-    if isinstance(event, ExactCount):
-        return int(np.count_nonzero(counts == event.count))
-    return int(np.count_nonzero((counts >= event.count_lo) & (counts <= event.count_hi)))
+def _indicators(kinds: list[type], m: np.ndarray, rate_sem: np.ndarray,
+                rate_bit: np.ndarray, cfg: RateConfig) -> list[np.ndarray]:
+    """Per-user indicator of each event type in ``kinds``, from the three curves."""
+    r_out, m_th = cfg.r_out, cfg.m_th
+    prefers_sem = None
+    out = []
+    for kind in kinds:
+        if kind is BitOutage:
+            out.append(rate_bit <= r_out)
+        elif kind is SemOutage:
+            out.append((rate_sem <= r_out) | (m <= m_th))
+        else:
+            if prefers_sem is None:
+                prefers_sem = (m >= m_th) & (rate_sem >= rate_bit)
+            if kind is HybridOutage:
+                out.append((prefers_sem & (rate_sem <= r_out))
+                           | (~prefers_sem & (rate_bit <= r_out)))
+            else:
+                out.append(prefers_sem & (rate_sem > r_out))
+    return out
 
 
-def _block_hits_many(events: list[Event], block_index: int, rows_used: int,
-                     seed: int, scenario: Scenario, gap: float) -> list[int]:
-    """Hits of every event among the first ``rows_used`` samples of one block.
+def _point_indicators(g0: np.ndarray, points: list[tuple[Scenario, float, float]],
+                      kinds: list[type], work: np.ndarray):
+    """Indicators of ``kinds`` at every point from one set of draws ``g0``.
+
+    Point p sees the SNRs g0 * ratio_p.  ``work`` holds three buffers
+    shaped like ``g0``; each yielded list is valid until the next one.
+    """
+    m, rate_sem, rate_bit = work
+    for scenario, ratio, gap in points:
+        g = g0 if ratio == 1.0 else np.multiply(g0, ratio, out=m)
+        _curves(g, scenario, gap, m, rate_sem, rate_bit)
+        yield _indicators(kinds, m, rate_sem, rate_bit, scenario.cfg)
+
+
+def _user_hits(stream: np.random.Generator, rows_used: int,
+               points: list[tuple[Scenario, float, float]], kinds: list[type]) -> np.ndarray:
+    """Hits of each per-user event type at each point among the first ``rows_used`` draws."""
+    g0 = sample_user(stream, points[0][0].params, size=BLOCK_SIZE)[:rows_used]
+    work = np.empty((3, rows_used))
+    return np.array([[np.count_nonzero(flag) for flag in flags]
+                     for flags in _point_indicators(g0, points, kinds, work)], dtype=np.int64)
+
+
+def _count_histograms(stream: np.random.Generator, rows_used: int,
+                      points: list[tuple[Scenario, float, float]],
+                      kinds: list[type]) -> np.ndarray:
+    """hist[point, kind, c]: realizations among the first ``rows_used`` full-cell
+    draws in which the indicator of ``kind`` holds for exactly c users."""
+    params = points[0][0].params
+    num_users = params.num_users
+    hist = np.zeros((len(points), len(kinds), num_users + 1), dtype=np.int64)
+    work = np.empty((3, _CHUNK_ROWS, num_users))
+    done = 0
+    while done < rows_used:
+        take = min(_CHUNK_ROWS, BLOCK_SIZE - done)
+        used = min(take, rows_used - done)
+        g0 = sample_user(stream, params, size=(take, num_users))[:used]
+        for p, flags in enumerate(_point_indicators(g0, points, kinds, work[:, :used])):
+            for j, flag in enumerate(flags):
+                hist[p, j] += np.bincount(np.count_nonzero(flag, axis=1),
+                                          minlength=num_users + 1)
+        done += take
+    return hist
+
+
+def _block_tallies(block_index: int, rows_used: int, seed: int,
+                   points: list[tuple[Scenario, float, float]],
+                   user_kinds: list[type], count_kinds: list[type]):
+    """(per-user hits, count histograms) of every point in one block.
 
     Per-user events share one stream of single-user draws; count events
     share one stream of full-cell draws.  Both streams carry the same
     (seed, block) key, so each event sees exactly the samples it would
     see if estimated alone.
     """
-    params = scenario.params
-    hits = [0] * len(events)
-    user_ix = [i for i, e in enumerate(events) if not isinstance(e, (ExactCount, RangeCount))]
-    count_ix = [i for i, e in enumerate(events) if isinstance(e, (ExactCount, RangeCount))]
-    if user_ix:
-        stream = user_stream(seed, block_index)
-        g = sample_user(stream, params, size=BLOCK_SIZE)
-        for i in user_ix:
-            mask = _user_event_mask(events[i], g, scenario, gap)
-            hits[i] = int(np.count_nonzero(mask[:rows_used]))
-    if count_ix:
-        stream = user_stream(seed, block_index)
-        num_users = params.num_users
-        done = 0
-        counted = [events[i] for i in count_ix]
-        while done < rows_used:
-            take = min(_CHUNK_ROWS, BLOCK_SIZE - done)
-            g = sample_user(stream, params, size=(take, num_users))
-            used = min(take, rows_used - done)
-            per_indicator: dict[UserEvent, np.ndarray] = {}
-            for i, event in zip(count_ix, counted):
-                indicator = event.indicator
-                if indicator not in per_indicator:
-                    per_indicator[indicator] = _user_event_mask(
-                        indicator, g, scenario, gap).sum(axis=1)
-                hits[i] += _count_matches(event, per_indicator[indicator][:used])
-            done += take
-    return hits
+    hits = hist = None
+    if user_kinds:
+        hits = _user_hits(user_stream(seed, block_index), rows_used, points, user_kinds)
+    if count_kinds:
+        hist = _count_histograms(user_stream(seed, block_index), rows_used, points, count_kinds)
+    return hits, hist
 
 
 def _validate_event(event: Event, num_users: int) -> None:
@@ -226,41 +286,74 @@ def _validate_event(event: Event, num_users: int) -> None:
         raise TypeError(f"unknown event {event!r}")
 
 
-def estimate_many(events: list[Event], n: int, seed: int, scenario: Scenario,
-                  workers: int | None = None) -> list[McEstimate]:
-    """Estimate several events from shared draws, one estimate per event.
+def _shared(scenario: Scenario) -> tuple:
+    return scenario.params.num_users, scenario.params.pathloss_exp, scenario.fit
 
-    Produces exactly the estimates :func:`estimate` would produce one by
-    one for the same (seed, n, scenario); sharing the draws only saves
-    the cost of regenerating them per event.
+
+def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenario],
+                  workers: int | None = None) -> list[list[McEstimate]]:
+    """Estimate several events at several grid points from shared draws.
+
+    Returns one list per scenario, one estimate per event.  The scenarios
+    must share ``num_users``, ``pathloss_exp`` and ``fit``.  Each event
+    at each point sees the samples :func:`estimate` would draw for it
+    alone, the SNRs scaled by c_L R^(-a) of that point over c_L R^(-a) of
+    the first (see the module docstring); on points with the first
+    point's network parameters the estimates are exactly those of
+    :func:`estimate`.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    if not events:
+    scenarios = list(scenarios)
+    if not scenarios:
         return []
+    first = scenarios[0]
+    if any(_shared(s) != _shared(first) for s in scenarios[1:]):
+        raise ValueError("the scenarios of one sweep must share num_users, pathloss_exp and fit")
     for event in events:
-        _validate_event(event, scenario.params.num_users)
-    gap = gamma_gap(scenario.cfg)
+        _validate_event(event, first.params.num_users)
+    if not events:
+        return [[] for _ in scenarios]
+    counted = [isinstance(e, (ExactCount, RangeCount)) for e in events]
+    kinds = [type(e.indicator) if c else type(e) for e, c in zip(events, counted)]
+    user_kinds = list(dict.fromkeys(k for k, c in zip(kinds, counted) if not c))
+    count_kinds = list(dict.fromkeys(k for k, c in zip(kinds, counted) if c))
+    p0 = first.params
+    # (c_L R^(-a)) / (c_L0 R0^(-a)) as two ratios, so that neither scale can underflow
+    points = [(s, snr_scale(s.params) / snr_scale(p0)
+               * (s.params.cell_radius_m / p0.cell_radius_m) ** (-p0.pathloss_exp),
+               gamma_gap(s.cfg)) for s in scenarios]
     n_blocks = -(-n // BLOCK_SIZE)
     rows = [min(BLOCK_SIZE, n - b * BLOCK_SIZE) for b in range(n_blocks)]
     n_workers = min(resolve_workers(workers), n_blocks)
+
+    def tally(b):
+        return _block_tallies(b, rows[b], seed, points, user_kinds, count_kinds)
+
     if n_workers <= 1:
-        per_block = [_block_hits_many(events, b, rows[b], seed, scenario, gap)
-                     for b in range(n_blocks)]
+        per_block = [tally(b) for b in range(n_blocks)]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_block = list(pool.map(
-                lambda b: _block_hits_many(events, b, rows[b], seed, scenario, gap),
-                range(n_blocks)))
+            per_block = list(pool.map(tally, range(n_blocks)))
+    hits = sum(h for h, _ in per_block) if user_kinds else None
+    hist = sum(h for _, h in per_block) if count_kinds else None
     low = n < 10_000
     results = []
-    for i in range(len(events)):
-        hits = sum(block[i] for block in per_block)
-        p_hat = hits / n
-        results.append(McEstimate(
-            estimate=p_hat, n_samples=n,
-            std_error=math.sqrt(p_hat * (1.0 - p_hat) / n),
-            seed=seed, low_precision=low))
+    for p in range(len(scenarios)):
+        row = []
+        for event, kind, c in zip(events, kinds, counted):
+            if c:
+                lo, hi = ((event.count, event.count) if isinstance(event, ExactCount)
+                          else (event.count_lo, event.count_hi))
+                total = int(hist[p, count_kinds.index(kind), lo:hi + 1].sum())
+            else:
+                total = int(hits[p, user_kinds.index(kind)])
+            p_hat = total / n
+            row.append(McEstimate(
+                estimate=p_hat, n_samples=n,
+                std_error=math.sqrt(p_hat * (1.0 - p_hat) / n),
+                seed=seed, low_precision=low))
+        results.append(row)
     return results
 
 
@@ -273,4 +366,4 @@ def estimate(event: Event, n: int, seed: int, scenario: Scenario,
     fewer than 10^4 samples are flagged low_precision rather than
     rejected.
     """
-    return estimate_many([event], n, seed, scenario, workers=workers)[0]
+    return estimate_many([event], n, seed, [scenario], workers=workers)[0][0]

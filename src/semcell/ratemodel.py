@@ -116,9 +116,10 @@ _BRANCH_INDEX = {
 class RateThresholds:
     """Derived SNR breakpoints plus the classified outage regime.
 
-    ``k_r_out`` and the fit asymptotes are carried along so downstream
-    probability code can re-use the exact comparisons that selected the
-    regime instead of re-deriving them.
+    ``k_r_out`` (k r_out / info_per_word, the similarity at which the
+    semantic rate equals r_out) and the fit asymptotes are carried along
+    so downstream probability code can re-use the exact comparisons that
+    selected the regime instead of re-deriving them.
     """
 
     g_min: float
@@ -326,9 +327,12 @@ def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
         raise ValueError(
             f"similarity threshold {cfg.m_th} must lie strictly between the fit asymptotes ({fit.a1}, {fit.a2})")
     gap = gamma_gap(cfg)
-    g_bit = gap * (2.0 ** (cfg.mu * cfg.r_out) - 1.0)
+    # both rates carry the factor info_per_word, so each reaches r_out where
+    # its unscaled formula reaches r_out / info_per_word; g_max is unaffected
+    r_out = cfg.r_out / cfg.info_per_word
+    g_bit = gap * (2.0 ** (cfg.mu * r_out) - 1.0)
     g_min = inv_similarity(cfg.m_th, fit)
-    k_r_out = fit.k * cfg.r_out
+    k_r_out = fit.k * r_out
     g_sem = inv_similarity(k_r_out, fit) if fit.a1 < k_r_out < fit.a2 else None
     g_max = _solve_rate_crossing(cfg, fit, gap)
     regime = _classify(g_bit, g_min, g_sem, g_max, k_r_out, fit)

@@ -109,7 +109,7 @@ def test_acceptance_2_closed_forms_match_monte_carlo():
         events = [BitOutage(), SemOutage(), HybridOutage(),
                   ExactCount(num_users), RangeCount(1, num_users), SemUtilization()]
         scenario = Scenario(params, fit, cfg)
-        estimates = estimate_many(events, n, 9000 + scenario_index, scenario)
+        estimates = estimate_many(events, n, 9000 + scenario_index, [scenario])[0]
         for (name, value), est in zip(analytic.items(), estimates):
             assert abs(value - est.estimate) <= 3.0 * est.std_error, (
                 scenario_index, name, value, est)

@@ -249,6 +249,35 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(cfg_path)]) == EXIT_VALIDATION
 
 
+class TestInfoPerWord:
+    def test_info_per_word_moves_breakpoints_closed_forms_and_oracle(self, tmp_path):
+        # info_per_word scales both rates, so every emitted number moves with it
+        from semcell import bit_rate, sem_rate, thresholds
+
+        csv_bytes = {}
+        for info in (1.0, 2.5):
+            doc = table1_config()
+            doc["network"]["num_users"] = 4
+            doc["rate"].update({"outage_rate_threshold": 0.4, "info_per_word": info})
+            doc["sweep"] = {"axis": "radius_m", "grid": [900.0, 1500.0]}
+            doc["mc"] = {"samples": 100_000, "seed": 5}
+            sc = parse_scenario_config(doc, label=f"info{info}")
+            csv_path, _ = run_scenario(sc, tmp_path)
+            csv_bytes[info] = csv_path.read_bytes()
+        assert csv_bytes[1.0] != csv_bytes[2.5]
+
+        cfg, fit = sc.scenario.cfg, sc.scenario.fit
+        thr = thresholds(cfg, fit)
+        assert bit_rate(thr.g_bit, cfg) == pytest.approx(0.4, rel=1e-12)
+        assert sem_rate(thr.g_sem, cfg, fit) == pytest.approx(0.4, rel=1e-12)
+        for row in read_csv(csv_path):
+            for name in ("pi_h", "pi_b", "pi_s", "net_all", "net_any", "s_range",
+                         "pi_g", "util_range"):
+                stderr = float(row[f"mc_{name}_stderr"])
+                assert stderr > 0.0
+                assert abs(float(row[name]) - float(row[f"mc_{name}"])) <= 3.0 * stderr, name
+
+
 class TestDesignCommands:
     def test_radius_json(self, tmp_path, capsys):
         doc = table1_config()

@@ -6,10 +6,12 @@ import pytest
 from scipy import special as sp
 
 from semcell import (BitOutage, ExactCount, HybridOutage, RangeCount, RateConfig,
-                     Scenario, SemOutage, SemUtilization, binom_range_prob, estimate,
-                     estimate_many, network_outage, NetOutageMode, outage_report,
-                     sample_user, sem_util_prob, snr_cdf, snr_scale, thresholds,
-                     user_outage_hybrid, user_stream)
+                     Scenario, SemOutage, SemUtilization, SimilarityFit, binom_range_prob,
+                     estimate, estimate_many, gamma_gap, network_outage, NetOutageMode,
+                     outage_report, sample_user, sem_util_prob, snr_cdf, snr_scale,
+                     thresholds, user_outage_hybrid, user_stream)
+from semcell.montecarlo import BLOCK_SIZE
+from semcell.presets import table1_config
 from conftest import draw_scenario
 
 
@@ -76,7 +78,7 @@ class TestDeterminism:
     def test_bit_identical_across_workers(self, table1_scenario):
         events = [HybridOutage(), ExactCount(30), RangeCount(3, 30)]
         n = 150_000
-        runs = [estimate_many(events, n, 777, table1_scenario, workers=w)
+        runs = [estimate_many(events, n, 777, [table1_scenario], workers=w)[0]
                 for w in (1, 4, 16)]
         for per_event in zip(*runs):
             assert len({e.estimate for e in per_event}) == 1
@@ -86,7 +88,7 @@ class TestDeterminism:
         n = 140_000
         for event in (BitOutage(), SemUtilization(), RangeCount(1, 30)):
             single = estimate(event, n, 31, table1_scenario, workers=2)
-            batch = estimate_many([event, HybridOutage()], n, 31, table1_scenario, workers=3)[0]
+            batch = estimate_many([event, HybridOutage()], n, 31, [table1_scenario], workers=3)[0][0]
             assert single.estimate == batch.estimate
 
     def test_seed_changes_estimate(self, table1_scenario):
@@ -199,5 +201,122 @@ class TestOracleAgreementRandomized:
             scenario = Scenario(params, fit, cfg)
             events = [HybridOutage(), BitOutage(), SemOutage(), SemUtilization()]
             expected = [report.pi_h, report.pi_b, report.pi_s, report.pi_g]
-            for est, value in zip(estimate_many(events, n, 555, scenario, workers=4), expected):
+            for est, value in zip(estimate_many(events, n, 555, [scenario], workers=4)[0], expected):
                 assert abs(est.estimate - value) <= max(3.0 * est.std_error, 1e-4)
+
+
+# ---------------------------------------------------------------------------
+# reference: one grid point at a time, one indicator at a time
+# ---------------------------------------------------------------------------
+
+def _reference_user_event_mask(event, g, scenario, gap):
+    """Evaluate a per-user event directly from similarity and raw rates."""
+    fit = scenario.fit
+    cfg = scenario.cfg
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = fit.c1 * 10.0 * np.log10(g) + fit.c2
+    z = np.where(np.isnan(z), -np.inf, z)
+    m = fit.a1 + (fit.a2 - fit.a1) / (1.0 + np.exp(-np.clip(z, -745.0, 745.0)))
+    rate_sem = cfg.info_per_word * m / fit.k
+    with np.errstate(invalid="ignore"):
+        rate_bit = cfg.info_per_word * np.log2(1.0 + g / gap) / cfg.mu
+    if isinstance(event, BitOutage):
+        return rate_bit <= cfg.r_out
+    if isinstance(event, SemOutage):
+        return (rate_sem <= cfg.r_out) | (m <= cfg.m_th)
+    prefers_sem = (m >= cfg.m_th) & (rate_sem >= rate_bit)
+    if isinstance(event, HybridOutage):
+        return np.where(prefers_sem, rate_sem <= cfg.r_out, rate_bit <= cfg.r_out)
+    if isinstance(event, SemUtilization):
+        return prefers_sem & (rate_sem > cfg.r_out)
+    raise TypeError(f"unknown per-user event {event!r}")
+
+
+def _reference_count_matches(event, counts):
+    if isinstance(event, ExactCount):
+        return int(np.count_nonzero(counts == event.count))
+    return int(np.count_nonzero((counts >= event.count_lo) & (counts <= event.count_hi)))
+
+
+def _reference_hits(events, n, seed, scenario):
+    """Hits of every event at one point: each block draws its own SNRs from
+    the point's parameters, and each event re-evaluates the rate curves."""
+    params = scenario.params
+    gap = gamma_gap(scenario.cfg)
+    hits = [0] * len(events)
+    for block_index in range(-(-n // BLOCK_SIZE)):
+        rows_used = min(BLOCK_SIZE, n - block_index * BLOCK_SIZE)
+        g = sample_user(user_stream(seed, block_index), params, size=BLOCK_SIZE)
+        for i, event in enumerate(events):
+            if not isinstance(event, (ExactCount, RangeCount)):
+                mask = _reference_user_event_mask(event, g, scenario, gap)
+                hits[i] += int(np.count_nonzero(mask[:rows_used]))
+        stream = user_stream(seed, block_index)
+        done = 0
+        while done < rows_used:
+            take = min(4096, BLOCK_SIZE - done)
+            g = sample_user(stream, params, size=(take, params.num_users))
+            used = min(take, rows_used - done)
+            for i, event in enumerate(events):
+                if isinstance(event, (ExactCount, RangeCount)):
+                    counts = _reference_user_event_mask(
+                        event.indicator, g, scenario, gap).sum(axis=1)
+                    hits[i] += _reference_count_matches(event, counts[:used])
+            done += take
+    return hits
+
+
+def _sweep_events(num_users):
+    return [HybridOutage(), BitOutage(), SemOutage(), ExactCount(num_users),
+            RangeCount(1, num_users), RangeCount(3, num_users), SemUtilization(),
+            RangeCount(5, 10, indicator=SemUtilization())]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("seed", [7, 2024])
+    def test_radius_sweep_matches_per_point_reference(self, table1_scenario, seed):
+        # the Table-1 radius grid: every point past the first scales the
+        # first point's draws instead of drawing its own
+        grid = table1_config()["sweep"]["grid"]
+        scenarios = [replace(table1_scenario,
+                             params=replace(table1_scenario.params, cell_radius_m=r))
+                     for r in grid]
+        events = _sweep_events(30)
+        n = 20_000
+        swept = estimate_many(events, n, seed, scenarios, workers=2)
+        for scenario, estimates in zip(scenarios, swept):
+            hits = _reference_hits(events, n, seed, scenario)
+            assert [e.estimate for e in estimates] == [h / n for h in hits]
+
+    @pytest.mark.parametrize("seed", [7, 2024])
+    def test_m_th_sweep_matches_per_point_reference(self, table1_scenario, seed):
+        scenarios = [replace(table1_scenario, cfg=replace(table1_scenario.cfg, m_th=m))
+                     for m in np.linspace(0.4, 0.95, 6)]
+        events = _sweep_events(30)
+        n = BLOCK_SIZE + 3000
+        swept = estimate_many(events, n, seed, scenarios, workers=2)
+        for scenario, estimates in zip(scenarios, swept):
+            hits = _reference_hits(events, n, seed, scenario)
+            assert [e.estimate for e in estimates] == [h / n for h in hits]
+
+    def test_identical_for_any_worker_count(self, table1_params, table1_fit, table1_cfg):
+        params = replace(table1_params, num_users=6)
+        scenarios = [Scenario(replace(params, cell_radius_m=r), table1_fit, table1_cfg)
+                     for r in (300.0, 900.0, 2700.0)]
+        events = _sweep_events(6)[:5] + [RangeCount(2, 4, indicator=SemUtilization())]
+        n = 3 * BLOCK_SIZE + 100
+        runs = [estimate_many(events, n, 99, scenarios, workers=w) for w in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("change", [
+        lambda sc: replace(sc, params=replace(sc.params, num_users=29)),
+        lambda sc: replace(sc, params=replace(sc.params, pathloss_exp=3.5)),
+        lambda sc: replace(sc, fit=SimilarityFit(a1=0.37, a2=0.98, c1=0.3, c2=-0.7895, k=5)),
+    ])
+    def test_mixed_shared_parameters_rejected(self, table1_scenario, change):
+        with pytest.raises(ValueError):
+            estimate_many([HybridOutage()], 1_000, 1, [table1_scenario, change(table1_scenario)])
+
+    def test_empty_inputs(self, table1_scenario):
+        assert estimate_many([HybridOutage()], 1_000, 1, []) == []
+        assert estimate_many([], 1_000, 1, [table1_scenario] * 2) == [[], []]

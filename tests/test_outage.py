@@ -294,7 +294,7 @@ class TestMonteCarloAgreement:
             scenario = Scenario(params, fit, cfg)
             events = [HybridOutage(), BitOutage(), SemOutage(), SemUtilization()]
             analytic = [report.pi_h, report.pi_b, report.pi_s, report.pi_g]
-            for est, value in zip(estimate_many(events, n, 1234, scenario), analytic):
+            for est, value in zip(estimate_many(events, n, 1234, [scenario])[0], analytic):
                 tol = 3.0 * est.std_error
                 assert abs(est.estimate - value) <= tol, (est, value)
 
