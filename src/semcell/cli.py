@@ -499,6 +499,7 @@ def _cmd_design_radius(args) -> int:
         "radius_m": solution.radius,
         "method": solution.method.value,
         "residual": solution.residual,
+        "iterations": solution.iterations,
         "u_th": target.u_th,
         "y_th": thr.outage_cdf_argument(),
         "regime": thr.regime.value,
@@ -521,7 +522,8 @@ def _cmd_design_util(args) -> int:
         "level_attainable": result.level_attainable,
         "solutions": [
             {"radius_m": s.radius, "equation": s.equation,
-             "range_prob": s.range_prob, "residual": s.residual}
+             "range_prob": s.range_prob, "residual": s.residual,
+             "iterations": s.iterations}
             for s in result.solutions
         ],
         "best_radius_m": None if best is None else best.radius,

@@ -1,28 +1,39 @@
 """Inverse design of the cell radius.
 
-Two problems are solved here:
+Both problems are solved in the dimensionless group t = R^a / c_L: an
+SNR breakpoint g then sits at x = g t on the Kummer axis, where
+phi(x) = 1F1(2/a; 1 + 2/a; -x) is one minus the SNR CDF and
+h(x) = phi(x) - e^(-x) (see :func:`~semcell.specfun.kummer_pair`).
 
-* pick the largest radius keeping the probability of ``count_floor`` or
-  more users in outage below a target (closed form via the Lambert W
-  function under free-space path loss, bracketed bisection otherwise);
-* pick the radius placing the number of semantically served users in a
-  desired range with maximum probability, via the stationary point of
-  the per-user utilization probability and the level equation obtained
-  from the telescoping count-derivative identity.
+* The largest radius keeping the probability of ``count_floor`` or more
+  users in outage below a target solves the level equation
+  phi(y_th t) = u_th: in closed form via the Lambert W function under
+  free-space path loss, numerically otherwise.
+* The radius placing the number of semantically served users in a
+  desired range with maximum probability is one of the stationary points
+  of the range probability: the peak of the per-user utilization
+  probability pi_g(t) = phi(g_lo t) - phi(g_hi t), where
+  D(t) = h(g_hi t) - h(g_lo t) = 0, and the radii where pi_g crosses the
+  binomial level of the telescoping count-derivative identity, one on
+  each side of the peak.
+
+Every numeric equation is bracketed in closed form and solved by
+:func:`~semcell.specfun.bracketed_root` (safeguarded Newton in ln t);
+each solution records the solver's iteration count and the residual of
+the equation it solved.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .linkmodel import NetworkParams, snr_scale
 from .outage import binom_range_prob, sem_util_prob, sem_util_prob_deriv, utilization_window
 from .ratemodel import RateThresholds, SolverError
-from .specfun import hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0, log_binomial
+from .specfun import (bracketed_root, hyp1f1_ratio, inv_reg_inc_beta_int, kummer_pair,
+                      lambert_w0, log_binomial)
 
 
 class SolveMethod(enum.Enum):
@@ -67,6 +78,7 @@ class RadiusSolution:
     radius: float
     method: SolveMethod
     residual: float
+    iterations: int      # root-finder iterations, 0 for the closed form
 
 
 @dataclass(frozen=True)
@@ -76,7 +88,8 @@ class UtilizationRadius:
     radius: float
     equation: str        # "level" or "stationary"
     range_prob: float    # probability the served-count lands in range here
-    residual: float
+    residual: float      # of the equation solved: pi_g - level, or D(t)
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -114,47 +127,26 @@ def radius_closed_form_a2(y_th: float, u_th: float, params: NetworkParams) -> fl
     return math.sqrt(snr_scale(params) / y_th * x)
 
 
-def _solve_kummer_level_numeric(s: float, u_th: float) -> float:
-    """x > 0 with 1F1(s; s+1; -x) = u_th, by bracketed bisection.
+def _kummer_level_root(s: float, u_th: float) -> tuple[float, int, float]:
+    """(x, iterations, residual) for 1F1(s; s+1; -x) = u_th, x > 0.
 
-    The ratio decreases strictly from 1 to 0, so a sign change always
-    exists; bisection runs in log x and a Newton polish uses
-    d/dx 1F1 = (s/x)(e^(-x) - 1F1).
+    The ratio falls strictly from 1 to 0 between the bounds
+    1 - s x / (s+1) <= phi(x) <= Gamma(s+1) x^(-s), which bracket the
+    root in closed form (with a factor-two margin on each side); the
+    derivative in ln x is -s h(x).
     """
-    f = lambda x: hyp1f1_ratio(s, x) - u_th
-    x_lo = 1e-12
-    if f(x_lo) <= 0.0:
-        # u_th within one ulp of 1: the level is hit essentially at 0
-        return x_lo
-    x_hi = 1.0
-    for _ in range(400):
-        if f(x_hi) < 0.0:
-            break
-        x_hi *= 2.0
-    else:
-        raise SolverError(f"no bracket found for the Kummer level equation at u_th={u_th}")
-    for _ in range(200):
-        mid = math.sqrt(x_lo * x_hi)
-        if f(mid) >= 0.0:
-            x_lo = mid
-        else:
-            x_hi = mid
-        if x_hi - x_lo <= 1e-14 * x_hi:
-            break
-    x = 0.5 * (x_lo + x_hi)
-    for _ in range(30):
-        fx = f(x)
-        d = (s / x) * (math.exp(-x) - hyp1f1_ratio(s, x))
-        if d == 0.0:
-            break
-        nxt = x - fx / d
-        if not (x_lo * 0.5 <= nxt <= x_hi * 2.0) or nxt <= 0.0:
-            break
-        if abs(nxt - x) <= 1e-16 * x:
-            x = nxt
-            break
-        x = nxt
-    return x
+    def fdf(x: float) -> tuple[float, float]:
+        phi, h = kummer_pair(s, x)
+        return phi - u_th, -s * h
+
+    lo = 0.5 * (1.0 - u_th) * (s + 1.0) / s
+    hi = (2.0 * math.gamma(s + 1.0) / u_th) ** (1.0 / s)
+    return bracketed_root(fdf, lo, hi)
+
+
+def _solve_kummer_level_numeric(s: float, u_th: float) -> float:
+    """x > 0 with 1F1(s; s+1; -x) = u_th."""
+    return _kummer_level_root(s, u_th)[0]
 
 
 def radius_for_outage_threshold(target: DesignTarget, thr: RateThresholds,
@@ -175,16 +167,16 @@ def radius_for_outage_threshold(target: DesignTarget, thr: RateThresholds,
     c_l = snr_scale(params)
     if a == 2.0:
         radius = radius_closed_form_a2(y_th, target.u_th, params)
-        method = SolveMethod.CLOSED_FORM_A2
+        method, iterations = SolveMethod.CLOSED_FORM_A2, 0
     else:
-        x = _solve_kummer_level_numeric(2.0 / a, target.u_th)
+        x, iterations, _ = _kummer_level_root(2.0 / a, target.u_th)
         radius = (x * c_l / y_th) ** (1.0 / a)
         method = SolveMethod.NUMERIC
     residual = hyp1f1_ratio(2.0 / a, y_th * radius ** a / c_l) - target.u_th
     if not (radius > 0.0 and abs(residual) <= 1e-9):
         raise SolverError(
             f"radius solve left residual {residual} at R={radius}; target may be degenerate")
-    return RadiusSolution(radius=radius, method=method, residual=residual)
+    return RadiusSolution(radius=radius, method=method, residual=residual, iterations=iterations)
 
 
 def _count_pmf(p: float, trials: int, count: int) -> float:
@@ -245,83 +237,51 @@ def range_count_prob_deriv(num_users: int, count_lo: int, count_hi: int,
     return dpi * L * (_count_pmf(pi_g, L - 1, count_lo - 1) - _count_pmf(pi_g, L - 1, count_hi))
 
 
-def _at_radius(params: NetworkParams, radius: float) -> NetworkParams:
-    return replace(params, cell_radius_m=radius)
+class _UtilizationCurve:
+    """pi_g(t) and the equations of its stationary points on the window (g_lo, g_hi)."""
 
+    def __init__(self, s: float, g_lo: float, g_hi: float):
+        self.s, self.g_lo, self.g_hi = s, g_lo, g_hi
 
-def _stationary_radius(thr: RateThresholds, params: NetworkParams) -> float:
-    """Radius where the per-user utilization probability peaks."""
-    window = utilization_window(thr)
-    assert window is not None
-    g_lo, g_hi = window
-    a = params.pathloss_exp
-    r_char = (snr_scale(params) / g_hi) ** (1.0 / a)
-    deriv = lambda r: sem_util_prob_deriv(thr, _at_radius(params, r))
-    grid = r_char * np.geomspace(1e-4, 1e4, 161)
-    r_lo = r_hi = None
-    prev_r, prev_f = grid[0], deriv(grid[0])
-    if prev_f <= 0.0:
-        raise SolverError("utilization derivative is not positive at the small-radius end")
-    for r in grid[1:]:
-        fr = deriv(float(r))
-        if prev_f > 0.0 >= fr:
-            r_lo, r_hi = prev_r, float(r)
-            break
-        prev_r, prev_f = float(r), fr
-    if r_lo is None:
-        raise SolverError("no sign change found for the utilization derivative")
-    for _ in range(200):
-        mid = math.sqrt(r_lo * r_hi)
-        if deriv(mid) > 0.0:
-            r_lo = mid
-        else:
-            r_hi = mid
-        if r_hi - r_lo <= 1e-13 * r_hi:
-            break
-    return 0.5 * (r_lo + r_hi)
+    def terms(self, t: float) -> tuple[float, float, float]:
+        """(pi_g, D, t D'), from h' = e^(-x) - s h / x at both window edges."""
+        s, x_lo, x_hi = self.s, self.g_lo * t, self.g_hi * t
+        phi_lo, h_lo = kummer_pair(s, x_lo)
+        phi_hi, h_hi = kummer_pair(s, x_hi)
+        slope = (x_hi * math.exp(-x_hi) - s * h_hi) - (x_lo * math.exp(-x_lo) - s * h_lo)
+        return min(1.0, max(0.0, phi_lo - phi_hi)), h_hi - h_lo, slope
 
+    def peak(self) -> tuple[float, int, float]:
+        """Root of D(t) = 0, where t pi_g'(t) = s D(t) changes sign from + to -.
 
-def _level_root(thr: RateThresholds, params: NetworkParams, level: float,
-                r_peak: float, side: str) -> float | None:
-    """Root of pi_g(R) = level on one side of the peak, or None."""
-    value = lambda r: sem_util_prob(thr, _at_radius(params, r))
-    inner, f_inner = r_peak, value(r_peak)
-    if f_inner < level:
-        return None
-    outer = r_peak
-    factor = 0.5 if side == "below" else 2.0
-    for _ in range(2000):
-        outer *= factor
-        if value(outer) < level:
-            break
-    else:
-        return None
-    lo, hi = (outer, inner) if side == "below" else (inner, outer)
-    # orientation: pi_g rises with R below the peak, falls above it
-    rising = side == "below"
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        above = value(mid) >= level
-        if above == rising:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    root = 0.5 * (lo + hi)
-    for _ in range(30):
-        f = value(root) - level
-        d = sem_util_prob_deriv(thr, _at_radius(params, root))
-        if d == 0.0:
-            break
-        nxt = root - f / d
-        if not (lo * 0.5 <= nxt <= hi * 2.0):
-            break
-        if abs(nxt - root) <= 1e-16 * root:
-            root = nxt
-            break
-        root = nxt
-    return root
+        h rises on [0, 1] and falls on [X, inf) with X = 8 + 2 ln(1 + 1/s)
+        (for s <= 2, i.e. a >= 1), so D > 0 at g_hi t = 1 and D < 0 at
+        g_lo t = X.
+        """
+        def fdf(t: float) -> tuple[float, float]:
+            return self.terms(t)[1:]
+
+        x_big = 8.0 + 2.0 * math.log1p(1.0 / self.s)
+        return bracketed_root(fdf, 1.0 / self.g_hi, x_big / self.g_lo)
+
+    def level_root(self, level: float, t_peak: float, side: str) -> tuple[float, int, float]:
+        """Root of pi_g(t) = level on one side of the peak (the level must not exceed it).
+
+        pi_g <= s (g_hi - g_lo) t / (s+1) below the peak and
+        pi_g <= phi(g_lo t) <= Gamma(s+1) (g_lo t)^(-s) above it bound the
+        far ends of the two brackets (with a factor-two margin).
+        """
+        s = self.s
+
+        def fdf(t: float) -> tuple[float, float]:
+            value, d, _ = self.terms(t)
+            return value - level, s * d
+
+        if side == "below":
+            t_far = 0.5 * level * (s + 1.0) / (s * (self.g_hi - self.g_lo))
+            return bracketed_root(fdf, min(t_far, 0.5 * t_peak), t_peak)
+        t_far = (2.0 * math.gamma(s + 1.0) / level) ** (1.0 / s) / self.g_lo
+        return bracketed_root(fdf, t_peak, max(t_far, 2.0 * t_peak))
 
 
 def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
@@ -340,7 +300,8 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
     if not (0 <= count_lo <= count_hi <= num_users):
         raise ValueError(
             f"need 0 <= count_lo <= count_hi <= num_users, got ({count_lo}, {count_hi}, {num_users})")
-    if utilization_window(thr) is None:
+    window = utilization_window(thr)
+    if window is None:
         return UtilizationDesign(solutions=(), level_target=None,
                                  level_attainable=False, semantic_possible=False)
 
@@ -350,26 +311,28 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
         log_ratio = log_binomial(num_users - 1, count_hi) - log_binomial(num_users - 1, count_lo - 1)
         level = 1.0 / (1.0 + math.exp(log_ratio / (count_hi - count_lo + 1)))
 
-    range_prob = lambda r: binom_range_prob(
-        sem_util_prob(thr, _at_radius(params, r)), num_users, count_lo, count_hi)
+    a = params.pathloss_exp
+    c_l = snr_scale(params)
+    curve = _UtilizationCurve(2.0 / a, *window)
 
-    r_peak = _stationary_radius(thr, params)
-    peak_residual = r_peak * sem_util_prob_deriv(thr, _at_radius(params, r_peak))
-    solutions = [UtilizationRadius(radius=r_peak, equation="stationary",
-                                   range_prob=range_prob(r_peak), residual=peak_residual)]
+    def solution(t: float, equation: str, iterations: int, residual: float,
+                 pi_g: float | None = None) -> UtilizationRadius:
+        if pi_g is None:
+            pi_g = curve.terms(t)[0]
+        return UtilizationRadius(
+            radius=(t * c_l) ** (1.0 / a), equation=equation,
+            range_prob=binom_range_prob(pi_g, num_users, count_lo, count_hi),
+            residual=residual, iterations=iterations)
 
-    attainable = False
-    if level is not None:
-        pi_peak = sem_util_prob(thr, _at_radius(params, r_peak))
-        attainable = level <= pi_peak
-        if attainable:
-            for side in ("below", "above"):
-                root = _level_root(thr, params, level, r_peak, side)
-                if root is not None:
-                    residual = sem_util_prob(thr, _at_radius(params, root)) - level
-                    solutions.append(UtilizationRadius(
-                        radius=root, equation="level",
-                        range_prob=range_prob(root), residual=residual))
+    t_peak, iterations, residual = curve.peak()
+    pi_peak = curve.terms(t_peak)[0]
+    solutions = [solution(t_peak, "stationary", iterations, residual, pi_peak)]
+
+    attainable = level is not None and level <= pi_peak
+    if attainable:
+        for side in ("below", "above"):
+            t_root, iterations, residual = curve.level_root(level, t_peak, side)
+            solutions.append(solution(t_root, "level", iterations, residual))
     solutions.sort(key=lambda s: s.radius)
     return UtilizationDesign(solutions=tuple(solutions), level_target=level,
                              level_attainable=attainable, semantic_possible=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .linkmodel import NetworkParams, snr_cdf, snr_scale
 from .ratemodel import HybridRegime, RateThresholds
-from .specfun import hyp1f1_ratio, log_binomial
+from .specfun import hyp1f1_ratio, kummer_pair, log_binomial
 
 
 class NetOutageMode(enum.Enum):
@@ -208,9 +208,10 @@ def sem_util_prob(thr: RateThresholds, params: NetworkParams) -> float:
 def sem_util_prob_deriv(thr: RateThresholds, params: NetworkParams) -> float:
     """Radius derivative of :func:`sem_util_prob` at the params' radius.
 
-    (2/R) [phi(x_hi) - phi(x_lo) - e^(-x_hi) + e^(-x_lo)] with
-    phi(x) = 1F1(2/a; 1+2/a; -x) and x = g R^a / c_L evaluated at the
-    window edges; zero in the empty-window branches.
+    (2/R) [h(x_hi) - h(x_lo)] with h(x) = 1F1(2/a; 1+2/a; -x) - e^(-x)
+    (:func:`~semcell.specfun.kummer_pair`, free of cancellation as x -> 0)
+    and x = g R^a / c_L evaluated at the window edges; zero in the
+    empty-window branches.
     """
     radius = params.cell_radius_m
     if radius <= 0.0:
@@ -222,8 +223,6 @@ def sem_util_prob_deriv(thr: RateThresholds, params: NetworkParams) -> float:
     a = params.pathloss_exp
     scale = radius ** a / snr_scale(params)
     s = 2.0 / a
-    x_lo = g_lo * scale
-    x_hi = g_hi * scale
-    bracket = (hyp1f1_ratio(s, x_hi) - hyp1f1_ratio(s, x_lo)
-               - math.exp(-x_hi) + math.exp(-x_lo))
-    return 2.0 / radius * bracket
+    h_lo = kummer_pair(s, g_lo * scale)[1]
+    h_hi = kummer_pair(s, g_hi * scale)[1]
+    return 2.0 / radius * (h_hi - h_lo)

@@ -1,10 +1,12 @@
 """Scalar special-function kernel.
 
 Everything the reliability formulas need beyond the standard library:
-the lower incomplete gamma function, the Kummer ratio 1F1(s; s+1; -x),
-the regularized incomplete beta function with integer shape parameters
+the lower incomplete gamma function, the Kummer ratio 1F1(s; s+1; -x)
+and its cancellation-free companion 1F1(s; s+1; -x) - e^(-x), the
+regularized incomplete beta function with integer shape parameters
 (evaluated exactly as a binomial tail) and its inverse, the principal
-branch of the Lambert W function, and log-binomial coefficients.
+branch of the Lambert W function, log-binomial coefficients, and the
+safeguarded root finder behind the inverse beta and the radius design.
 
 All functions are pure, operate on Python floats, and raise ValueError
 on out-of-domain input.
@@ -105,6 +107,40 @@ def hyp1f1_ratio(s: float, x: float) -> float:
     return min(1.0, max(0.0, value))
 
 
+def kummer_pair(s: float, x: float) -> tuple[float, float]:
+    """(phi, h) with phi = 1F1(s; s+1; -x) and h = phi - e^(-x), for s > 0, x >= 0.
+
+    By Kummer's transformation phi = e^(-x) sum_{n>=0} x^n / (s+1)_n, so
+    below the x = s + 1 crossover h = e^(-x) sum_{n>=1} x^n / (s+1)_n is a
+    sum of positive terms and keeps full relative precision as x -> 0
+    (h ~ x / (s+1)), where phi - e^(-x) would cancel.  Above the crossover
+    phi comes from the continued fraction (or, beyond x = 40 (s+1), its
+    power-law limit Gamma(s+1) x^(-s)) and exceeds 2 e^(-x), so the plain
+    difference loses at most one bit.  h' = e^(-x) - s h / x.
+    """
+    if not (math.isfinite(s) and math.isfinite(x)) or s <= 0.0 or x < 0.0:
+        raise ValueError(f"kummer_pair requires finite s > 0 and x >= 0, got s={s}, x={x}")
+    if x == 0.0:
+        return 1.0, 0.0
+    if x < s + 1.0:
+        term = total = x / (s + 1.0)
+        n = 1
+        while term > total * 1e-17:
+            n += 1
+            if n > _MAX_ITER:
+                raise ArithmeticError(f"Kummer series did not converge for s={s}, x={x}")
+            term *= x / (s + n)
+            total += term
+        decay = math.exp(-x)
+        return decay * (1.0 + total), decay * total
+    if x > 40.0 * (s + 1.0):
+        # Gamma(s, x) < e^(-40) Gamma(s) here: phi is its power-law limit
+        phi = math.gamma(s + 1.0) * math.exp(-s * math.log(x))
+    else:
+        phi = s * math.exp(-s * math.log(x)) * (math.gamma(s) - _upper_gamma_cf(s, x))
+    return phi, phi - math.exp(-x)
+
+
 def log_binomial(n: int, k: int) -> float:
     """ln C(n, k) via log-gamma.  Exact to ~1e-14 relative."""
     if n < 0 or k < 0 or k > n:
@@ -145,43 +181,28 @@ def reg_inc_beta_int(p: float, k: int, m: int) -> float:
 def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:
     """Inverse of reg_inc_beta_int in p: the p with I_p(k, m) = q.
 
-    I_p is strictly increasing in p, so a coarse bisection bracket refined
-    with safeguarded Newton steps (the derivative is the Beta(k, m)
-    density) converges to machine-level residual.
+    I_p is strictly increasing in p, and the union bounds
+    1 - C(n, m) (1 - p)^m <= I_p(k, m) <= C(n, k) p^k, n = k + m - 1,
+    bracket the root in closed form (with a factor-two margin on each
+    side); :func:`bracketed_root` refines it with Newton steps in ln p,
+    whose derivative is p times the Beta(k, m) density.
     """
     if k < 1 or m < 1:
         raise ValueError(f"inv_reg_inc_beta_int requires integer k, m >= 1, got k={k}, m={m}")
     if not (0.0 < q < 1.0):
         raise ValueError(f"inv_reg_inc_beta_int requires 0 < q < 1 (the boundary solutions are degenerate), got q={q}")
-    lo, hi = 0.0, 1.0
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if reg_inc_beta_int(mid, k, m) < q:
-            lo = mid
-        else:
-            hi = mid
-    p = 0.5 * (lo + hi)
+    n = k + m - 1
     log_norm = math.lgamma(k + m) - math.lgamma(k) - math.lgamma(m)
-    for _ in range(60):
-        f = reg_inc_beta_int(p, k, m) - q
-        if f < 0.0:
-            lo = max(lo, p)
-        else:
-            hi = min(hi, p)
-        if abs(f) <= 1e-15 * max(1.0, q):
-            break
-        pdf = math.exp(log_norm + (k - 1) * math.log(p) + (m - 1) * math.log1p(-p))
-        if pdf <= 0.0:
-            p = 0.5 * (lo + hi)
-            continue
-        step = f / pdf
-        candidate = p - step
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        if candidate == p:
-            break
-        p = candidate
-    return p
+
+    def fdf(p: float) -> tuple[float, float]:
+        log_pdf = log_norm + (k - 1) * math.log(p)
+        if m > 1:
+            log_pdf += (m - 1) * math.log1p(-p) if p < 1.0 else -math.inf
+        return reg_inc_beta_int(p, k, m) - q, p * math.exp(log_pdf)
+
+    lo = max(0.5 * math.exp((math.log(q) - log_binomial(n, k)) / k), 1e-300)
+    hi = 1.0 - 0.5 * math.exp((math.log1p(-q) - log_binomial(n, m)) / m)
+    return bracketed_root(fdf, lo, hi)[0]
 
 
 def lambert_w0(x: float) -> float:
@@ -221,3 +242,65 @@ def lambert_w0(x: float) -> float:
         if abs(dw) <= 2e-16 * (1.0 + abs(w)):
             break
     return w
+
+
+_ROOT_RTOL = 1e-14  # Newton step in ln x below which a root counts as converged
+_NOISE_STEP = 1e-6  # a Newton step this small that stops halving is rounding noise
+
+
+def bracketed_root(fdf, lo: float, hi: float) -> tuple[float, int, float]:
+    """Root of f on the bracket [lo, hi], 0 < lo < hi, by safeguarded Newton in ln x.
+
+    ``fdf(x)`` returns ``(f(x), x f'(x))``: the residual and its
+    derivative in ln x.  f(lo) and f(hi) must differ in sign; a zero at
+    either end is returned as it stands.  Every evaluation shrinks the
+    bracket to the side holding the sign change; the next point is the
+    Newton step in ln x when it lands inside the bracket and is at most
+    half the previous step, else the geometric midpoint (Numerical
+    Recipes' rtsafe, on a log scale).  Iteration stops once the Newton
+    step or the bracket is below 1e-14 relative, or once a Newton step
+    below 1e-6 that follows another one stops halving: this deep in
+    Newton's quadratic basin the residual is then at its rounding floor
+    (ill-conditioned roots, such as a level just below the peak it must
+    cross).
+
+    Returns ``(root, iterations, residual)``: the last point evaluated,
+    the number of evaluations after the two end points, and f there.
+    Raises ArithmeticError when the ends do not bracket a sign change or
+    the iteration does not converge.
+    """
+    if not (0.0 < lo < hi):
+        raise ValueError(f"bracketed_root requires 0 < lo < hi, got lo={lo}, hi={hi}")
+    f_lo = fdf(lo)[0]
+    if f_lo == 0.0:
+        return lo, 0, 0.0
+    f_hi = fdf(hi)[0]
+    if f_hi == 0.0:
+        return hi, 0, 0.0
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise ArithmeticError(f"no sign change on [{lo}, {hi}]: f = {f_lo}, {f_hi}")
+    rising = f_hi > 0.0
+    x = math.sqrt(lo) * math.sqrt(hi)
+    last_step, newton = math.inf, False
+    for iteration in range(1, _MAX_ITER + 1):
+        f, df = fdf(x)
+        if f == 0.0:
+            return x, iteration, f
+        if (f > 0.0) == rising:
+            hi = x
+        else:
+            lo = x
+        step = f / df if df != 0.0 else math.inf
+        if abs(step) <= _ROOT_RTOL or hi <= lo * (1.0 + _ROOT_RTOL):
+            return x, iteration, f
+        target = math.log(x) - step
+        inside = math.log(lo) < target < math.log(hi)
+        if inside and abs(step) <= 0.5 * last_step:
+            x, last_step, newton = math.exp(target), abs(step), True
+        elif inside and newton and abs(step) <= _NOISE_STEP:
+            return x, iteration, f
+        else:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            last_step, newton = abs(math.log(mid / x)), False
+            x = mid
+    raise ArithmeticError(f"bracketed_root did not converge in {_MAX_ITER} iterations on [{lo}, {hi}]")

@@ -290,6 +290,16 @@ class TestDesignCommands:
         assert payload["method"] == "closed_form_a2"
         assert abs(payload["residual"]) <= 1e-9
         assert payload["radius_m"] > 0
+        assert payload["iterations"] == 0
+
+    def test_radius_json_numeric_reports_iterations(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, table1_config())
+        assert main(["design", "radius", "--config", str(cfg_path),
+                     "--pth", "1e-3", "--ll", "3"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "numeric"
+        assert abs(payload["residual"]) <= 1e-9
+        assert 1 <= payload["iterations"] <= 60
 
     def test_radius_rejects_bad_count(self, tmp_path):
         cfg_path = write_config(tmp_path, table1_config())
@@ -306,6 +316,9 @@ class TestDesignCommands:
         assert len(payload["solutions"]) == 3
         assert payload["best_radius_m"] == pytest.approx(
             min(s["radius_m"] for s in payload["solutions"]), rel=1e-12)
+        for solution in payload["solutions"]:
+            assert 1 <= solution["iterations"] <= 60
+            assert abs(solution["residual"]) <= 1e-9
 
 
 class TestSolverFailureExit:

@@ -248,6 +248,28 @@ class TestSemUtilization:
         thr = thresholds(cfg, table1_fit)
         assert sem_util_prob_deriv(thr, table1_params) == 0.0
 
+    def test_derivative_positive_at_tiny_radius_under_urban_loss(self, table1_params,
+                                                                 table1_cfg, table1_fit):
+        # at a = 4 and R = 1e-4 r_char both window edges sit near x = 1e-16
+        # on the Kummer axis: the bracket h(x_hi) - h(x_lo) must follow its
+        # small-x series sum_{n>=1} (-1)^(n+1) x^n / ((s+n) (n-1)!) instead
+        # of cancelling to zero
+        from semcell import snr_scale
+
+        thr = thresholds(table1_cfg, table1_fit)
+        g_lo, g_hi = utilization_window(thr)
+        params = replace(table1_params, pathloss_exp=4.0)
+        a, s = 4.0, 0.5
+        r_char = (snr_scale(params) / g_hi) ** (1.0 / a)
+        radius = 1e-4 * r_char
+        scale = radius ** a / snr_scale(params)
+        x_lo, x_hi = g_lo * scale, g_hi * scale
+        series = (x_hi - x_lo) / (s + 1.0) - (x_hi**2 - x_lo**2) / (s + 2.0)
+        expected = 2.0 / radius * series
+        analytic = sem_util_prob_deriv(thr, replace(params, cell_radius_m=radius))
+        assert analytic > 0.0
+        assert analytic == pytest.approx(expected, rel=1e-12)
+
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(43)
         checked = 0

@@ -7,6 +7,7 @@ from scipy import special as sp
 
 from semcell import (hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0,
                      log_binomial, lower_inc_gamma, reg_inc_beta_int)
+from semcell.specfun import bracketed_root, kummer_pair
 
 
 def kummer_series(s, x: float) -> float:
@@ -28,6 +29,23 @@ def kummer_series(s, x: float) -> float:
         n += 1
         term *= -xf / n
         if n > 5 and abs(term) < Fraction(1, 10**30):
+            return float(total)
+
+
+def kummer_gap_series(s, x: float) -> float:
+    """Exact rational sum of 1F1(s; s+1; -x) - e^(-x) = sum_{n>=1} -n/(s+n) (-x)^n / n!."""
+    from fractions import Fraction
+
+    s = Fraction(s)
+    xf = Fraction(x)
+    total = Fraction(0)
+    term = Fraction(1)
+    n = 0
+    while True:
+        n += 1
+        term *= -xf / n
+        total -= n / (s + n) * term
+        if n > 5 and abs(term) < abs(total) * Fraction(1, 10**30):
             return float(total)
 
 
@@ -121,6 +139,76 @@ class TestHyp1f1Ratio:
             hyp1f1_ratio(1.0, -0.5)
         with pytest.raises(ValueError):
             hyp1f1_ratio(-1.0, 0.5)
+
+
+class TestKummerPair:
+    def test_phi_matches_hyp1f1_ratio(self):
+        for s in (2.0 / 4.5, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0):
+            for x in np.geomspace(1e-6, 1e9, 40):
+                phi, _ = kummer_pair(s, float(x))
+                assert phi == pytest.approx(hyp1f1_ratio(s, float(x)), rel=1e-13)
+
+    def test_gap_against_rational_series(self):
+        # h = phi - e^-x keeps full relative precision down to x -> 0,
+        # where the plain difference of hyp1f1_ratio and exp cancels
+        from fractions import Fraction
+
+        for s_frac in (Fraction(4, 9), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3)):
+            s = float(s_frac)
+            for x in (1e-300, 1e-16, 1e-9, 1e-4, 0.3, 1.0, s + 0.999, s + 1.0, 3.0, 12.0, 30.0):
+                _, h = kummer_pair(s, x)
+                assert h == pytest.approx(kummer_gap_series(s_frac, x), rel=1e-13)
+
+    def test_power_law_tail_is_continuous(self):
+        # beyond x = 40 (s+1) phi is its power-law limit Gamma(s+1) x^-s
+        for s in (0.4, 1.0, 1.8):
+            edge = 40.0 * (s + 1.0)
+            below = kummer_pair(s, edge * (1.0 - 1e-12))[0]
+            above = kummer_pair(s, edge * (1.0 + 1e-12))[0]
+            assert above == pytest.approx(below, rel=1e-11)
+            assert kummer_pair(s, 1e15)[0] == pytest.approx(math.gamma(s + 1.0) * 1e15 ** -s, rel=1e-14)
+
+    def test_endpoints_and_domain(self):
+        assert kummer_pair(0.7, 0.0) == (1.0, 0.0)
+        with pytest.raises(ValueError):
+            kummer_pair(1.0, -0.5)
+        with pytest.raises(ValueError):
+            kummer_pair(0.0, 1.0)
+
+
+class TestBracketedRoot:
+    def test_rising_and_falling(self):
+        root, iterations, residual = bracketed_root(lambda x: (x**3 - 2.0, 3.0 * x**3), 1e-3, 1e3)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)
+        assert 1 <= iterations <= 20
+        assert abs(residual) <= 1e-14
+        root, _, _ = bracketed_root(lambda x: (math.exp(-x) - 0.5, -x * math.exp(-x)), 1e-6, 50.0)
+        assert root == pytest.approx(math.log(2.0), rel=1e-14)
+
+    def test_residual_is_f_at_the_root(self):
+        f = lambda x: math.log(x) - 1.0
+        root, _, residual = bracketed_root(lambda x: (f(x), 1.0), 1.0, 10.0)
+        assert residual == f(root)
+        assert root == pytest.approx(math.e, rel=1e-14)
+
+    def test_falls_back_to_bisection(self):
+        # a derivative of the wrong sign sends every Newton step out of
+        # the bracket; bisection alone must still converge
+        root, iterations, _ = bracketed_root(lambda x: (x - 3.0, -1.0), 1.0, 10.0)
+        assert root == pytest.approx(3.0, rel=1e-12)
+        assert iterations <= 60
+
+    def test_zero_at_an_end(self):
+        assert bracketed_root(lambda x: (x - 2.0, x), 2.0, 5.0) == (2.0, 0, 0.0)
+        assert bracketed_root(lambda x: (x - 5.0, x), 2.0, 5.0) == (5.0, 0, 0.0)
+
+    def test_errors(self):
+        with pytest.raises(ArithmeticError):
+            bracketed_root(lambda x: (x + 1.0, x), 1.0, 2.0)
+        with pytest.raises(ValueError):
+            bracketed_root(lambda x: (x - 1.5, x), 2.0, 1.0)
+        with pytest.raises(ValueError):
+            bracketed_root(lambda x: (x - 1.5, x), 0.0, 2.0)
 
 
 class TestRegIncBetaInt:
