@@ -9,32 +9,30 @@ form by direct event simulation.
 """
 
 from .design import (DesignTarget, RadiusSolution, SolveMethod, UtilizationDesign,
-                     UtilizationRadius, exact_count_prob, exact_count_prob_deriv,
-                     optimal_sem_util_radius, radius_closed_form_a2,
-                     radius_for_outage_threshold, range_count_prob_deriv)
+                     UtilizationRadius, exact_count_prob, optimal_sem_util_radius,
+                     radius_closed_form_a2, radius_for_outage_threshold, range_count_prob_deriv)
 from .linkmodel import (NetworkParams, SPEED_OF_LIGHT, db_to_linear,
                         dbm_per_hz_to_watts_per_hz, linear_to_db, mean_edge_snr,
                         snr_cdf, snr_scale)
 from .montecarlo import (BitOutage, ExactCount, HybridOutage, McEstimate, RangeCount,
                          Scenario, SemOutage, SemUtilization, estimate, estimate_many, resolve_workers,
                          sample_user, user_stream)
-from .outage import (NetOutageMode, OutageReport, binom_range_prob, network_outage,
-                     outage_report, sem_util_prob, sem_util_prob_deriv,
-                     user_outage_bit, user_outage_hybrid, user_outage_sem,
-                     utilization_window)
+from .outage import (NetOutageMode, OutageReport, network_outage, outage_report,
+                     sem_util_prob, sem_util_prob_deriv, user_outage_bit,
+                     user_outage_hybrid, user_outage_sem, utilization_window)
 from .ratemodel import (HybridRegime, RateConfig, RateThresholds, SimilarityFit,
                         SolverError, bit_rate, gamma_gap, hybrid_rate, inv_similarity,
                         sem_rate, similarity, thresholds)
-from .specfun import (hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0, log_binomial,
-                      lower_inc_gamma, reg_inc_beta_int)
+from .specfun import (binom_range_prob, hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0,
+                      log_binomial)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # specfun
-    "lower_inc_gamma", "hyp1f1_ratio", "reg_inc_beta_int", "inv_reg_inc_beta_int",
-    "lambert_w0", "log_binomial",
+    "hyp1f1_ratio", "binom_range_prob", "inv_reg_inc_beta_int", "lambert_w0",
+    "log_binomial",
     # linkmodel
     "NetworkParams", "SPEED_OF_LIGHT", "snr_scale", "snr_cdf", "mean_edge_snr",
     "db_to_linear", "linear_to_db", "dbm_per_hz_to_watts_per_hz",
@@ -44,13 +42,12 @@ __all__ = [
     "thresholds", "hybrid_rate",
     # outage
     "NetOutageMode", "OutageReport", "user_outage_hybrid", "user_outage_bit",
-    "user_outage_sem", "network_outage", "binom_range_prob", "sem_util_prob",
+    "user_outage_sem", "network_outage", "sem_util_prob",
     "sem_util_prob_deriv", "outage_report", "utilization_window",
     # design
     "DesignTarget", "RadiusSolution", "SolveMethod", "UtilizationRadius",
     "UtilizationDesign", "radius_for_outage_threshold", "radius_closed_form_a2",
-    "optimal_sem_util_radius", "exact_count_prob", "exact_count_prob_deriv",
-    "range_count_prob_deriv",
+    "optimal_sem_util_radius", "exact_count_prob", "range_count_prob_deriv",
     # montecarlo
     "Scenario", "McEstimate", "BitOutage", "SemOutage", "HybridOutage",
     "SemUtilization", "ExactCount", "RangeCount", "estimate", "estimate_many", "sample_user",

@@ -20,6 +20,7 @@ import platform
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -39,6 +40,9 @@ EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
 
 _METRICS = ("pi_h", "pi_b", "pi_s", "net_all", "net_any", "s_range", "pi_g", "util_range")
+# validate: one Bonferroni bound on the score statistic for the whole family
+_FAMILY_ALPHA = 1e-3
+_Z_BOUND = NormalDist().inv_cdf(1.0 - _FAMILY_ALPHA / (2 * len(_METRICS)))
 _SWEEP_AXES = ("edge_snr_db", "radius_m", "m_th", "r_out")
 
 
@@ -348,6 +352,7 @@ def evaluate_sweep(sc: ScenarioConfig, workers: int | None = None) -> list[dict[
         events = [_MC_EVENTS[name](sc) for name in _METRICS]
         estimates = estimate_many(events, sc.mc_samples, sc.mc_seed, scenarios, workers=workers)
         for row, point_estimates in zip(rows, estimates):
+            row["mc_low_precision"] = point_estimates[0].low_precision
             for name, est in zip(_METRICS, point_estimates):
                 row[f"mc_{name}"] = est.estimate
                 row[f"mc_{name}_stderr"] = est.std_error
@@ -461,19 +466,34 @@ def _cmd_validate(args) -> int:
     point = sc.scenario.params.cell_radius_m if sc.sweep_axis == "radius_m" else sc.grid[0]
     row = evaluate_sweep(replace(sc, mc_samples=samples, grid=(point,)))[0]
     failures = 0
-    print(f"closed form vs Monte Carlo at n={samples} (tolerance 3 standard errors)")
+    print(f"closed form vs Monte Carlo at n={samples} (score test, |z| <= {_Z_BOUND:.3f}: "
+          f"family-wise alpha {_FAMILY_ALPHA:g} over {len(_METRICS)} metrics)")
+    if row["mc_low_precision"]:
+        print("  low precision: fewer than 10^4 samples")
     for name in _METRICS:
         analytic = row[name]
         mc_value = row[f"mc_{name}"]
-        stderr = row[f"mc_{name}_stderr"]
-        ok = abs(analytic - mc_value) <= 3.0 * stderr
+        z = _score_z(mc_value, analytic, samples)
+        ok = abs(z) <= _Z_BOUND
         failures += 0 if ok else 1
         print(f"  {name:>10}: analytic={analytic:.6e} mc={mc_value:.6e} "
-              f"stderr={stderr:.2e} {'ok' if ok else 'MISMATCH'}")
+              f"stderr={row[f'mc_{name}_stderr']:.2e} {'ok' if ok else 'MISMATCH'}")
+        print(f"  {'':>10}  z={z:+.3g}")
+        expected = samples * min(analytic, 1.0 - analytic)
+        if expected < 1.0:
+            print(f"  {'':>10}  uninformative: n min(p, 1-p) = {expected:.3g} < 1")
     if failures:
-        print(f"{failures} metric(s) outside 3 standard errors", file=sys.stderr)
+        print(f"{failures} metric(s) outside |z| <= {_Z_BOUND:.3f}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
+
+
+def _score_z(p_hat: float, p: float, n: int) -> float:
+    """Score statistic (p_hat - p) / sqrt(p (1 - p) / n) with the closed form p
+    as the null (Wilson 1927); infinite when p is 0 or 1 and p_hat differs."""
+    if p in (0.0, 1.0):
+        return 0.0 if p_hat == p else math.copysign(math.inf, p_hat - p)
+    return (p_hat - p) / (math.sqrt(p) * math.sqrt((1.0 - p) / n))  # no underflow at tiny p
 
 
 def _nominal_scenario(args) -> ScenarioConfig:

@@ -30,10 +30,10 @@ import math
 from dataclasses import dataclass
 
 from .linkmodel import NetworkParams, snr_scale
-from .outage import binom_range_prob, sem_util_prob, sem_util_prob_deriv, utilization_window
+from .outage import sem_util_prob, sem_util_prob_deriv, utilization_window
 from .ratemodel import RateThresholds, SolverError
-from .specfun import (bracketed_root, hyp1f1_ratio, inv_reg_inc_beta_int, kummer_pair,
-                      lambert_w0, log_binomial)
+from .specfun import (binom_range_prob, bracketed_root, hyp1f1_ratio, inv_reg_inc_beta_int,
+                      kummer_pair, lambert_w0, log_binomial)
 
 
 class SolveMethod(enum.Enum):
@@ -94,16 +94,21 @@ class UtilizationRadius:
 
 @dataclass(frozen=True)
 class UtilizationDesign:
-    """All candidate radii for a utilization-range design query."""
+    """All candidate radii for a utilization-range design query.
+
+    ``has_maximum`` is False when no radius maximizes the range probability.
+    """
 
     solutions: tuple[UtilizationRadius, ...]
     level_target: float | None
     level_attainable: bool
     semantic_possible: bool
+    has_maximum: bool = True
 
     @property
     def best(self) -> UtilizationRadius | None:
-        if not self.solutions:
+        """The candidate with the largest range probability, or None without a maximizer."""
+        if not (self.solutions and self.has_maximum):
             return None
         return max(self.solutions, key=lambda s: s.range_prob)
 
@@ -144,24 +149,19 @@ def _kummer_level_root(s: float, u_th: float) -> tuple[float, int, float]:
     return bracketed_root(fdf, lo, hi)
 
 
-def _solve_kummer_level_numeric(s: float, u_th: float) -> float:
-    """x > 0 with 1F1(s; s+1; -x) = u_th."""
-    return _kummer_level_root(s, u_th)[0]
-
-
 def radius_for_outage_threshold(target: DesignTarget, thr: RateThresholds,
                                 params: NetworkParams) -> RadiusSolution:
     """Largest radius keeping P[count_floor or more users in outage] <= p_th.
 
-    Solves 1F1(2/a; 1+2/a; -(y_th/c_L) R^a) = u_th where y_th is the
-    single CDF argument of the active outage regime; any smaller radius
-    then satisfies the target strictly (the per-user outage probability
-    increases with the radius).
+    Solves 1F1(2/a; 1+2/a; -(y_th/c_L) R^a) = u_th where [0, y_th] is the
+    hybrid outage event on the SNR axis (SolverError when it is not one
+    such interval); any smaller radius then satisfies the target strictly
+    (the per-user outage probability F_g(y_th) increases with the radius).
     """
     y_th = thr.outage_cdf_argument()
     if y_th is None:
         raise SolverError(
-            "outage regime has no single CDF argument (composite outage interval); "
+            "the hybrid outage event is not one SNR interval [0, y] (composite corner); "
             "radius design is not defined for this parameter corner")
     a = params.pathloss_exp
     c_l = snr_scale(params)
@@ -179,46 +179,21 @@ def radius_for_outage_threshold(target: DesignTarget, thr: RateThresholds,
     return RadiusSolution(radius=radius, method=method, residual=residual, iterations=iterations)
 
 
-def _count_pmf(p: float, trials: int, count: int) -> float:
-    """Binomial pmf, reusing the log-space range sum (trials may be 0)."""
-    if trials == 0:
-        return 1.0 if count == 0 else 0.0
-    return binom_range_prob(p, trials, count, count)
-
-
 def exact_count_prob(num_users: int, count: int, thr: RateThresholds,
                      params: NetworkParams) -> float:
     """Probability exactly ``count`` of ``num_users`` users are served semantically."""
-    return _count_pmf(sem_util_prob(thr, params), num_users, count)
-
-
-def exact_count_prob_deriv(num_users: int, count: int, thr: RateThresholds,
-                           params: NetworkParams) -> float:
-    """Radius derivative of :func:`exact_count_prob` by the telescoping identity.
-
-    d f(L, m)/dR = (d pi_g/dR) L [f(L-1, m-1) - f(L-1, m)], with the
-    one-sided forms at m = 0 and m = L.
-    """
-    if not (0 <= count <= num_users):
-        raise ValueError(f"need 0 <= count <= num_users, got ({count}, {num_users})")
-    dpi = sem_util_prob_deriv(thr, params)
-    if dpi == 0.0:
-        return 0.0
-    pi_g = sem_util_prob(thr, params)
-    L = num_users
-    if count == 0:
-        return -dpi * L * _count_pmf(pi_g, L - 1, 0)
-    if count == L:
-        return dpi * L * _count_pmf(pi_g, L - 1, L - 1)
-    return dpi * L * (_count_pmf(pi_g, L - 1, count - 1) - _count_pmf(pi_g, L - 1, count))
+    return binom_range_prob(sem_util_prob(thr, params), num_users, count, count)
 
 
 def range_count_prob_deriv(num_users: int, count_lo: int, count_hi: int,
                            thr: RateThresholds, params: NetworkParams) -> float:
     """Radius derivative of the served-count range probability.
 
-    The interior pmf derivatives cancel telescopically, leaving only the
-    two boundary terms (or one of them in the extreme cases).
+    d f(L, m)/dR = (d pi_g/dR) L [f(L-1, m-1) - f(L-1, m)] for the pmf f,
+    with the one-sided forms at m = 0 and m = L; over the range the
+    interior terms cancel telescopically, leaving only the two boundary
+    terms (or one of them in the extreme cases).  ``count_lo = count_hi``
+    gives the derivative of :func:`exact_count_prob`.
     """
     if not (0 <= count_lo <= count_hi <= num_users):
         raise ValueError(
@@ -230,11 +205,15 @@ def range_count_prob_deriv(num_users: int, count_lo: int, count_hi: int,
         return 0.0
     pi_g = sem_util_prob(thr, params)
     L = num_users
+
+    def pmf(count: int) -> float:
+        return binom_range_prob(pi_g, L - 1, count, count)
+
     if count_hi == L:
-        return dpi * L * _count_pmf(pi_g, L - 1, count_lo - 1)
+        return dpi * L * pmf(count_lo - 1)
     if count_lo == 0:
-        return -dpi * L * _count_pmf(pi_g, L - 1, count_hi)
-    return dpi * L * (_count_pmf(pi_g, L - 1, count_lo - 1) - _count_pmf(pi_g, L - 1, count_hi))
+        return -dpi * L * pmf(count_hi)
+    return dpi * L * (pmf(count_lo - 1) - pmf(count_hi))
 
 
 class _UtilizationCurve:
@@ -296,6 +275,9 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
     Every candidate is tagged with its range probability so callers pick
     the maximizer (``.best``); when the level exceeds the utilization
     peak only the stationary radius is returned, flagged unattainable.
+    With count_lo = 0 and count_hi < num_users the range probability
+    P[count <= count_hi] falls as pi_g rises: the stationary radius is its
+    minimum, it tends to 1 as R -> 0 or infinity, and ``.best`` is None.
     """
     if not (0 <= count_lo <= count_hi <= num_users):
         raise ValueError(
@@ -335,4 +317,5 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
             solutions.append(solution(t_root, "level", iterations, residual))
     solutions.sort(key=lambda s: s.radius)
     return UtilizationDesign(solutions=tuple(solutions), level_target=level,
-                             level_attainable=attainable, semantic_possible=True)
+                             level_attainable=attainable, semantic_possible=True,
+                             has_maximum=not (count_lo == 0 and count_hi < num_users))

@@ -6,16 +6,13 @@ binomial outage-count probabilities, and the probability that a user is
 actually served semantically (inside the semantic window and above the
 outage rate), together with its radius derivative.
 
-The hybrid outage probability is always assembled from the two exact
-event probabilities
-
-    P(bit preferred and bit rate below threshold)      (outside the window)
-    P(semantic preferred and semantic rate below it)   (inside the window)
-
-rather than from the single-CDF branch table; the regime tag recorded in
-:class:`~semcell.ratemodel.RateThresholds` identifies which single-CDF
-form the sum collapses to, and the two agree except for floating-point
-dust (asserted in the test suite).
+Every per-user event is a union of disjoint SNR intervals built by
+:class:`~semcell.ratemodel.RateThresholds` from the four breakpoints,
+and its probability is the sum of F_g(hi) - F_g(lo) over them (F_g the
+SNR CDF).  The hybrid outage event is the bit outage set outside the
+semantic window plus the semantic outage set inside it; the branch
+table's single-CDF forms are the cases where the two parts merge into
+one interval [0, y] (checked against the table in the test suite).
 """
 
 from __future__ import annotations
@@ -25,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .linkmodel import NetworkParams, snr_cdf, snr_scale
-from .ratemodel import HybridRegime, RateThresholds
-from .specfun import hyp1f1_ratio, kummer_pair, log_binomial
+from .ratemodel import HybridRegime, Interval, RateThresholds
+from .specfun import binom_range_prob, hyp1f1_ratio, kummer_pair
 
 
 class NetOutageMode(enum.Enum):
@@ -56,54 +53,33 @@ def user_outage_bit(thr: RateThresholds, params: NetworkParams) -> float:
     return snr_cdf(thr.g_bit, params)
 
 
+def _cdf_mass(intervals: tuple[Interval, ...], params: NetworkParams) -> float:
+    """SNR probability of a union of disjoint intervals: sum F(hi) - sum F(lo), F(inf) = 1."""
+    def cdf(y: float) -> float:
+        return 1.0 if y == math.inf else snr_cdf(y, params)
+
+    return sum(cdf(hi) for _, hi in intervals) - sum(cdf(lo) for lo, _ in intervals)
+
+
 def user_outage_sem(thr: RateThresholds, params: NetworkParams) -> float:
     """Outage probability of a pure semantic user.
 
-    Outage when the semantic rate is below the threshold or the
-    similarity QoS is missed; 1 identically once k * r_out reaches the
-    similarity ceiling (the semantic rate saturates below the threshold).
+    Outage when the similarity QoS is missed (below g_min) or the
+    semantic rate is below the threshold (below ``sem_outage_edge``); 1
+    identically once k * r_out reaches the similarity ceiling.
     """
-    if thr.k_r_out <= thr.sim_floor:
-        return snr_cdf(thr.g_min, params)
-    if thr.k_r_out >= thr.sim_ceiling:
-        return 1.0
-    if thr.g_sem <= thr.g_min:
-        return snr_cdf(thr.g_min, params)
-    return snr_cdf(thr.g_sem, params)
+    return _cdf_mass(((0.0, max(thr.g_min, thr.sem_outage_edge)),), params)
 
 
 def user_outage_hybrid(thr: RateThresholds, params: NetworkParams) -> float:
     """Outage probability of a hybrid user.
 
-    Sum of the bit-outage probability outside the semantic window and the
-    semantic-outage probability inside it, each evaluated by exact
-    interval arithmetic on the SNR axis.
+    Probability of the bit part (bit rate below the threshold outside
+    the semantic window) plus that of the semantic part (semantic rate
+    below it inside the window).
     """
-    f_bit = snr_cdf(thr.g_bit, params)
-    if thr.regime is HybridRegime.BITCOM_COLLAPSE:
-        return f_bit
-    f_min = snr_cdf(thr.g_min, params)
-    f_max = snr_cdf(thr.g_max, params)
-
-    if thr.g_bit <= thr.g_min:
-        bit_term = f_bit
-    elif thr.g_bit <= thr.g_max:
-        bit_term = f_min
-    else:
-        bit_term = f_min + f_bit - f_max
-
-    if thr.k_r_out <= thr.sim_floor:
-        sem_term = 0.0
-    elif thr.k_r_out >= thr.sim_ceiling:
-        sem_term = f_max - f_min
-    elif thr.g_sem <= thr.g_min:
-        sem_term = 0.0
-    elif thr.g_sem <= thr.g_max:
-        sem_term = snr_cdf(thr.g_sem, params) - f_min
-    else:
-        sem_term = f_max - f_min
-
-    return _clamp01(bit_term + sem_term)
+    bit, sem = thr.hybrid_outage_parts()
+    return _clamp01(_cdf_mass(bit, params) + _cdf_mass(sem, params))
 
 
 def outage_report(thr: RateThresholds, params: NetworkParams) -> OutageReport:
@@ -135,58 +111,23 @@ def network_outage(pi: float, num_users: int, mode: NetOutageMode) -> float:
     raise ValueError(f"unknown network outage mode {mode!r}")
 
 
-def binom_range_prob(p: float, num_users: int, count_lo: int, count_hi: int) -> float:
-    """P[count_lo <= Binomial(num_users, p) <= count_hi], in log space.
-
-    With count_hi = num_users this equals the regularized incomplete beta
-    I_p(count_lo, num_users - count_lo + 1).
-    """
-    if not (0 <= count_lo <= count_hi <= num_users):
-        raise ValueError(
-            f"need 0 <= count_lo <= count_hi <= num_users, got ({count_lo}, {count_hi}, {num_users})")
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return 1.0 if count_lo == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if count_hi == num_users else 0.0
-    log, exp = math.log, math.exp
-    log_p = log(p)
-    log_q = math.log1p(-p)
-    step = log_p - log_q
-    log_term = log_binomial(num_users, count_lo) + count_lo * log_p + (num_users - count_lo) * log_q
-    terms = [log_term]
-    for m in range(count_lo, count_hi):
-        log_term += log((num_users - m) / (m + 1.0)) + step
-        terms.append(log_term)
-    top = max(terms)
-    return min(1.0, exp(top) * sum(exp(t - top) for t in terms))
-
-
-def utilization_window(thr: RateThresholds) -> tuple[float, float] | None:
+def utilization_window(thr: RateThresholds) -> Interval | None:
     """SNR interval on which a user is served semantically above the
-    outage rate, or None when that event is empty.
+    outage rate, or None when that event is empty: the semantic window
+    [g_min, g_max] above ``sem_outage_edge``."""
+    lo = max(thr.g_min, thr.sem_outage_edge)
+    return (lo, thr.g_max) if lo < thr.g_max else None
 
-    Derived from the regime tag so the probability and its derivative use
-    exactly the branch that classified the thresholds.
-    """
-    regime = thr.regime
-    if regime in (HybridRegime.BITCOM_COLLAPSE,
-                  HybridRegime.BIT_BOUND_SATURATED,
-                  HybridRegime.BIT_BOUND_ABOVE_CROSSING):
+
+def _window_on_kummer_axis(thr: RateThresholds, params: NetworkParams):
+    """(s, x_lo, x_hi): s = 2/a and the utilization window's edges at
+    x = g R^a / c_L, or None when the window is empty."""
+    window = utilization_window(thr)
+    if window is None:
         return None
-    if regime is HybridRegime.SEM_BOUND_MID_RATE:
-        return (thr.g_sem, thr.g_max)
-    if regime is not HybridRegime.COMPOSITE_TAIL:
-        return (thr.g_min, thr.g_max)
-    # composite corner: fall back to the literal window conditions
-    if thr.k_r_out >= thr.sim_ceiling or thr.g_max <= thr.g_min:
-        return None
-    if thr.k_r_out <= thr.sim_floor or thr.g_sem <= thr.g_min:
-        return (thr.g_min, thr.g_max)
-    if thr.g_sem <= thr.g_max:
-        return (thr.g_sem, thr.g_max)
-    return None
+    a = params.pathloss_exp
+    scale = params.cell_radius_m ** a / snr_scale(params)
+    return 2.0 / a, window[0] * scale, window[1] * scale
 
 
 def sem_util_prob(thr: RateThresholds, params: NetworkParams) -> float:
@@ -195,14 +136,11 @@ def sem_util_prob(thr: RateThresholds, params: NetworkParams) -> float:
     Difference of two Kummer-ratio terms across the utilization window;
     identically zero when the window is empty.
     """
-    window = utilization_window(thr)
-    if window is None:
+    axis = _window_on_kummer_axis(thr, params)
+    if axis is None:
         return 0.0
-    g_lo, g_hi = window
-    a = params.pathloss_exp
-    scale = params.cell_radius_m ** a / snr_scale(params)
-    s = 2.0 / a
-    return _clamp01(hyp1f1_ratio(s, g_lo * scale) - hyp1f1_ratio(s, g_hi * scale))
+    s, x_lo, x_hi = axis
+    return _clamp01(hyp1f1_ratio(s, x_lo) - hyp1f1_ratio(s, x_hi))
 
 
 def sem_util_prob_deriv(thr: RateThresholds, params: NetworkParams) -> float:
@@ -210,19 +148,11 @@ def sem_util_prob_deriv(thr: RateThresholds, params: NetworkParams) -> float:
 
     (2/R) [h(x_hi) - h(x_lo)] with h(x) = 1F1(2/a; 1+2/a; -x) - e^(-x)
     (:func:`~semcell.specfun.kummer_pair`, free of cancellation as x -> 0)
-    and x = g R^a / c_L evaluated at the window edges; zero in the
-    empty-window branches.
+    and x = g R^a / c_L evaluated at the window edges; zero when the
+    window is empty.
     """
-    radius = params.cell_radius_m
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    window = utilization_window(thr)
-    if window is None:
+    axis = _window_on_kummer_axis(thr, params)
+    if axis is None:
         return 0.0
-    g_lo, g_hi = window
-    a = params.pathloss_exp
-    scale = radius ** a / snr_scale(params)
-    s = 2.0 / a
-    h_lo = kummer_pair(s, g_lo * scale)[1]
-    h_hi = kummer_pair(s, g_hi * scale)[1]
-    return 2.0 / radius * (h_hi - h_lo)
+    s, x_lo, x_hi = axis
+    return 2.0 / params.cell_radius_m * (kummer_pair(s, x_hi)[1] - kummer_pair(s, x_lo)[1])

@@ -16,9 +16,10 @@ Breakpoints:
 * ``g_sem``  -- SNR where the semantic rate equals the outage rate
   threshold (absent when the logistic floor/ceiling makes it vacuous).
 
-Their ordering, together with how k * r_out compares to the logistic
-asymptotes, selects one branch of the piecewise outage expressions; the
-branch is classified once here and carried as :class:`HybridRegime`.
+Every per-user event is a union of disjoint intervals on the SNR axis
+with these breakpoints as ends (:class:`RateThresholds` builds them), so
+its probability is a sum of SNR-CDF differences.  :class:`HybridRegime`
+only labels which row of the paper's branch table the intervals match.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class RateConfig:
 
 
 class HybridRegime(enum.Enum):
-    """Active branch of the piecewise hybrid-outage expression.
+    """Row of the paper's hybrid-outage branch table, recorded in the manifest.
 
     The first seven members mirror the closed-form branch table (the SNR
     below which a hybrid user is in outage is a single CDF argument);
@@ -101,25 +102,16 @@ class HybridRegime(enum.Enum):
     COMPOSITE_TAIL = "composite_tail"
 
 
-_BRANCH_INDEX = {
-    HybridRegime.BIT_BOUND_LOW_RATE: 1,
-    HybridRegime.QOS_BOUND_LOW_RATE: 2,
-    HybridRegime.BIT_BOUND_MID_RATE: 3,
-    HybridRegime.QOS_BOUND_MID_RATE: 4,
-    HybridRegime.SEM_BOUND_MID_RATE: 5,
-    HybridRegime.BIT_BOUND_ABOVE_CROSSING: 6,
-    HybridRegime.BIT_BOUND_SATURATED: 7,
-}
+Interval = tuple[float, float]
 
 
 @dataclass(frozen=True)
 class RateThresholds:
-    """Derived SNR breakpoints plus the classified outage regime.
+    """Derived SNR breakpoints, the per-user events they bound and the regime label.
 
     ``k_r_out`` (k r_out / info_per_word, the similarity at which the
-    semantic rate equals r_out) and the fit asymptotes are carried along
-    so downstream probability code can re-use the exact comparisons that
-    selected the regime instead of re-deriving them.
+    semantic rate equals r_out) and the fit asymptotes decide whether the
+    semantic rate misses r_out never, below ``g_sem`` or always.
     """
 
     g_min: float
@@ -131,25 +123,40 @@ class RateThresholds:
     sim_floor: float
     sim_ceiling: float
 
-    def outage_cdf_argument(self) -> float | None:
-        """SNR whose CDF value equals the hybrid outage probability.
-
-        Returns None for the composite corner where the outage event is
-        not a single interval.
-        """
-        regime = self.regime
-        if regime is HybridRegime.COMPOSITE_TAIL:
-            return None
-        if regime in (HybridRegime.QOS_BOUND_LOW_RATE, HybridRegime.QOS_BOUND_MID_RATE):
-            return self.g_min
-        if regime is HybridRegime.SEM_BOUND_MID_RATE:
-            return self.g_sem
-        return self.g_bit
-
     @property
-    def branch_index(self) -> int | None:
-        """1..7 for the closed-form table branches, None otherwise."""
-        return _BRANCH_INDEX.get(self.regime)
+    def sem_outage_edge(self) -> float:
+        """SNR below which the semantic rate misses r_out: 0 when k r_out <= a1,
+        infinity when k r_out >= a2, ``g_sem`` between."""
+        if self.k_r_out <= self.sim_floor:
+            return 0.0
+        if self.k_r_out >= self.sim_ceiling:
+            return math.inf
+        return self.g_sem
+
+    def hybrid_outage_parts(self) -> tuple[tuple[Interval, ...], tuple[Interval, ...]]:
+        """The hybrid outage event as disjoint SNR intervals: (bit part, semantic
+        part), the bit outage set [0, g_bit] outside the semantic window
+        [g_min, g_max] and the semantic outage set [0, sem_outage_edge] inside it.
+        """
+        g_min, g_max, g_bit = self.g_min, self.g_max, self.g_bit
+        if g_max <= g_min:
+            return ((0.0, g_bit),), ()
+        bit = ((0.0, min(g_bit, g_min)),)
+        if g_bit > g_max:
+            bit += ((g_max, g_bit),)
+        edge = min(self.sem_outage_edge, g_max)
+        return bit, ((g_min, edge),) if edge > g_min else ()
+
+    def outage_cdf_argument(self) -> float | None:
+        """The y for which the hybrid outage event is [0, y], so that its
+        probability is F_g(y); None when the event is not one interval."""
+        bit, sem = self.hybrid_outage_parts()
+        y = 0.0
+        for lo, hi in sorted(bit + sem):
+            if lo > y:
+                return None
+            y = max(y, hi)
+        return y
 
 
 def _scalar_like(value, template):
@@ -322,7 +329,7 @@ def _classify(g_bit: float, g_min: float, g_sem: float | None, g_max: float,
 
 
 def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
-    """Compute all SNR breakpoints and classify the outage regime."""
+    """Compute all SNR breakpoints and label the outage regime."""
     if not (fit.a1 < cfg.m_th < fit.a2):
         raise ValueError(
             f"similarity threshold {cfg.m_th} must lie strictly between the fit asymptotes ({fit.a1}, {fit.a2})")
@@ -344,12 +351,10 @@ def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
 def hybrid_rate(g, thr: RateThresholds, cfg: RateConfig, fit: SimilarityFit):
     """Rate of a hybrid user: semantic inside [g_min, g_max], bit outside.
 
-    When the semantic window is empty the hybrid degenerates to pure bit
-    transmission everywhere.
+    When the semantic window is empty (g_max < g_min) the hybrid is pure
+    bit transmission everywhere.
     """
     rb = np.asarray(bit_rate(g, cfg))
-    if thr.regime is HybridRegime.BITCOM_COLLAPSE:
-        return _scalar_like(rb, g)
     rs = np.asarray(sem_rate(g, cfg, fit))
     garr = np.asarray(g, dtype=float)
     value = np.where((garr >= thr.g_min) & (garr <= thr.g_max), rs, rb)

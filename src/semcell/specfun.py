@@ -1,12 +1,12 @@
 """Scalar special-function kernel.
 
 Everything the reliability formulas need beyond the standard library:
-the lower incomplete gamma function, the Kummer ratio 1F1(s; s+1; -x)
-and its cancellation-free companion 1F1(s; s+1; -x) - e^(-x), the
-regularized incomplete beta function with integer shape parameters
-(evaluated exactly as a binomial tail) and its inverse, the principal
-branch of the Lambert W function, log-binomial coefficients, and the
-safeguarded root finder behind the inverse beta and the radius design.
+the Kummer ratio 1F1(s; s+1; -x) and its cancellation-free companion
+1F1(s; s+1; -x) - e^(-x), the binomial range probability (whose upper
+tail is the regularized incomplete beta function with integer shape
+parameters) and the inverse of that tail, the principal branch of the
+Lambert W function, log-binomial coefficients, and the safeguarded root
+finder behind the inverse tail and the radius design.
 
 All functions are pure, operate on Python floats, and raise ValueError
 on out-of-domain input.
@@ -41,8 +41,13 @@ def _gamma_series_sum(s: float, x: float) -> float:
 def _upper_gamma_cf(s: float, x: float) -> float:
     """Upper incomplete gamma Gamma(s, x) by modified Lentz continued fraction.
 
-    Valid companion of the series for x >= s + 1.
+    Valid companion of the series for x >= s + 1.  Exactly 0.0, without
+    iterating, once the prefactor x^s e^(-x) underflows (beyond x ~ 1e17
+    the fraction would never meet its stopping test).
     """
+    prefactor = math.exp(-x + s * math.log(x))
+    if prefactor == 0.0:
+        return 0.0
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -61,30 +66,8 @@ def _upper_gamma_cf(s: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return math.exp(-x + s * math.log(x)) * h
+            return prefactor * h
     raise ArithmeticError(f"incomplete gamma continued fraction did not converge for s={s}, x={x}")
-
-
-def lower_inc_gamma(s: float, x: float) -> float:
-    """Lower incomplete gamma function gamma(s, x) = int_0^x t^(s-1) e^(-t) dt.
-
-    Uses the power series below the x = s + 1 crossover and the
-    continued-fraction complement Gamma(s) - Gamma(s, x) above it.
-
-    Parameters
-    ----------
-    s : float
-        Shape parameter, strictly positive.
-    x : float
-        Upper integration limit, nonnegative.
-    """
-    if not (math.isfinite(s) and math.isfinite(x)) or s <= 0.0 or x < 0.0:
-        raise ValueError(f"lower_inc_gamma requires finite s > 0 and x >= 0, got s={s}, x={x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return math.exp(s * math.log(x) - x) * _gamma_series_sum(s, x)
-    return math.gamma(s) - _upper_gamma_cf(s, x)
 
 
 def hyp1f1_ratio(s: float, x: float) -> float:
@@ -148,38 +131,37 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def reg_inc_beta_int(p: float, k: int, m: int) -> float:
-    """Regularized incomplete beta I_p(k, m) for positive integer shapes.
+def binom_range_prob(p: float, num_users: int, count_lo: int, count_hi: int) -> float:
+    """P[count_lo <= Binomial(num_users, p) <= count_hi], in log space.
 
-    Evaluated exactly as the binomial survival probability
-    P[Binomial(k+m-1, p) >= k], with each term formed in log space so
-    extreme p values stay accurate.
+    With count_hi = num_users this equals the regularized incomplete beta
+    I_p(count_lo, num_users - count_lo + 1).
     """
-    if k < 1 or m < 1:
-        raise ValueError(f"reg_inc_beta_int requires integer k, m >= 1, got k={k}, m={m}")
+    if not (0 <= count_lo <= count_hi <= num_users):
+        raise ValueError(
+            f"need 0 <= count_lo <= count_hi <= num_users, got ({count_lo}, {count_hi}, {num_users})")
     if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"reg_inc_beta_int requires p in [0, 1], got p={p}")
+        raise ValueError(f"probability must lie in [0, 1], got {p}")
     if p == 0.0:
-        return 0.0
+        return 1.0 if count_lo == 0 else 0.0
     if p == 1.0:
-        return 1.0
-    n = k + m - 1
+        return 1.0 if count_hi == num_users else 0.0
     log, exp = math.log, math.exp
     log_p = log(p)
     log_q = math.log1p(-p)
     step = log_p - log_q
-    log_term = log_binomial(n, k) + k * log_p + (n - k) * log_q
+    log_term = log_binomial(num_users, count_lo) + count_lo * log_p + (num_users - count_lo) * log_q
     terms = [log_term]
-    for j in range(k, n):
-        log_term += log((n - j) / (j + 1.0)) + step
+    for m in range(count_lo, count_hi):
+        log_term += log((num_users - m) / (m + 1.0)) + step
         terms.append(log_term)
     top = max(terms)
-    total = exp(top) * sum(exp(t - top) for t in terms)
-    return min(1.0, total)
+    return min(1.0, exp(top) * sum(exp(t - top) for t in terms))
 
 
 def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:
-    """Inverse of reg_inc_beta_int in p: the p with I_p(k, m) = q.
+    """The p with I_p(k, m) = q, the regularized incomplete beta with integer
+    shapes k, m >= 1, i.e. P[Binomial(n, p) >= k] = q with n = k + m - 1.
 
     I_p is strictly increasing in p, and the union bounds
     1 - C(n, m) (1 - p)^m <= I_p(k, m) <= C(n, k) p^k, n = k + m - 1,
@@ -198,7 +180,7 @@ def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:
         log_pdf = log_norm + (k - 1) * math.log(p)
         if m > 1:
             log_pdf += (m - 1) * math.log1p(-p) if p < 1.0 else -math.inf
-        return reg_inc_beta_int(p, k, m) - q, p * math.exp(log_pdf)
+        return binom_range_prob(p, n, k, n) - q, p * math.exp(log_pdf)
 
     lo = max(0.5 * math.exp((math.log(q) - log_binomial(n, k)) / k), 1e-300)
     hi = 1.0 - 0.5 * math.exp((math.log1p(-q) - log_binomial(n, m)) / m)

@@ -17,14 +17,13 @@ import pytest
 
 from semcell import (BitOutage, ExactCount, HybridOutage, NetOutageMode,
                      RangeCount, Scenario, SemOutage, SemUtilization,
-                     binom_range_prob, estimate_many, exact_count_prob,
-                     exact_count_prob_deriv, gamma_gap, hyp1f1_ratio,
-                     network_outage, outage_report, radius_closed_form_a2,
-                     reg_inc_beta_int, sem_util_prob, sem_util_prob_deriv, bit_rate,
+                     binom_range_prob, estimate_many, exact_count_prob, gamma_gap,
+                     hyp1f1_ratio, network_outage, outage_report, radius_closed_form_a2,
+                     range_count_prob_deriv, sem_util_prob, sem_util_prob_deriv, bit_rate,
                      sem_rate, snr_scale, thresholds,
                      utilization_window)
 from semcell.cli import main, parse_scenario_config, run_scenario
-from semcell.design import _solve_kummer_level_numeric
+from semcell.design import _kummer_level_root
 from semcell.presets import expand_preset, table1_config
 from conftest import draw_scenario
 
@@ -54,7 +53,7 @@ def _moderate_radius(params, fit, cfg, target: float):
     """Radius at which the hybrid outage probability equals target."""
     thr = thresholds(cfg, fit)
     y_th = thr.outage_cdf_argument()
-    x = _solve_kummer_level_numeric(2.0 / params.pathloss_exp, 1.0 - target)
+    x = _kummer_level_root(2.0 / params.pathloss_exp, 1.0 - target)[0]
     radius = (x * snr_scale(params) / y_th) ** (1.0 / params.pathloss_exp)
     return replace(params, cell_radius_m=radius)
 
@@ -137,7 +136,7 @@ def test_acceptance_3_closed_form_radius_round_trip(table1_params):
         solved = radius_closed_form_a2(y_th, u_th, scaled)
         residual = hyp1f1_ratio(1.0, y_th * solved**2 / snr_scale(scaled)) - u_th
         assert abs(residual) <= 1e-9
-        x_numeric = _solve_kummer_level_numeric(1.0, u_th)
+        x_numeric = _kummer_level_root(1.0, u_th)[0]
         numeric = math.sqrt(x_numeric * snr_scale(scaled) / y_th)
         assert solved == pytest.approx(numeric, rel=1e-9)
     elapsed = time.perf_counter() - started
@@ -150,9 +149,10 @@ def test_acceptance_4_count_tail_equals_beta_tail():
     p_grid = np.linspace(0.01, 0.99, 99)
     for num_users in range(1, 61):
         for count_lo in range(1, num_users + 1):
+            k, m = count_lo, num_users - count_lo + 1
             for p in p_grid:
                 tail = binom_range_prob(float(p), num_users, count_lo, num_users)
-                beta = reg_inc_beta_int(float(p), count_lo, num_users - count_lo + 1)
+                beta = binom_range_prob(float(p), k + m - 1, k, k + m - 1)
                 assert abs(tail - beta) <= 1e-13
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -197,7 +197,7 @@ def test_acceptance_5_utilization_derivatives():
         up = exact_count_prob(num_users, count, thr, replace(params, cell_radius_m=radius + h))
         down = exact_count_prob(num_users, count, thr, replace(params, cell_radius_m=radius - h))
         fd = (up - down) / (2.0 * h)
-        analytic = exact_count_prob_deriv(num_users, count, thr, params)
+        analytic = range_count_prob_deriv(num_users, count, count, thr, params)
         f_scale = max(exact_count_prob(num_users, count, thr, params), 1e-9)
         assert abs(analytic - fd) <= 1e-6 * max(abs(fd), 1e-2 * f_scale / radius)
         checked += 1

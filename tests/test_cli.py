@@ -230,6 +230,18 @@ class TestValidateCommand:
         cfg_path = write_config(tmp_path, doc)
         assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
 
+    def test_validate_passes_at_table1_defaults(self, tmp_path, capsys):
+        # net_all (~1e-71) and util_range (~1 - 1e-10) are certain to come
+        # out as 0 and 1 in the simulation; the score test must not flag them
+        doc = table1_config()
+        del doc["sweep"]
+        doc["mc"] = {"samples": 200_000, "seed": 42}
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "MISMATCH" not in out
+        assert out.count("uninformative") == 2
+
     def test_validate_catches_wrong_model(self, tmp_path, monkeypatch):
         # poison one closed form and the oracle must flag it
         import semcell.cli as cli_module
@@ -319,6 +331,16 @@ class TestDesignCommands:
         for solution in payload["solutions"]:
             assert 1 <= solution["iterations"] <= 60
             assert abs(solution["residual"]) <= 1e-9
+
+    def test_util_json_without_maximizer(self, tmp_path, capsys):
+        # P[count <= 10] falls as the utilization probability rises: the
+        # stationary radius is listed but is no best radius
+        cfg_path = write_config(tmp_path, table1_config())
+        assert main(["design", "util", "--config", str(cfg_path),
+                     "--ll", "0", "--lu", "10"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert [s["equation"] for s in payload["solutions"]] == ["stationary"]
+        assert payload["best_radius_m"] is None
 
 
 class TestSolverFailureExit:

@@ -6,7 +6,7 @@ import pytest
 
 from semcell import (DesignTarget, NetworkParams, RateConfig, SolveMethod,
                      binom_range_prob, dbm_per_hz_to_watts_per_hz, exact_count_prob,
-                     exact_count_prob_deriv, inv_reg_inc_beta_int,
+                     inv_reg_inc_beta_int,
                      optimal_sem_util_radius, radius_closed_form_a2,
                      radius_for_outage_threshold, range_count_prob_deriv,
                      sem_util_prob, snr_scale, thresholds, user_outage_hybrid,
@@ -57,7 +57,7 @@ class TestClosedFormRadius:
         assert radii[-1] < 1e-2 * radii[0]
 
     def test_agrees_with_numeric_solver(self):
-        from semcell.design import _solve_kummer_level_numeric
+        from semcell.design import _kummer_level_root
 
         rng = np.random.default_rng(53)
         params = free_space_params()
@@ -67,7 +67,7 @@ class TestClosedFormRadius:
             scale = float(10 ** rng.uniform(-3, 3))
             scaled = replace(params, tx_power_w=params.tx_power_w * scale)
             closed = radius_closed_form_a2(y_th, u_th, scaled)
-            x = _solve_kummer_level_numeric(1.0, u_th)
+            x = _kummer_level_root(1.0, u_th)[0]
             numeric = math.sqrt(x * snr_scale(scaled) / y_th)
             assert closed == pytest.approx(numeric, rel=1e-9)
 
@@ -178,7 +178,7 @@ class TestCountDerivatives:
             up = exact_count_prob(num_users, count, thr, replace(params, cell_radius_m=radius + h))
             down = exact_count_prob(num_users, count, thr, replace(params, cell_radius_m=radius - h))
             fd = (up - down) / (2.0 * h)
-            analytic = exact_count_prob_deriv(num_users, count, thr, params)
+            analytic = range_count_prob_deriv(num_users, count, count, thr, params)
             scale = max(abs(fd), 1e-4 / radius)
             assert analytic == pytest.approx(fd, abs=2e-6 * scale)
             checked += 1
@@ -194,7 +194,7 @@ class TestCountDerivatives:
             num_users = params.num_users
             lo = int(rng.integers(0, num_users + 1))
             hi = int(rng.integers(lo, num_users + 1))
-            direct = sum(exact_count_prob_deriv(num_users, m, thr, params)
+            direct = sum(range_count_prob_deriv(num_users, m, m, thr, params)
                          for m in range(lo, hi + 1))
             telescoped = range_count_prob_deriv(num_users, lo, hi, thr, params)
             assert telescoped == pytest.approx(direct, rel=1e-10, abs=1e-18)
@@ -257,6 +257,21 @@ class TestOptimalUtilizationRadius:
 
         grid_max = max(range_prob(float(r)) for r in np.geomspace(20.0, 50_000.0, 400))
         assert best.range_prob >= grid_max - 1e-9
+
+    def test_low_count_range_has_no_maximizer(self):
+        # P[count <= 0] = (1 - pi_g)^L falls as pi_g rises: the stationary
+        # radius is where it is smallest, so there is no best radius
+        params, fit, cfg = draw_scenario(np.random.default_rng(127), rate_class="low")
+        thr = thresholds(cfg, fit)
+        design = optimal_sem_util_radius(params.num_users, 0, 0, thr, params)
+        assert design.semantic_possible
+        assert [s.equation for s in design.solutions] == ["stationary"]
+        assert design.best is None
+        stationary = design.solutions[0]
+        for k in (1.0 - 1e-3, 1.0 + 1e-3):
+            sized = replace(params, cell_radius_m=k * stationary.radius)
+            pi_g = sem_util_prob(thr, sized)
+            assert binom_range_prob(pi_g, params.num_users, 0, 0) > stationary.range_prob
 
     def test_unattainable_level_is_flagged(self, table1_params, table1_fit):
         # a narrow utilization window caps the per-user probability (peak

@@ -36,9 +36,7 @@ def test_utilization_design_solves_every_nonempty_window(scenario, lo_frac, widt
     params, fit, cfg = scenario
     thr = thresholds(cfg, fit)
     L = params.num_users
-    # count_lo >= 1: with count_lo = 0 the range probability falls with
-    # pi_g, so it has no interior maximum for the design to find
-    count_lo = 1 + int(round(lo_frac * (L - 1)))
+    count_lo = int(round(lo_frac * L))
     count_hi = count_lo + int(round(width_frac * (L - count_lo)))
     design = optimal_sem_util_radius(L, count_lo, count_hi, thr, params)
     if utilization_window(thr) is None:
@@ -55,6 +53,10 @@ def test_utilization_design_solves_every_nonempty_window(scenario, lo_frac, widt
             assert abs(sem_util_prob(thr, sized) - design.level_target) <= 1e-9
 
     best = design.best
+    if count_lo == 0 and count_hi < L:
+        # the range probability falls with pi_g: no radius maximizes it
+        assert best is None
+        return
     neighbours = [_range_prob(thr, params, best.radius * k, count_lo, count_hi)
                   for k in (1.0 - 1e-3, 1.0 + 1e-3)]
     centre = _range_prob(thr, params, best.radius, count_lo, count_hi)

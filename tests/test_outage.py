@@ -4,16 +4,42 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semcell import (HybridOutage, HybridRegime, NetOutageMode, RateConfig, Scenario,
-                     SemOutage, SemUtilization, BitOutage, binom_range_prob, estimate_many,
-                     network_outage, outage_report, reg_inc_beta_int, sem_util_prob,
-                     sem_util_prob_deriv, snr_cdf, thresholds, user_outage_bit,
+from semcell import (HybridOutage, HybridRegime, NetOutageMode, RateConfig, RateThresholds,
+                     Scenario, SemOutage, SemUtilization, BitOutage, binom_range_prob, bit_rate,
+                     estimate_many, network_outage, outage_report, sem_rate, sem_util_prob,
+                     sem_util_prob_deriv, similarity, snr_cdf, thresholds, user_outage_bit,
                      user_outage_hybrid, user_outage_sem, utilization_window)
+from semcell.cli import _point_state, parse_scenario_config
+from semcell.presets import PRESETS, expand_preset, table1_config
 from conftest import draw_scenario
+
+# the paper's closed-form branch table, numbered as in the paper
+_BRANCH_INDEX = {
+    HybridRegime.BIT_BOUND_LOW_RATE: 1,
+    HybridRegime.QOS_BOUND_LOW_RATE: 2,
+    HybridRegime.BIT_BOUND_MID_RATE: 3,
+    HybridRegime.QOS_BOUND_MID_RATE: 4,
+    HybridRegime.SEM_BOUND_MID_RATE: 5,
+    HybridRegime.BIT_BOUND_ABOVE_CROSSING: 6,
+    HybridRegime.BIT_BOUND_SATURATED: 7,
+}
 
 
 def binom_pmf_oracle(p: float, n: int, m: int) -> float:
     return math.comb(n, m) * p**m * (1.0 - p) ** (n - m)
+
+
+def _table_cdf_argument(thr):
+    """The branch table's single CDF argument for the regime label, None in
+    the composite corner (the regime-to-breakpoint map of the paper)."""
+    regime = thr.regime
+    if regime is HybridRegime.COMPOSITE_TAIL:
+        return None
+    if regime in (HybridRegime.QOS_BOUND_LOW_RATE, HybridRegime.QOS_BOUND_MID_RATE):
+        return thr.g_min
+    if regime is HybridRegime.SEM_BOUND_MID_RATE:
+        return thr.g_sem
+    return thr.g_bit
 
 
 class TestHybridUserOutage:
@@ -48,7 +74,7 @@ class TestHybridUserOutage:
             params, fit, cfg = draw_scenario(rng)
             thr = thresholds(cfg, fit)
             composed = user_outage_hybrid(thr, params)
-            y_th = thr.outage_cdf_argument()
+            y_th = _table_cdf_argument(thr)
             assert y_th is not None
             assert composed == pytest.approx(snr_cdf(y_th, params), abs=1e-12)
 
@@ -60,10 +86,10 @@ class TestHybridUserOutage:
             hits = _matching_branches(thr)
             if thr.regime is HybridRegime.BITCOM_COLLAPSE:
                 continue
-            assert thr.branch_index in hits
+            assert _BRANCH_INDEX.get(thr.regime) in hits
             # overlapping conditions only at ties; the classifier takes
             # the lowest index
-            assert thr.branch_index == min(hits)
+            assert _BRANCH_INDEX.get(thr.regime) == min(hits)
 
     def test_boundary_continuity_at_branch_tie(self, table1_params, table1_fit):
         # r_out at which the bit cutoff meets the QoS cutoff: adjacent
@@ -104,6 +130,75 @@ def _matching_branches(thr):
     if a2 <= kr and g_max <= g_bit:
         hits.append(7)
     return hits
+
+
+def _member(g, intervals) -> bool:
+    return any(lo < g < hi for lo, hi in intervals)
+
+
+class TestIntervalEvents:
+    def test_cdf_argument_matches_branch_table_on_draws(self):
+        rng = np.random.default_rng(71)
+        for _ in range(2000):
+            _, fit, cfg = draw_scenario(rng)
+            thr = thresholds(cfg, fit)
+            assert thr.outage_cdf_argument() == _table_cdf_argument(thr)
+
+    def test_cdf_argument_matches_branch_table_on_preset_grids(self):
+        points = 0
+        for preset in PRESETS:
+            for label, doc in expand_preset(table1_config(), preset):
+                sc = parse_scenario_config(doc, label=label)
+                shared = thresholds(sc.scenario.cfg, sc.scenario.fit)
+                for value in sc.grid:
+                    thr = _point_state(sc, value, shared)[2]
+                    assert thr.outage_cdf_argument() == _table_cdf_argument(thr), (label, value)
+                    points += 1
+        assert points > 1000
+
+    def test_composite_corner_has_no_cdf_argument(self, table1_params):
+        # a bit cutoff above the crossing with no semantic-rate outage (only
+        # reachable with multi-crossing rate curves): the outage event is
+        # [0, g_min] plus [g_max, g_bit], two intervals with a gap
+        thr = RateThresholds(g_min=1.0, g_max=2.0, g_bit=3.0, g_sem=None,
+                             regime=HybridRegime.COMPOSITE_TAIL, k_r_out=0.1,
+                             sim_floor=0.3, sim_ceiling=0.9)
+        assert thr.hybrid_outage_parts() == (((0.0, 1.0), (2.0, 3.0)), ())
+        assert thr.outage_cdf_argument() is None
+        assert _table_cdf_argument(thr) is None
+        cdf = [snr_cdf(g, table1_params) for g in (1.0, 2.0, 3.0)]
+        assert user_outage_hybrid(thr, table1_params) == cdf[0] + cdf[2] - cdf[1]
+
+    def test_membership_matches_raw_indicators(self):
+        # between breakpoints every event is either wholly in or wholly out;
+        # probe each gap (and beyond both ends) against the rate curves
+        rng = np.random.default_rng(73)
+        for _ in range(400):
+            _, fit, cfg = draw_scenario(rng)
+            thr = thresholds(cfg, fit)
+            breaks = sorted({thr.g_min, thr.g_max, thr.g_bit}
+                            | ({thr.g_sem} if thr.g_sem is not None else set()))
+            probes = ([1e-3 * breaks[0]] + [math.sqrt(a * b) for a, b in zip(breaks, breaks[1:])]
+                      + [1e3 * breaks[-1]])
+            bit_part, sem_part = thr.hybrid_outage_parts()
+            window = utilization_window(thr)
+            events = {
+                "bit": ((0.0, thr.g_bit),),
+                "sem": ((0.0, max(thr.g_min, thr.sem_outage_edge)),),
+                "hybrid": bit_part + sem_part,
+                "util": (window,) if window is not None else (),
+            }
+            for g in probes:
+                m, r_sem, r_bit = similarity(g, fit), sem_rate(g, cfg, fit), bit_rate(g, cfg)
+                prefers_sem = m >= cfg.m_th and r_sem >= r_bit
+                raw = {
+                    "bit": r_bit <= cfg.r_out,
+                    "sem": r_sem <= cfg.r_out or m <= cfg.m_th,
+                    "hybrid": r_sem <= cfg.r_out if prefers_sem else r_bit <= cfg.r_out,
+                    "util": prefers_sem and r_sem > cfg.r_out,
+                }
+                for name, intervals in events.items():
+                    assert _member(g, intervals) == raw[name], (name, g, thr)
 
 
 class TestPureModes:
@@ -198,7 +293,7 @@ class TestBinomRangeProb:
 
     def test_matches_beta_tail(self):
         assert binom_range_prob(0.3, 30, 3, 30) == pytest.approx(
-            reg_inc_beta_int(0.3, 3, 28), abs=1e-13)
+            binom_range_prob(0.3, 3 + 28 - 1, 3, 3 + 28 - 1), abs=1e-13)
 
     def test_pmf_sums_to_one(self):
         rng = np.random.default_rng(37)
@@ -323,12 +418,12 @@ class TestMonteCarloAgreement:
 
 def _radius_for_moderate_outage(params, fit, cfg):
     """Rescale the cell so the hybrid outage probability is mid-range."""
-    from semcell.design import _solve_kummer_level_numeric
+    from semcell.design import _kummer_level_root
 
     thr = thresholds(cfg, fit)
     y_th = thr.outage_cdf_argument()
     from semcell import snr_scale
 
-    x = _solve_kummer_level_numeric(2.0 / params.pathloss_exp, 1.0 - 0.35)
+    x = _kummer_level_root(2.0 / params.pathloss_exp, 1.0 - 0.35)[0]
     radius = (x * snr_scale(params) / y_th) ** (1.0 / params.pathloss_exp)
     return replace(params, cell_radius_m=radius)
