@@ -9,8 +9,14 @@ cross-validation.
 
 Reproducibility: samples are generated in fixed blocks of 2^16, each
 block from a counter-based Philox stream keyed by (seed, block index).
-Workers merge integer event counts, so an estimate is bit-identical for
-any worker count and any partition of blocks over workers.
+Every value of a block sits at a fixed position of its stream, and a
+Philox stream can start at any counter (Salmon et al. 2011), so the unit
+of parallel work is a row tile of about 2^16 SNR values: it opens the
+block's stream at its own offset and draws only its rows, exactly the
+values a sequential draw of the block puts there.  Tiles of every block
+share one pool, so even a one-block sweep uses every worker.  Workers
+merge integer event counts, so an estimate is bit-identical for any
+worker count and any split of blocks into tiles.
 
 Draw sharing: :func:`estimate_many` estimates a whole sweep in one call.
 All grid points reuse one set of channel draws per block -- the draws
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -35,7 +42,11 @@ from .linkmodel import NetworkParams, snr_scale
 from .ratemodel import RateConfig, SimilarityFit, gamma_gap
 
 BLOCK_SIZE = 1 << 16
-_CHUNK_ROWS = 4096  # bounds per-worker memory for multi-user realizations
+# the full-cell stream of a block is a run of U1 then a run of U2 per chunk
+# of this many realizations; it divides BLOCK_SIZE, so every run is whole
+_CHUNK_ROWS = 4096
+_TILE_VALUES = 1 << 16  # SNR values per unit of parallel work, up to rounding
+_STEP = 4  # values per Philox4x64 counter step
 
 WORKERS_ENV_VAR = "SEMCELL_THREADS"
 
@@ -109,7 +120,8 @@ class McEstimate:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else SEMCELL_THREADS, else all cores."""
+    """Worker count: explicit argument, else SEMCELL_THREADS, else the
+    number of CPUs this process may run on."""
     if workers is not None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -123,27 +135,55 @@ def resolve_workers(workers: int | None = None) -> int:
         if value < 1:
             raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def user_stream(seed: int, block_index: int) -> np.random.Generator:
+def user_stream(seed: int, block_index: int, offset: int = 0) -> np.random.Generator:
     """Counter-based random stream for one sample block.
 
     Philox keyed directly by (seed, block index): block contents depend
-    only on those two integers, never on which worker draws them.
+    only on those two integers, never on which worker draws them.  The
+    stream starts ``offset`` values into the block's sequence, at the
+    values a sequential draw puts there; ``offset`` must be a multiple of
+    4, one Philox4x64 counter step.
     """
+    if offset % _STEP:
+        raise ValueError(f"offset must be a multiple of {_STEP}, got {offset}")
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bit_generator = np.random.Philox(key=key)
+    if offset:
+        bit_generator.advance(offset // _STEP)
+    return np.random.Generator(bit_generator)
 
 
-def sample_user(stream: np.random.Generator, params: NetworkParams, size=None):
+def _uniforms(stream, size, out):
+    return np.atleast_1d(stream.random(size) if out is None else stream.random(size, out=out))
+
+
+def sample_user(stream: np.random.Generator, params: NetworkParams, size=None,
+                u2_offset: int | None = None, out: np.ndarray | None = None):
     """Draw received SNR(s) of uniformly placed users with Rayleigh fading.
 
     r = R sqrt(U1) (area-uniform disc), |h|^2 = -ln(1 - U2) (unit-mean
     exponential by inverse transform), g = c_L |h|^2 r^(-a).
+
+    All U1 come first, then all U2.  By default U2 follows U1 directly;
+    ``u2_offset`` puts the first U2 that many values after the first U1,
+    as in the U2 run of a longer sequential draw.  It needs a Philox
+    stream whose U1 run starts a counter step (see :func:`user_stream`)
+    and must be a multiple of 4.  ``out``, shaped (2, *size), holds U1
+    and U2 instead of new arrays; the SNRs come back in ``out[1]``.
     """
-    u1 = np.atleast_1d(stream.random(size))
-    u2 = np.atleast_1d(stream.random(size))
+    u1 = _uniforms(stream, size, None if out is None else out[0])
+    if u2_offset is not None:
+        if u2_offset % _STEP or u2_offset < u1.size:
+            raise ValueError(f"u2_offset must be a multiple of {_STEP} and at least "
+                             f"{u1.size}, got {u2_offset}")
+        # the U1 run ended inside counter step ceil(u1.size / 4)
+        stream.bit_generator.advance(u2_offset // _STEP + (-u1.size // _STEP))
+    u2 = _uniforms(stream, size, None if out is None else out[1])
     # in place, so two arrays stay live: r in u1, the fading gain and then g in u2
     r = np.multiply(np.sqrt(u1, out=u1), params.cell_radius_m, out=u1)
     at_origin = r == 0.0
@@ -224,53 +264,90 @@ def _point_indicators(g0: np.ndarray, points: list[tuple[Scenario, float, float]
         yield _indicators(kinds, m, rate_sem, rate_bit, scenario.cfg)
 
 
-def _user_hits(stream: np.random.Generator, rows_used: int,
-               points: list[tuple[Scenario, float, float]], kinds: list[type]) -> np.ndarray:
-    """Hits of each per-user event type at each point among the first ``rows_used`` draws."""
-    g0 = sample_user(stream, points[0][0].params, size=BLOCK_SIZE)[:rows_used]
-    work = np.empty((3, rows_used))
-    return np.array([[np.count_nonzero(flag) for flag in flags]
-                     for flags in _point_indicators(g0, points, kinds, work)], dtype=np.int64)
+@dataclass(frozen=True)
+class _Tile:
+    """``rows`` rows of one block's per-user or full-cell (``counted``) stream.
+
+    A sequential draw lays out a block's per-user stream as BLOCK_SIZE U1
+    then BLOCK_SIZE U2 values, and its full-cell stream as one run of U1
+    then one of U2 per chunk of _CHUNK_ROWS realizations.  The tile's U1
+    values start ``start`` values into that sequence, its U2 values ``run``
+    values after them.
+    """
+
+    block: int
+    counted: bool
+    start: int
+    rows: int
+    run: int
 
 
-def _count_histograms(stream: np.random.Generator, rows_used: int,
-                      points: list[tuple[Scenario, float, float]],
-                      kinds: list[type]) -> np.ndarray:
-    """hist[point, kind, c]: realizations among the first ``rows_used`` full-cell
-    draws in which the indicator of ``kind`` holds for exactly c users."""
+def _row_tiles(rows: int, width: int) -> list[tuple[int, int]]:
+    """(first row, row count) of near-equal tiles of about _TILE_VALUES values
+    covering ``rows`` rows of ``width`` values; every first row is a multiple
+    of 4, so a tile's U1 and U2 runs start on Philox counter steps."""
+    pieces = -(-rows * width // _TILE_VALUES)
+    step = -(-rows // pieces)
+    step += -step % _STEP
+    return [(first, min(step, rows - first)) for first in range(0, rows, step)]
+
+
+def _tiles(n: int, num_users: int, per_user: bool, full_cell: bool) -> list[_Tile]:
+    """The tiles covering n samples of the per-user and/or full-cell streams."""
+    layouts = [(False, 1, BLOCK_SIZE)] if per_user else []
+    if full_cell:
+        layouts.append((True, num_users, _CHUNK_ROWS))
+    tiles = []
+    for block in range(-(-n // BLOCK_SIZE)):
+        used = min(BLOCK_SIZE, n - block * BLOCK_SIZE)
+        for counted, width, run_rows in layouts:
+            for chunk in range(0, used, run_rows):
+                # the chunk's U1 run starts after 2 * chunk rows of U1 and U2
+                tiles += [_Tile(block, counted, width * (2 * chunk + first), rows,
+                                width * run_rows)
+                          for first, rows in _row_tiles(min(run_rows, used - chunk), width)]
+    return tiles
+
+
+def _tally_tiles(pending: queue.SimpleQueue, largest: int, seed: int,
+                 points: list[tuple[Scenario, float, float]],
+                 user_kinds: list[type], count_kinds: list[type]):
+    """(hits[point, kind], hist[point, kind, c]) over the tiles this worker
+    takes from ``pending``: per-user event hits, and full-cell realizations
+    in which the indicator of a count kind holds for exactly c users.
+
+    The draw and curve buffers hold ``largest`` values, the largest tile's,
+    and serve every tile the worker takes.  Full-cell tiles are evaluated
+    users-major, so a realization's count is a sum down one column.
+    """
     params = points[0][0].params
     num_users = params.num_users
-    hist = np.zeros((len(points), len(kinds), num_users + 1), dtype=np.int64)
-    work = np.empty((3, _CHUNK_ROWS, num_users))
-    done = 0
-    while done < rows_used:
-        take = min(_CHUNK_ROWS, BLOCK_SIZE - done)
-        used = min(take, rows_used - done)
-        g0 = sample_user(stream, params, size=(take, num_users))[:used]
-        for p, flags in enumerate(_point_indicators(g0, points, kinds, work[:, :used])):
+    hits = np.zeros((len(points), len(user_kinds)), dtype=np.int64)
+    hist = np.zeros((len(points), len(count_kinds), num_users + 1), dtype=np.int64)
+    count_type = np.min_scalar_type(num_users)  # holds any count, narrow for a fast sum
+    draws, users_major, work = np.empty(2 * largest), np.empty(largest), np.empty(3 * largest)
+    while True:
+        try:
+            tile = pending.get_nowait()
+        except queue.Empty:
+            return hits, hist
+        shape = (tile.rows, num_users) if tile.counted else (tile.rows,)
+        size = math.prod(shape)
+        g0 = sample_user(user_stream(seed, tile.block, tile.start), params, size=shape,
+                         u2_offset=tile.run, out=draws[:2 * size].reshape((2,) + shape))
+        if tile.counted:
+            transposed = users_major[:size].reshape(num_users, tile.rows)
+            np.copyto(transposed, g0.T)
+            g0 = transposed
+        kinds = count_kinds if tile.counted else user_kinds
+        curves = work[:3 * size].reshape((3,) + g0.shape)
+        for p, flags in enumerate(_point_indicators(g0, points, kinds, curves)):
             for j, flag in enumerate(flags):
-                hist[p, j] += np.bincount(np.count_nonzero(flag, axis=1),
-                                          minlength=num_users + 1)
-        done += take
-    return hist
-
-
-def _block_tallies(block_index: int, rows_used: int, seed: int,
-                   points: list[tuple[Scenario, float, float]],
-                   user_kinds: list[type], count_kinds: list[type]):
-    """(per-user hits, count histograms) of every point in one block.
-
-    Per-user events share one stream of single-user draws; count events
-    share one stream of full-cell draws.  Both streams carry the same
-    (seed, block) key, so each event sees exactly the samples it would
-    see if estimated alone.
-    """
-    hits = hist = None
-    if user_kinds:
-        hits = _user_hits(user_stream(seed, block_index), rows_used, points, user_kinds)
-    if count_kinds:
-        hist = _count_histograms(user_stream(seed, block_index), rows_used, points, count_kinds)
-    return hits, hist
+                if tile.counted:
+                    counts = flag.view(np.uint8).sum(axis=0, dtype=count_type)
+                    hist[p, j] += np.bincount(counts, minlength=num_users + 1)
+                else:
+                    hits[p, j] += np.count_nonzero(flag)
 
 
 def _validate_event(event: Event, num_users: int) -> None:
@@ -323,20 +400,25 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
     points = [(s, snr_scale(s.params) / snr_scale(p0)
                * (s.params.cell_radius_m / p0.cell_radius_m) ** (-p0.pathloss_exp),
                gamma_gap(s.cfg)) for s in scenarios]
-    n_blocks = -(-n // BLOCK_SIZE)
-    rows = [min(BLOCK_SIZE, n - b * BLOCK_SIZE) for b in range(n_blocks)]
-    n_workers = min(resolve_workers(workers), n_blocks)
+    num_users = p0.num_users
+    tiles = _tiles(n, num_users, bool(user_kinds), bool(count_kinds))
+    largest = max(t.rows * (num_users if t.counted else 1) for t in tiles)
+    pending = queue.SimpleQueue()
+    for tile in tiles:
+        pending.put(tile)
+    n_workers = min(resolve_workers(workers), len(tiles))
 
-    def tally(b):
-        return _block_tallies(b, rows[b], seed, points, user_kinds, count_kinds)
+    def tally():
+        return _tally_tiles(pending, largest, seed, points, user_kinds, count_kinds)
 
     if n_workers <= 1:
-        per_block = [tally(b) for b in range(n_blocks)]
+        per_worker = [tally()]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_block = list(pool.map(tally, range(n_blocks)))
-    hits = sum(h for h, _ in per_block) if user_kinds else None
-    hist = sum(h for _, h in per_block) if count_kinds else None
+            futures = [pool.submit(tally) for _ in range(n_workers)]
+            per_worker = [f.result() for f in futures]
+    hits = sum(h for h, _ in per_worker)
+    hist = sum(h for _, h in per_worker)
     low = n < 10_000
     results = []
     for p in range(len(scenarios)):

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from semcell import (BitOutage, ExactCount, HybridOutage, RangeCount, RateConfig
                      estimate, estimate_many, gamma_gap, network_outage, NetOutageMode,
                      outage_report, sample_user, sem_util_prob, snr_cdf, snr_scale,
                      thresholds, user_outage_hybrid, user_stream)
+from semcell import montecarlo
 from semcell.montecarlo import BLOCK_SIZE
 from semcell.presets import table1_config
 from conftest import draw_scenario
@@ -51,6 +53,27 @@ class TestSampleUser:
         # E[r] = 2R/3, sd(r) = R sqrt(1/18)
         sigma_mean = table1_params.cell_radius_m * math.sqrt(1.0 / 18.0) / 1000.0
         assert abs(mean - 2.0 * table1_params.cell_radius_m / 3.0) <= 3.0 * sigma_mean
+
+    def test_offset_draw_is_a_slice_of_the_sequential_draw(self, table1_params):
+        full = sample_user(user_stream(3, 1), table1_params, size=(400, 3))
+        # rows 52..69 of a 400-row run: U1 at 3 * 52 values in, U2 1200 values after U1
+        out = np.empty((2, 17, 3))
+        part = sample_user(user_stream(3, 1, offset=156), table1_params, size=(17, 3),
+                           u2_offset=1200, out=out)
+        assert part.base is out
+        assert np.array_equal(part, full[52:69])
+        single = sample_user(user_stream(3, 1), table1_params, size=1000)
+        assert np.array_equal(
+            sample_user(user_stream(3, 1, offset=8), table1_params, size=5, u2_offset=1000),
+            single[8:13])
+
+    def test_offsets_off_a_counter_step_rejected(self, table1_params):
+        with pytest.raises(ValueError):
+            user_stream(3, 1, offset=6)
+        with pytest.raises(ValueError):
+            sample_user(user_stream(3, 1), table1_params, size=5, u2_offset=10)
+        with pytest.raises(ValueError):
+            sample_user(user_stream(3, 1), table1_params, size=12, u2_offset=8)
 
     def test_empirical_cdf_ks(self, table1_params):
         # sup-norm distance between the empirical CDF of 10^6 draws and
@@ -189,6 +212,13 @@ class TestValidation:
         assert resolve_workers() >= 1
         assert resolve_workers(5) == 5
 
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        from semcell import resolve_workers
+
+        monkeypatch.delenv("SEMCELL_THREADS", raising=False)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers() == 1
+
 
 class TestOracleAgreementRandomized:
     def test_user_events_across_scenarios(self):
@@ -320,3 +350,65 @@ class TestSweep:
     def test_empty_inputs(self, table1_scenario):
         assert estimate_many([HybridOutage()], 1_000, 1, []) == []
         assert estimate_many([], 1_000, 1, [table1_scenario] * 2) == [[], []]
+
+
+class TestRowTiles:
+    """A row tile draws its rows at their offsets in the block's streams."""
+
+    @pytest.mark.parametrize("num_users", [1, 7, 13])
+    @pytest.mark.parametrize("n", [70_001, 131_075])
+    def test_any_worker_count_matches_reference(self, table1_params, table1_fit, table1_cfg,
+                                                num_users, n):
+        params = replace(table1_params, num_users=num_users)
+        scenarios = [Scenario(replace(params, cell_radius_m=r), table1_fit, table1_cfg)
+                     for r in (400.0, 1300.0)]
+        events = [HybridOutage(), BitOutage(), SemOutage(), SemUtilization(),
+                  ExactCount(num_users), RangeCount(1, num_users),
+                  RangeCount(min(3, num_users), num_users),
+                  RangeCount(0, min(2, num_users), indicator=SemUtilization())]
+        runs = [estimate_many(events, n, 41, scenarios, workers=w) for w in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+        for scenario, estimates in zip(scenarios, runs[0]):
+            hits = _reference_hits(events, n, 41, scenario)
+            assert [e.estimate for e in estimates] == [h / n for h in hits]
+
+    @pytest.mark.parametrize("tile_values", [64, 1_001, 30_000])
+    def test_tile_size_does_not_change_estimates(self, table1_params, table1_fit, table1_cfg,
+                                                 monkeypatch, tile_values):
+        params = replace(table1_params, num_users=13)
+        scenarios = [Scenario(replace(params, cell_radius_m=r), table1_fit, table1_cfg)
+                     for r in (300.0, 900.0)]
+        events = _sweep_events(13)
+        n = BLOCK_SIZE + 4_099
+        expected = estimate_many(events, n, 8, scenarios, workers=2)
+        monkeypatch.setattr(montecarlo, "_TILE_VALUES", tile_values)
+        assert estimate_many(events, n, 8, scenarios, workers=2) == expected
+
+    @pytest.mark.parametrize("n", [5_000, BLOCK_SIZE + 3_000])
+    def test_draws_only_the_rows_used(self, table1_scenario, monkeypatch, n):
+        drawn = {"per_user": 0, "full_cell": 0}
+        sample = montecarlo.sample_user
+
+        def counting(stream, params, size=None, **kwargs):
+            shape = np.atleast_1d(1 if size is None else size)
+            drawn["full_cell" if len(shape) == 2 else "per_user"] += int(shape[0])
+            return sample(stream, params, size=size, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_user", counting)
+        estimate_many([HybridOutage(), RangeCount(1, 30)], n, 3, [table1_scenario], workers=2)
+        assert drawn == {"per_user": n, "full_cell": n}
+
+    def test_many_workers_lose_no_tile(self, table1_params, table1_fit, table1_cfg, monkeypatch):
+        # more workers than cores and a short switch interval: every tile is
+        # taken from the shared queue by exactly one worker
+        scenario = Scenario(replace(table1_params, num_users=5), table1_fit, table1_cfg)
+        events = [HybridOutage(), RangeCount(1, 5)]
+        monkeypatch.setattr(montecarlo, "_TILE_VALUES", 256)
+        expected = estimate_many(events, 20_003, 12, [scenario], workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = estimate_many(events, 20_003, 12, [scenario], workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
