@@ -26,6 +26,14 @@ by one multiplication with the ratio of the two scales.  The Monte Carlo
 errors of the points of one sweep are therefore correlated (common
 random numbers): a curve is smoother than its per-point standard errors
 suggest, and its points are not independent checks.
+
+Evaluation: a tile takes log10 of its SNRs once, into the half of its
+draw buffer that held U1, so each point costs one exp, one log2 and one
+divide over the tile (see :func:`_curves`).  Consecutive points that
+share their SNR ratio, SNR gap, mu and info_per_word -- every point of an
+m_th or r_out sweep -- share their curves too, and only the event
+indicators are evaluated again.  tests/data/mc_reference pins the Monte
+Carlo columns of three sweeps byte for byte.
 """
 
 from __future__ import annotations
@@ -198,69 +206,86 @@ def sample_user(stream: np.random.Generator, params: NetworkParams, size=None,
     return g
 
 
-def _curves(g: np.ndarray, scenario: Scenario, gap: float,
+def _curves(g0: np.ndarray, log_g0: np.ndarray, scenario: Scenario, ratio: float, gap: float,
             m: np.ndarray, rate_sem: np.ndarray, rate_bit: np.ndarray) -> None:
-    """Similarity, semantic rate and bit rate at SNR ``g``, into the last three arguments.
+    """Similarity, semantic rate and bit rate at SNR g0 * ratio, into the last three arguments.
 
-    m = a1 + (a2 - a1) / (1 + e^(-z)) with z = c1 10 log10(g) + c2 clipped
-    to +-745, rate_sem = info m / k and rate_bit = info log2(1 + g / gap) / mu,
-    each evaluated operation by operation in that order.  ``g`` may be
-    ``m`` itself: the bit rate is taken from it first.
+    ``log_g0`` is log10(g0), taken once per tile, so a point costs one exp,
+    one log2 and one divide.  Operation by operation, in this order:
+
+    * rate_bit = log2(1 + g0 * (ratio / gap)) * (info / mu);
+    * m = a1 + (a2 - a1) / (1 + e^(log_g0 * (-10 c1) + (-10 c1 log10(ratio) - c2))),
+      the logistic of z = c1 10 log10(g0 ratio) + c2 with the sign folded
+      into the constants;
+    * rate_sem = m * (info / k).
+
+    The exponent needs no clip: ``g0`` lies in [0, inf] and is never NaN
+    (see :func:`sample_user`), c1 > 0 and ``ratio`` is finite and positive,
+    so the exponent is never NaN; beyond +-745 exp saturates to inf or 0,
+    which already gives m = a1 or m = a1 + (a2 - a1), the values at the
+    bounds of a clip.
     """
     fit, cfg = scenario.fit, scenario.cfg
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(g, gap, out=rate_bit)
+    slope = -10.0 * fit.c1
+    with np.errstate(over="ignore"):
+        np.multiply(g0, ratio / gap, out=rate_bit)
         np.add(rate_bit, 1.0, out=rate_bit)
         np.log2(rate_bit, out=rate_bit)
-        np.multiply(rate_bit, cfg.info_per_word, out=rate_bit)
-        np.divide(rate_bit, cfg.mu, out=rate_bit)
-        np.log10(g, out=m)
-        np.multiply(m, fit.c1 * 10.0, out=m)
-        np.add(m, fit.c2, out=m)
-        # fmax/fmin, unlike a clip, send a NaN SNR to the similarity floor
-        np.fmax(m, -745.0, out=m)
-        np.fmin(m, 745.0, out=m)
-        np.exp(np.negative(m, out=m), out=m)
+        np.multiply(rate_bit, cfg.info_per_word / cfg.mu, out=rate_bit)
+        np.multiply(log_g0, slope, out=m)
+        np.add(m, slope * math.log10(ratio) - fit.c2, out=m)
+        np.exp(m, out=m)
         np.add(m, 1.0, out=m)
         np.divide(fit.a2 - fit.a1, m, out=m)
         np.add(m, fit.a1, out=m)
-    np.multiply(m, cfg.info_per_word, out=rate_sem)
-    np.divide(rate_sem, fit.k, out=rate_sem)
+    np.multiply(m, cfg.info_per_word / fit.k, out=rate_sem)
 
 
 def _indicators(kinds: list[type], m: np.ndarray, rate_sem: np.ndarray,
                 rate_bit: np.ndarray, cfg: RateConfig) -> list[np.ndarray]:
-    """Per-user indicator of each event type in ``kinds``, from the three curves."""
+    """Per-user indicator of each event type in ``kinds``, from the three curves.
+
+    Each rate is compared with r_out once: the hybrid outage is the bit
+    outage, switched to the semantic one where the semantic mode is preferred.
+    """
     r_out, m_th = cfg.r_out, cfg.m_th
-    prefers_sem = None
+    need = set(kinds)
+    bit_low = rate_bit <= r_out if need & {BitOutage, HybridOutage} else None
+    sem_low = rate_sem <= r_out if need - {BitOutage} else None
+    if need & {HybridOutage, SemUtilization}:
+        prefers_sem = m >= m_th
+        prefers_sem &= rate_sem >= rate_bit
     out = []
     for kind in kinds:
         if kind is BitOutage:
-            out.append(rate_bit <= r_out)
+            out.append(bit_low)
         elif kind is SemOutage:
-            out.append((rate_sem <= r_out) | (m <= m_th))
+            out.append(sem_low | (m <= m_th))
+        elif kind is HybridOutage:
+            out.append(bit_low ^ (prefers_sem & (sem_low ^ bit_low)))
         else:
-            if prefers_sem is None:
-                prefers_sem = (m >= m_th) & (rate_sem >= rate_bit)
-            if kind is HybridOutage:
-                out.append((prefers_sem & (rate_sem <= r_out))
-                           | (~prefers_sem & (rate_bit <= r_out)))
-            else:
-                out.append(prefers_sem & (rate_sem > r_out))
+            out.append(prefers_sem & ~sem_low)
     return out
 
 
-def _point_indicators(g0: np.ndarray, points: list[tuple[Scenario, float, float]],
+def _point_indicators(g0: np.ndarray, log_g0: np.ndarray,
+                      points: list[tuple[Scenario, float, float]],
                       kinds: list[type], work: np.ndarray):
     """Indicators of ``kinds`` at every point from one set of draws ``g0``.
 
-    Point p sees the SNRs g0 * ratio_p.  ``work`` holds three buffers
-    shaped like ``g0``; each yielded list is valid until the next one.
+    Point p sees the SNRs g0 * ratio_p.  Its curves are those of the point
+    before it when the two share ratio, gap, mu and info_per_word (as along
+    the m_th and r_out axes), and are computed again only otherwise.
+    ``work`` holds three buffers shaped like ``g0``; each yielded list is
+    valid until the next one.
     """
     m, rate_sem, rate_bit = work
+    last = None
     for scenario, ratio, gap in points:
-        g = g0 if ratio == 1.0 else np.multiply(g0, ratio, out=m)
-        _curves(g, scenario, gap, m, rate_sem, rate_bit)
+        key = (ratio, gap, scenario.cfg.mu, scenario.cfg.info_per_word)
+        if key != last:
+            _curves(g0, log_g0, scenario, ratio, gap, m, rate_sem, rate_bit)
+            last = key
         yield _indicators(kinds, m, rate_sem, rate_bit, scenario.cfg)
 
 
@@ -339,9 +364,12 @@ def _tally_tiles(pending: queue.SimpleQueue, largest: int, seed: int,
             transposed = users_major[:size].reshape(num_users, tile.rows)
             np.copyto(transposed, g0.T)
             g0 = transposed
+        # the U1 half of the draw buffer is dead once the SNRs are drawn
+        with np.errstate(divide="ignore"):
+            log_g0 = np.log10(g0, out=draws[:size].reshape(g0.shape))
         kinds = count_kinds if tile.counted else user_kinds
         curves = work[:3 * size].reshape((3,) + g0.shape)
-        for p, flags in enumerate(_point_indicators(g0, points, kinds, curves)):
+        for p, flags in enumerate(_point_indicators(g0, log_g0, points, kinds, curves)):
             for j, flag in enumerate(flags):
                 if tile.counted:
                     counts = flag.view(np.uint8).sum(axis=0, dtype=count_type)
@@ -400,6 +428,9 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
     points = [(s, snr_scale(s.params) / snr_scale(p0)
                * (s.params.cell_radius_m / p0.cell_radius_m) ** (-p0.pathloss_exp),
                gamma_gap(s.cfg)) for s in scenarios]
+    if not all(0.0 < ratio < math.inf for _, ratio, _ in points):
+        raise ValueError("the SNR scales c_L R^(-a) of one sweep must stay within "
+                         "a finite, nonzero ratio of each other")
     num_users = p0.num_users
     tiles = _tiles(n, num_users, bool(user_kinds), bool(count_kinds))
     largest = max(t.rows * (num_users if t.counted else 1) for t in tiles)

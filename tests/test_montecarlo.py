@@ -8,9 +8,10 @@ from scipy import special as sp
 
 from semcell import (BitOutage, ExactCount, HybridOutage, RangeCount, RateConfig,
                      Scenario, SemOutage, SemUtilization, SimilarityFit, binom_range_prob,
-                     estimate, estimate_many, gamma_gap, network_outage, NetOutageMode,
-                     outage_report, sample_user, sem_util_prob, snr_cdf, snr_scale,
-                     thresholds, user_outage_hybrid, user_stream)
+                     bit_rate, estimate, estimate_many, gamma_gap, network_outage,
+                     NetOutageMode, outage_report, sample_user, sem_rate, sem_util_prob,
+                     similarity, snr_cdf, snr_scale, thresholds, user_outage_hybrid,
+                     user_stream)
 from semcell import montecarlo
 from semcell.montecarlo import BLOCK_SIZE
 from semcell.presets import table1_config
@@ -412,3 +413,88 @@ class TestRowTiles:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
+
+
+def _domain_scenario(case):
+    """Case 0-11 of the documented domain: every rate class, with and without
+    capacity-achieving bit rates, at one and 2.5 information units per word."""
+    rate_class = ("low", "mid", "high")[case % 3]
+    params, fit, cfg = draw_scenario(np.random.default_rng(900 + case), max_users=8,
+                                     rate_class=rate_class)
+    cfg = replace(cfg, use_capacity=(case // 3) % 2 == 1, info_per_word=(1.0, 2.5)[case // 6])
+    return Scenario(params, fit, cfg)
+
+
+class TestCurves:
+    """Rate curves from a log-SNR taken once per tile, shared by the points that can."""
+
+    @pytest.mark.parametrize("axis", ["m_th", "r_out", "radius_m"])
+    def test_curves_once_per_tile_unless_the_snrs_change(self, table1_scenario, monkeypatch,
+                                                         axis):
+        calls = []
+        curves = montecarlo._curves
+
+        def counting(*args):
+            calls.append(1)
+            return curves(*args)
+
+        monkeypatch.setattr(montecarlo, "_curves", counting)
+        base = table1_scenario
+        values = {"m_th": np.linspace(0.4, 0.95, 30), "r_out": np.geomspace(0.01, 0.2, 30),
+                  "radius_m": np.linspace(100.0, 3000.0, 30)}[axis]
+        if axis == "radius_m":
+            scenarios = [replace(base, params=replace(base.params, cell_radius_m=v))
+                         for v in values]
+        else:
+            scenarios = [replace(base, cfg=replace(base.cfg, **{axis: v})) for v in values]
+        n = BLOCK_SIZE + 3_000
+        estimate_many(_sweep_events(30), n, 5, scenarios, workers=2)
+        tiles = len(montecarlo._tiles(n, 30, True, True))
+        assert len(calls) == (tiles * len(scenarios) if axis == "radius_m" else tiles)
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_radius_sweep_across_domain_matches_reference(self, case):
+        scenario = _domain_scenario(case)
+        params = scenario.params
+        scenarios = [replace(scenario, params=replace(params, cell_radius_m=float(r)))
+                     for r in params.cell_radius_m * np.geomspace(0.3, 3.0, 5)]
+        num_users = params.num_users
+        events = [HybridOutage(), BitOutage(), SemOutage(), SemUtilization(),
+                  ExactCount(num_users), RangeCount(1, num_users),
+                  RangeCount(min(2, num_users), num_users),
+                  RangeCount(0, min(2, num_users), indicator=SemUtilization())]
+        n = 5_001
+        swept = estimate_many(events, n, 300 + case, scenarios, workers=2)
+        for point, estimates in zip(scenarios, swept):
+            hits = _reference_hits(events, n, 300 + case, point)
+            assert [e.estimate for e in estimates] == [h / n for h in hits]
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_saturated_snrs(self, case):
+        scenario = _domain_scenario(case)
+        fit, cfg = scenario.fit, scenario.cfg
+        gap = gamma_gap(cfg)
+        g0 = np.array([0.0, 5e-324, 1e-300, 1e300, np.inf])
+        with np.errstate(divide="ignore"):
+            log_g0 = np.log10(g0)
+        for ratio in (1.0, 0.37, 2.9e3):
+            work = np.empty((3, g0.size))
+            montecarlo._curves(g0, log_g0, scenario, ratio, gap, *work)
+            m, rate_sem, rate_bit = work
+            assert not np.isnan(work).any()
+            # the closed form's own limits: a1 at zero SNR, a1 + (a2 - a1) at infinity
+            assert m[0] == fit.a1 and m[-1] == similarity(np.inf, fit)
+            assert rate_bit[0] == 0.0 and rate_bit[-1] == np.inf
+            g = g0 * ratio
+            finite = (g > 0.0) & np.isfinite(g)
+            with np.errstate(over="ignore"):
+                expected = [similarity(g[finite], fit), sem_rate(g[finite], cfg, fit),
+                            bit_rate(g[finite], cfg)]
+            for got, want in zip((m, rate_sem, rate_bit), expected):
+                assert np.all(np.abs(got[finite] - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_snr_scales_beyond_the_float_range_rejected(self, table1_scenario):
+        far = replace(table1_scenario, params=replace(table1_scenario.params,
+                                                      cell_radius_m=1e150))
+        with pytest.raises(ValueError, match="SNR scales"):
+            estimate_many([HybridOutage()], 1_000, 1, [table1_scenario, far])
