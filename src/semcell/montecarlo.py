@@ -29,11 +29,8 @@ suggest, and its points are not independent checks.
 
 Evaluation: a tile takes log10 of its SNRs once, into the half of its
 draw buffer that held U1, so each point costs one exp, one log2 and one
-divide over the tile (see :func:`_curves`).  Consecutive points that
-share their SNR ratio, SNR gap, mu and info_per_word -- every point of an
-m_th or r_out sweep -- share their curves too, and only the event
-indicators are evaluated again.  tests/data/mc_reference pins the Monte
-Carlo columns of three sweeps byte for byte.
+divide over the tile (see :func:`_curves`).  tests/data/mc_reference
+pins the Monte Carlo columns of three sweeps byte for byte.
 """
 
 from __future__ import annotations
@@ -55,6 +52,7 @@ BLOCK_SIZE = 1 << 16
 _CHUNK_ROWS = 4096
 _TILE_VALUES = 1 << 16  # SNR values per unit of parallel work, up to rounding
 _STEP = 4  # values per Philox4x64 counter step
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 WORKERS_ENV_VAR = "SEMCELL_THREADS"
 
@@ -220,20 +218,27 @@ def _curves(g0: np.ndarray, log_g0: np.ndarray, scenario: Scenario, ratio: float
     * rate_sem = m * (info / k).
 
     The exponent needs no clip: ``g0`` lies in [0, inf] and is never NaN
-    (see :func:`sample_user`), c1 > 0 and ``ratio`` is finite and positive,
-    so the exponent is never NaN; beyond +-745 exp saturates to inf or 0,
-    which already gives m = a1 or m = a1 + (a2 - a1), the values at the
-    bounds of a clip.
+    (see :func:`sample_user`) and c1 > 0, so the exponent is never NaN;
+    beyond +-745 exp saturates to inf or 0, which already gives m = a1 or
+    m = a1 + (a2 - a1), the values at the bounds of a clip.  A ``ratio``
+    of 0, inf or NaN (SNR scales beyond the float range) takes the largest
+    finite offset, of the sign of -log10(ratio) and positive at NaN, so m
+    is that of the SNR g0 * ratio, and a1 where that product is NaN,
+    except for g0 = inf at ratio 0 or NaN.
     """
     fit, cfg = scenario.fit, scenario.cfg
     slope = -10.0 * fit.c1
-    with np.errstate(over="ignore"):
+    if 0.0 < ratio < math.inf:
+        offset = slope * math.log10(ratio) - fit.c2
+    else:
+        offset = -_FLOAT_MAX if ratio == math.inf else _FLOAT_MAX
+    with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(g0, ratio / gap, out=rate_bit)
         np.add(rate_bit, 1.0, out=rate_bit)
         np.log2(rate_bit, out=rate_bit)
         np.multiply(rate_bit, cfg.info_per_word / cfg.mu, out=rate_bit)
         np.multiply(log_g0, slope, out=m)
-        np.add(m, slope * math.log10(ratio) - fit.c2, out=m)
+        np.add(m, offset, out=m)
         np.exp(m, out=m)
         np.add(m, 1.0, out=m)
         np.divide(fit.a2 - fit.a1, m, out=m)
@@ -273,19 +278,13 @@ def _point_indicators(g0: np.ndarray, log_g0: np.ndarray,
                       kinds: list[type], work: np.ndarray):
     """Indicators of ``kinds`` at every point from one set of draws ``g0``.
 
-    Point p sees the SNRs g0 * ratio_p.  Its curves are those of the point
-    before it when the two share ratio, gap, mu and info_per_word (as along
-    the m_th and r_out axes), and are computed again only otherwise.
-    ``work`` holds three buffers shaped like ``g0``; each yielded list is
-    valid until the next one.
+    Point p sees the SNRs g0 * ratio_p; ``log_g0`` is log10(g0).  ``work``
+    holds three buffers shaped like ``g0``; each yielded list is valid
+    until the next one.
     """
     m, rate_sem, rate_bit = work
-    last = None
     for scenario, ratio, gap in points:
-        key = (ratio, gap, scenario.cfg.mu, scenario.cfg.info_per_word)
-        if key != last:
-            _curves(g0, log_g0, scenario, ratio, gap, m, rate_sem, rate_bit)
-            last = key
+        _curves(g0, log_g0, scenario, ratio, gap, m, rate_sem, rate_bit)
         yield _indicators(kinds, m, rate_sem, rate_bit, scenario.cfg)
 
 
@@ -428,9 +427,6 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
     points = [(s, snr_scale(s.params) / snr_scale(p0)
                * (s.params.cell_radius_m / p0.cell_radius_m) ** (-p0.pathloss_exp),
                gamma_gap(s.cfg)) for s in scenarios]
-    if not all(0.0 < ratio < math.inf for _, ratio, _ in points):
-        raise ValueError("the SNR scales c_L R^(-a) of one sweep must stay within "
-                         "a finite, nonzero ratio of each other")
     num_users = p0.num_users
     tiles = _tiles(n, num_users, bool(user_kinds), bool(count_kinds))
     largest = max(t.rows * (num_users if t.counted else 1) for t in tiles)

@@ -299,20 +299,37 @@ def _reference_hits(events, n, seed, scenario):
 
 def _sweep_events(num_users):
     return [HybridOutage(), BitOutage(), SemOutage(), ExactCount(num_users),
-            RangeCount(1, num_users), RangeCount(3, num_users), SemUtilization(),
-            RangeCount(5, 10, indicator=SemUtilization())]
+            RangeCount(1, num_users), RangeCount(min(3, num_users), num_users),
+            SemUtilization(),
+            RangeCount(min(5, num_users), min(10, num_users), indicator=SemUtilization())]
+
+
+def _domain_scenario(case):
+    """Case 0-11 of the documented domain: every rate class, with and without
+    capacity-achieving bit rates, at one and 2.5 information units per word."""
+    rate_class = ("low", "mid", "high")[case % 3]
+    params, fit, cfg = draw_scenario(np.random.default_rng(900 + case), max_users=8,
+                                     rate_class=rate_class)
+    cfg = replace(cfg, use_capacity=(case // 3) % 2 == 1, info_per_word=(1.0, 2.5)[case // 6])
+    return Scenario(params, fit, cfg)
 
 
 class TestSweep:
-    @pytest.mark.parametrize("seed", [7, 2024])
-    def test_radius_sweep_matches_per_point_reference(self, table1_scenario, seed):
-        # the Table-1 radius grid: every point past the first scales the
-        # first point's draws instead of drawing its own
-        grid = table1_config()["sweep"]["grid"]
-        scenarios = [replace(table1_scenario,
-                             params=replace(table1_scenario.params, cell_radius_m=r))
+    @pytest.mark.parametrize("case, seed", [pytest.param(None, 7, id="7"),
+                                            pytest.param(None, 2024, id="2024")]
+                             + [pytest.param(c, 300 + c, id=f"domain{c}") for c in range(12)])
+    def test_radius_sweep_matches_per_point_reference(self, table1_scenario, case, seed):
+        # the Table-1 radius grid, or five radii around a domain draw's own:
+        # every point past the first scales the first point's draws instead
+        # of drawing its own
+        if case is None:
+            scenario, grid = table1_scenario, table1_config()["sweep"]["grid"]
+        else:
+            scenario = _domain_scenario(case)
+            grid = scenario.params.cell_radius_m * np.geomspace(0.3, 3.0, 5)
+        scenarios = [replace(scenario, params=replace(scenario.params, cell_radius_m=float(r)))
                      for r in grid]
-        events = _sweep_events(30)
+        events = _sweep_events(scenario.params.num_users)
         n = 20_000
         swept = estimate_many(events, n, seed, scenarios, workers=2)
         for scenario, estimates in zip(scenarios, swept):
@@ -415,59 +432,8 @@ class TestRowTiles:
         assert got == expected
 
 
-def _domain_scenario(case):
-    """Case 0-11 of the documented domain: every rate class, with and without
-    capacity-achieving bit rates, at one and 2.5 information units per word."""
-    rate_class = ("low", "mid", "high")[case % 3]
-    params, fit, cfg = draw_scenario(np.random.default_rng(900 + case), max_users=8,
-                                     rate_class=rate_class)
-    cfg = replace(cfg, use_capacity=(case // 3) % 2 == 1, info_per_word=(1.0, 2.5)[case // 6])
-    return Scenario(params, fit, cfg)
-
-
 class TestCurves:
-    """Rate curves from a log-SNR taken once per tile, shared by the points that can."""
-
-    @pytest.mark.parametrize("axis", ["m_th", "r_out", "radius_m"])
-    def test_curves_once_per_tile_unless_the_snrs_change(self, table1_scenario, monkeypatch,
-                                                         axis):
-        calls = []
-        curves = montecarlo._curves
-
-        def counting(*args):
-            calls.append(1)
-            return curves(*args)
-
-        monkeypatch.setattr(montecarlo, "_curves", counting)
-        base = table1_scenario
-        values = {"m_th": np.linspace(0.4, 0.95, 30), "r_out": np.geomspace(0.01, 0.2, 30),
-                  "radius_m": np.linspace(100.0, 3000.0, 30)}[axis]
-        if axis == "radius_m":
-            scenarios = [replace(base, params=replace(base.params, cell_radius_m=v))
-                         for v in values]
-        else:
-            scenarios = [replace(base, cfg=replace(base.cfg, **{axis: v})) for v in values]
-        n = BLOCK_SIZE + 3_000
-        estimate_many(_sweep_events(30), n, 5, scenarios, workers=2)
-        tiles = len(montecarlo._tiles(n, 30, True, True))
-        assert len(calls) == (tiles * len(scenarios) if axis == "radius_m" else tiles)
-
-    @pytest.mark.parametrize("case", range(12))
-    def test_radius_sweep_across_domain_matches_reference(self, case):
-        scenario = _domain_scenario(case)
-        params = scenario.params
-        scenarios = [replace(scenario, params=replace(params, cell_radius_m=float(r)))
-                     for r in params.cell_radius_m * np.geomspace(0.3, 3.0, 5)]
-        num_users = params.num_users
-        events = [HybridOutage(), BitOutage(), SemOutage(), SemUtilization(),
-                  ExactCount(num_users), RangeCount(1, num_users),
-                  RangeCount(min(2, num_users), num_users),
-                  RangeCount(0, min(2, num_users), indicator=SemUtilization())]
-        n = 5_001
-        swept = estimate_many(events, n, 300 + case, scenarios, workers=2)
-        for point, estimates in zip(scenarios, swept):
-            hits = _reference_hits(events, n, 300 + case, point)
-            assert [e.estimate for e in estimates] == [h / n for h in hits]
+    """Rate curves from a log-SNR taken once per tile."""
 
     @pytest.mark.parametrize("case", range(12))
     def test_saturated_snrs(self, case):
@@ -493,8 +459,21 @@ class TestCurves:
             for got, want in zip((m, rate_sem, rate_bit), expected):
                 assert np.all(np.abs(got[finite] - want) <= 4 * np.spacing(np.abs(want)))
 
-    def test_snr_scales_beyond_the_float_range_rejected(self, table1_scenario):
-        far = replace(table1_scenario, params=replace(table1_scenario.params,
-                                                      cell_radius_m=1e150))
-        with pytest.raises(ValueError, match="SNR scales"):
-            estimate_many([HybridOutage()], 1_000, 1, [table1_scenario, far])
+    @pytest.mark.parametrize("first, second, outage", [
+        ({}, dict(cell_radius_m=1e150), 1.0),
+        (dict(tx_power_w=1e-200), dict(tx_power_w=1e200), 0.0),
+    ], ids=["ratio_zero", "ratio_inf"])
+    def test_snr_scales_beyond_the_float_range(self, table1_scenario, first, second, outage):
+        # the SNR scales of the two points differ by a factor of 0 or inf
+        # in floats: the second point sees SNRs of exactly 0 or inf
+        params = table1_scenario.params
+        scenarios = [replace(table1_scenario, params=replace(params, **first)),
+                     replace(table1_scenario, params=replace(params, **second))]
+        events = _sweep_events(params.num_users)
+        n = 5_001
+        swept = estimate_many(events, n, 3, scenarios, workers=2)
+        assert [e.estimate for e in swept[1][:3]] == [outage] * 3
+        for point, estimates in zip(scenarios, swept):
+            with np.errstate(over="ignore"):
+                hits = _reference_hits(events, n, 3, point)
+            assert [e.estimate for e in estimates] == [h / n for h in hits]
