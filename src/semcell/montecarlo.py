@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import queue
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,7 +53,6 @@ BLOCK_SIZE = 1 << 16
 _CHUNK_ROWS = 4096
 _TILE_VALUES = 1 << 16  # SNR values per unit of parallel work, up to rounding
 _STEP = 4  # values per Philox4x64 counter step
-_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 WORKERS_ENV_VAR = "SEMCELL_THREADS"
 
@@ -231,7 +231,7 @@ def _curves(g0: np.ndarray, log_g0: np.ndarray, scenario: Scenario, ratio: float
     if 0.0 < ratio < math.inf:
         offset = slope * math.log10(ratio) - fit.c2
     else:
-        offset = -_FLOAT_MAX if ratio == math.inf else _FLOAT_MAX
+        offset = -sys.float_info.max if ratio == math.inf else sys.float_info.max
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(g0, ratio / gap, out=rate_bit)
         np.add(rate_bit, 1.0, out=rate_bit)
