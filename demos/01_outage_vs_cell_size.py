@@ -32,7 +32,11 @@ print(f"  qos cutoff g_min     : {thr.g_min:.4f}  ({linear_to_db(thr.g_min):.2f}
 print(f"  bit cutoff g_bit     : {thr.g_bit:.4f}")
 print(f"  crossover g_max      : {thr.g_max:.1f}  ({linear_to_db(thr.g_max):.2f} dB)")
 print(f"  sem cutoff g_sem     : {thr.g_sem}  (absent: k*r_out below the similarity floor)")
-print(f"  outage regime        : {thr.regime.value}")
+bit_part, sem_part = thr.hybrid_outage_parts()
+for name, part, where in (("bit", bit_part, "bit rate below r_out outside [g_min, g_max]"),
+                          ("sem", sem_part, "semantic rate below r_out inside it")):
+    spans = " + ".join(f"[{lo:.4g}, {hi:.4g}]" for lo, hi in part) or "empty"
+    print(f"  hybrid outage, {name}   : {spans}  ({where})")
 print()
 
 header = f"{'R [m]':>7} {'pi_h':>10} {'pi_b':>10} {'pi_s':>10} {'net any':>10} {'P[3+ out]':>10}"

@@ -20,9 +20,8 @@ from .montecarlo import (BitOutage, ExactCount, HybridOutage, McEstimate, RangeC
 from .outage import (NetOutageMode, OutageReport, network_outage, outage_report,
                      sem_util_prob, sem_util_prob_deriv, user_outage_bit,
                      user_outage_hybrid, user_outage_sem, utilization_window)
-from .ratemodel import (HybridRegime, RateConfig, RateThresholds, SimilarityFit,
-                        SolverError, bit_rate, gamma_gap, hybrid_rate, inv_similarity,
-                        sem_rate, similarity, thresholds)
+from .ratemodel import (RateConfig, RateThresholds, SimilarityFit, SolverError, bit_rate,
+                        gamma_gap, inv_similarity, sem_rate, similarity, thresholds)
 from .specfun import (binom_range_prob, hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0,
                       log_binomial)
 
@@ -37,9 +36,9 @@ __all__ = [
     "NetworkParams", "SPEED_OF_LIGHT", "snr_scale", "snr_cdf", "mean_edge_snr",
     "db_to_linear", "linear_to_db", "dbm_per_hz_to_watts_per_hz",
     # ratemodel
-    "SimilarityFit", "RateConfig", "RateThresholds", "HybridRegime", "SolverError",
+    "SimilarityFit", "RateConfig", "RateThresholds", "SolverError",
     "similarity", "inv_similarity", "gamma_gap", "bit_rate", "sem_rate",
-    "thresholds", "hybrid_rate",
+    "thresholds",
     # outage
     "NetOutageMode", "OutageReport", "user_outage_hybrid", "user_outage_bit",
     "user_outage_sem", "network_outage", "sem_util_prob",

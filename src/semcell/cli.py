@@ -30,7 +30,8 @@ from .linkmodel import (NetworkParams, db_to_linear, dbm_per_hz_to_watts_per_hz,
                         linear_to_db, mean_edge_snr, snr_scale)
 from .montecarlo import (BitOutage, ExactCount, HybridOutage, RangeCount, Scenario,
                          SemOutage, SemUtilization, estimate_many)
-from .outage import (NetOutageMode, binom_range_prob, network_outage, outage_report)
+from .outage import (NetOutageMode, binom_range_prob, network_outage, outage_report,
+                     utilization_window)
 from .presets import PRESETS, expand_preset
 from .ratemodel import (RateConfig, SimilarityFit, SolverError, gamma_gap, thresholds)
 
@@ -380,9 +381,11 @@ def write_csv(path: Path, rows: list[dict[str, float]], mc_enabled: bool) -> Non
 
 
 def derived_constants(sc: ScenarioConfig) -> dict:
-    """Derived quantities recorded in the manifest for the nominal config."""
+    """Derived quantities recorded in the manifest for the nominal config,
+    with the hybrid outage and utilization events as finite SNR intervals."""
     params, fit, cfg = sc.scenario.params, sc.scenario.fit, sc.scenario.cfg
     thr = thresholds(cfg, fit)
+    bit, sem = thr.hybrid_outage_parts()
     return {
         "snr_scale": snr_scale(params),
         "snr_gap": gamma_gap(cfg),
@@ -390,7 +393,8 @@ def derived_constants(sc: ScenarioConfig) -> dict:
         "g_max": thr.g_max,
         "g_bit": thr.g_bit,
         "g_sem": thr.g_sem,
-        "regime": thr.regime.value,
+        "hybrid_outage": {"bit": bit, "semantic": sem},
+        "utilization_window": utilization_window(thr),
         "mean_edge_snr_db": linear_to_db(mean_edge_snr(params)),
     }
 
@@ -455,13 +459,17 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    doc = _apply_cli_mc(load_config(args.config), args)
+def _nominal_scenario(doc: dict, label: str) -> ScenarioConfig:
+    """Parse a one-point command's config, defaulting to a sweep of its own cell radius."""
     if "sweep" not in doc:
         doc = dict(doc)
         doc["sweep"] = {"axis": "radius_m",
                         "grid": [doc.get("network", {}).get("cell_radius_m", 1.0)]}
-    sc = parse_scenario_config(doc, label="validate")
+    return parse_scenario_config(doc, label=label)
+
+
+def _cmd_validate(args) -> int:
+    sc = _nominal_scenario(_apply_cli_mc(load_config(args.config), args), "validate")
     samples = sc.mc_samples if sc.mc_samples > 0 else 1_000_000
     point = sc.scenario.params.cell_radius_m if sc.sweep_axis == "radius_m" else sc.grid[0]
     row = evaluate_sweep(replace(sc, mc_samples=samples, grid=(point,)))[0]
@@ -496,17 +504,8 @@ def _score_z(p_hat: float, p: float, n: int) -> float:
     return (p_hat - p) / (math.sqrt(p) * math.sqrt((1.0 - p) / n))  # no underflow at tiny p
 
 
-def _nominal_scenario(args) -> ScenarioConfig:
-    doc = load_config(args.config)
-    if "sweep" not in doc:
-        doc = dict(doc)
-        doc["sweep"] = {"axis": "radius_m",
-                        "grid": [doc.get("network", {}).get("cell_radius_m", 1.0)]}
-    return parse_scenario_config(doc, label="design")
-
-
 def _cmd_design_radius(args) -> int:
-    sc = _nominal_scenario(args)
+    sc = _nominal_scenario(load_config(args.config), "design")
     params, fit, cfg = sc.scenario.params, sc.scenario.fit, sc.scenario.cfg
     if not (0.0 < args.pth < 1.0):
         raise ConfigError(f"--pth must lie in (0, 1), got {args.pth}")
@@ -522,13 +521,12 @@ def _cmd_design_radius(args) -> int:
         "iterations": solution.iterations,
         "u_th": target.u_th,
         "y_th": thr.outage_cdf_argument(),
-        "regime": thr.regime.value,
     }, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_design_util(args) -> int:
-    sc = _nominal_scenario(args)
+    sc = _nominal_scenario(load_config(args.config), "design")
     params, fit, cfg = sc.scenario.params, sc.scenario.fit, sc.scenario.cfg
     if not (0 <= args.ll <= args.lu <= params.num_users):
         raise ConfigError(

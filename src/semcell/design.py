@@ -52,15 +52,11 @@ class DesignTarget:
 
     p_th: float
     count_floor: int
-    count_ceiling: int
     u_th: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.p_th < 1.0):
             raise ValueError(f"p_th must lie in (0, 1), got {self.p_th}")
-        if not (1 <= self.count_floor <= self.count_ceiling):
-            raise ValueError(
-                f"need 1 <= count_floor <= count_ceiling, got ({self.count_floor}, {self.count_ceiling})")
         if not (0.0 < self.u_th < 1.0):
             raise ValueError(f"u_th must lie strictly inside (0, 1), got {self.u_th}")
 
@@ -70,7 +66,7 @@ class DesignTarget:
         if not (1 <= count_floor <= num_users):
             raise ValueError(f"need 1 <= count_floor <= num_users, got ({count_floor}, {num_users})")
         pi_star = inv_reg_inc_beta_int(p_th, count_floor, num_users - count_floor + 1)
-        return cls(p_th=p_th, count_floor=count_floor, count_ceiling=num_users, u_th=1.0 - pi_star)
+        return cls(p_th=p_th, count_floor=count_floor, u_th=1.0 - pi_star)
 
 
 @dataclass(frozen=True)

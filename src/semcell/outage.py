@@ -10,9 +10,10 @@ Every per-user event is a union of disjoint SNR intervals built by
 :class:`~semcell.ratemodel.RateThresholds` from the four breakpoints,
 and its probability is the sum of F_g(hi) - F_g(lo) over them (F_g the
 SNR CDF).  The hybrid outage event is the bit outage set outside the
-semantic window plus the semantic outage set inside it; the branch
-table's single-CDF forms are the cases where the two parts merge into
-one interval [0, y] (checked against the table in the test suite).
+semantic window plus the semantic outage set inside it; the paper's
+branch table covers the cases where the two parts merge into one
+interval [0, y] (checked against the table in the test suite).  The
+manifest records both parts and the utilization window.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .linkmodel import NetworkParams, snr_cdf, snr_scale
-from .ratemodel import HybridRegime, Interval, RateThresholds
+from .ratemodel import Interval, RateThresholds
 from .specfun import binom_range_prob, hyp1f1_ratio, kummer_pair
 
 
@@ -35,13 +36,12 @@ class NetOutageMode(enum.Enum):
 
 @dataclass(frozen=True)
 class OutageReport:
-    """All per-user probabilities of one scenario, plus the active regime."""
+    """All per-user probabilities of one scenario."""
 
     pi_h: float
     pi_b: float
     pi_s: float
     pi_g: float
-    regime: HybridRegime
 
 
 def _clamp01(p: float) -> float:
@@ -88,8 +88,7 @@ def outage_report(thr: RateThresholds, params: NetworkParams) -> OutageReport:
         pi_h=user_outage_hybrid(thr, params),
         pi_b=user_outage_bit(thr, params),
         pi_s=user_outage_sem(thr, params),
-        pi_g=sem_util_prob(thr, params),
-        regime=thr.regime)
+        pi_g=sem_util_prob(thr, params))
 
 
 def network_outage(pi: float, num_users: int, mode: NetOutageMode) -> float:

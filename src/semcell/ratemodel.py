@@ -14,17 +14,18 @@ Breakpoints:
   rate (above it the bit rate wins),
 * ``g_bit``  -- SNR where the bit rate equals the outage rate threshold,
 * ``g_sem``  -- SNR where the semantic rate equals the outage rate
-  threshold (absent when the logistic floor/ceiling makes it vacuous).
+  threshold (absent when the logistic floor/ceiling makes it vacuous;
+  ``sem_outage_edge`` is then 0 or infinity).
 
 Every per-user event is a union of disjoint intervals on the SNR axis
 with these breakpoints as ends (:class:`RateThresholds` builds them), so
-its probability is a sum of SNR-CDF differences.  :class:`HybridRegime`
-only labels which row of the paper's branch table the intervals match.
+its probability is a sum of SNR-CDF differences.  The rows of the
+paper's branch table are the cases where the hybrid outage event is one
+interval [0, y].
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -80,58 +81,28 @@ class RateConfig:
             raise ValueError(f"info_per_word must be positive, got {self.info_per_word}")
 
 
-class HybridRegime(enum.Enum):
-    """Row of the paper's hybrid-outage branch table, recorded in the manifest.
-
-    The first seven members mirror the closed-form branch table (the SNR
-    below which a hybrid user is in outage is a single CDF argument);
-    ``BITCOM_COLLAPSE`` is the degenerate case where the semantic window
-    is empty and the hybrid reduces to pure bit transmission;
-    ``COMPOSITE_TAIL`` marks the corner where the outage event is a union
-    of two SNR intervals and no single CDF argument exists.
-    """
-
-    BITCOM_COLLAPSE = "bitcom_collapse"
-    BIT_BOUND_LOW_RATE = "bit_bound_low_rate"
-    QOS_BOUND_LOW_RATE = "qos_bound_low_rate"
-    BIT_BOUND_MID_RATE = "bit_bound_mid_rate"
-    QOS_BOUND_MID_RATE = "qos_bound_mid_rate"
-    SEM_BOUND_MID_RATE = "sem_bound_mid_rate"
-    BIT_BOUND_ABOVE_CROSSING = "bit_bound_above_crossing"
-    BIT_BOUND_SATURATED = "bit_bound_saturated"
-    COMPOSITE_TAIL = "composite_tail"
-
-
 Interval = tuple[float, float]
 
 
 @dataclass(frozen=True)
 class RateThresholds:
-    """Derived SNR breakpoints, the per-user events they bound and the regime label.
+    """Derived SNR breakpoints and the per-user events they bound.
 
-    ``k_r_out`` (k r_out / info_per_word, the similarity at which the
-    semantic rate equals r_out) and the fit asymptotes decide whether the
-    semantic rate misses r_out never, below ``g_sem`` or always.
+    ``sem_outage_edge`` is the SNR below which the semantic rate misses
+    r_out: 0 when it never does, infinity when it always does, ``g_sem``
+    between.
     """
 
     g_min: float
     g_max: float
     g_bit: float
-    g_sem: float | None
-    regime: HybridRegime
-    k_r_out: float
-    sim_floor: float
-    sim_ceiling: float
+    sem_outage_edge: float
 
     @property
-    def sem_outage_edge(self) -> float:
-        """SNR below which the semantic rate misses r_out: 0 when k r_out <= a1,
-        infinity when k r_out >= a2, ``g_sem`` between."""
-        if self.k_r_out <= self.sim_floor:
-            return 0.0
-        if self.k_r_out >= self.sim_ceiling:
-            return math.inf
-        return self.g_sem
+    def g_sem(self) -> float | None:
+        """SNR where the semantic rate equals r_out; None when the edge is 0 or infinity."""
+        edge = self.sem_outage_edge
+        return edge if 0.0 < edge < math.inf else None
 
     def hybrid_outage_parts(self) -> tuple[tuple[Interval, ...], tuple[Interval, ...]]:
         """The hybrid outage event as disjoint SNR intervals: (bit part, semantic
@@ -299,37 +270,9 @@ def _solve_rate_crossing(cfg: RateConfig, fit: SimilarityFit, gap: float) -> flo
     return g
 
 
-def _classify(g_bit: float, g_min: float, g_sem: float | None, g_max: float,
-              k_r_out: float, fit: SimilarityFit) -> HybridRegime:
-    """Literal branch-table conditions, checked in order; ties fall to the
-    lower-indexed branch.  Degeneracy (empty semantic window) wins over
-    everything; anything matching no branch is the composite corner."""
-    if g_max <= g_min:
-        return HybridRegime.BITCOM_COLLAPSE
-    if k_r_out <= fit.a1:
-        if g_bit <= g_min:
-            return HybridRegime.BIT_BOUND_LOW_RATE
-        if g_bit <= g_max:
-            return HybridRegime.QOS_BOUND_LOW_RATE
-        return HybridRegime.COMPOSITE_TAIL
-    if k_r_out >= fit.a2:
-        if g_max <= g_bit:
-            return HybridRegime.BIT_BOUND_SATURATED
-        return HybridRegime.COMPOSITE_TAIL
-    assert g_sem is not None
-    if g_sem <= g_bit <= g_min:
-        return HybridRegime.BIT_BOUND_MID_RATE
-    if g_sem <= g_min <= g_bit <= g_max:
-        return HybridRegime.QOS_BOUND_MID_RATE
-    if g_min <= g_sem <= g_bit <= g_max:
-        return HybridRegime.SEM_BOUND_MID_RATE
-    if g_max <= g_bit <= g_sem:
-        return HybridRegime.BIT_BOUND_ABOVE_CROSSING
-    return HybridRegime.COMPOSITE_TAIL
-
-
 def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
-    """Compute all SNR breakpoints and label the outage regime."""
+    """Compute the SNR breakpoints.  The semantic outage edge is 0, ``g_sem`` or
+    infinity as k r_out / info_per_word lies at most a1, inside (a1, a2) or at least a2."""
     if not (fit.a1 < cfg.m_th < fit.a2):
         raise ValueError(
             f"similarity threshold {cfg.m_th} must lie strictly between the fit asymptotes ({fit.a1}, {fit.a2})")
@@ -339,23 +282,13 @@ def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
     r_out = cfg.r_out / cfg.info_per_word
     g_bit = gap * (2.0 ** (cfg.mu * r_out) - 1.0)
     g_min = inv_similarity(cfg.m_th, fit)
-    k_r_out = fit.k * r_out
-    g_sem = inv_similarity(k_r_out, fit) if fit.a1 < k_r_out < fit.a2 else None
+    sim_out = fit.k * r_out
+    if sim_out <= fit.a1:
+        edge = 0.0
+    elif sim_out >= fit.a2:
+        edge = math.inf
+    else:
+        edge = inv_similarity(sim_out, fit)
     g_max = _solve_rate_crossing(cfg, fit, gap)
-    regime = _classify(g_bit, g_min, g_sem, g_max, k_r_out, fit)
-    return RateThresholds(
-        g_min=g_min, g_max=g_max, g_bit=g_bit, g_sem=g_sem, regime=regime,
-        k_r_out=k_r_out, sim_floor=fit.a1, sim_ceiling=fit.a2)
+    return RateThresholds(g_min=g_min, g_max=g_max, g_bit=g_bit, sem_outage_edge=edge)
 
-
-def hybrid_rate(g, thr: RateThresholds, cfg: RateConfig, fit: SimilarityFit):
-    """Rate of a hybrid user: semantic inside [g_min, g_max], bit outside.
-
-    When the semantic window is empty (g_max < g_min) the hybrid is pure
-    bit transmission everywhere.
-    """
-    rb = np.asarray(bit_rate(g, cfg))
-    rs = np.asarray(sem_rate(g, cfg, fit))
-    garr = np.asarray(g, dtype=float)
-    value = np.where((garr >= thr.g_min) & (garr <= thr.g_max), rs, rb)
-    return _scalar_like(value, g)

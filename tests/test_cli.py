@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from semcell import thresholds, utilization_window
 from semcell.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, ConfigError,
-                         main, parse_scenario_config, run_scenario)
+                         main, parse_scenario_config, run_scenario, write_manifest)
 from semcell.presets import PRESETS, expand_preset, table1_config
 
 
@@ -84,6 +85,25 @@ class TestRunCommand:
         assert manifest["kind"] == "semcell-manifest"
         assert manifest["derived"]["g_sem"] is None
         assert manifest["derived"]["snr_gap"] == pytest.approx(3.5322, abs=1e-4)
+
+    def test_manifest_records_the_event_intervals(self, tmp_path):
+        # the semantic rate never (0.04), sometimes (0.12, 0.16) or always
+        # (0.2, an empty utilization window) misses r_out
+        for r_out in (0.04, 0.12, 0.16, 0.2):
+            doc = table1_config()
+            doc["rate"]["outage_rate_threshold"] = r_out
+            sc = parse_scenario_config(doc, label="events")
+            path = tmp_path / f"{r_out}.manifest.json"
+            write_manifest(path, sc, preset=None)
+            text = path.read_text()
+            assert "Infinity" not in text
+            derived = json.loads(text)["derived"]
+            thr = thresholds(sc.scenario.cfg, sc.scenario.fit)
+            bit, sem = thr.hybrid_outage_parts()
+            window = utilization_window(thr)
+            assert derived["hybrid_outage"] == {"bit": [list(i) for i in bit],
+                                                "semantic": [list(i) for i in sem]}
+            assert derived["utilization_window"] == (None if window is None else list(window))
 
     def test_config_error_exit_code(self, tmp_path):
         doc = table1_config()

@@ -142,9 +142,9 @@ class TestRadiusForOutageThreshold:
 
     def test_degenerate_target_rejected(self):
         with pytest.raises(ValueError):
-            DesignTarget(p_th=1e-3, count_floor=3, count_ceiling=10, u_th=0.0)
+            DesignTarget(p_th=1e-3, count_floor=3, u_th=0.0)
         with pytest.raises(ValueError):
-            DesignTarget(p_th=1.0, count_floor=3, count_ceiling=10, u_th=0.5)
+            DesignTarget(p_th=1.0, count_floor=3, u_th=0.5)
 
     def test_solved_radius_confirmed_by_simulation(self, table1_fit):
         # free-space 1 mW cell, 10 users: at the designed radius the

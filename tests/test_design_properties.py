@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semcell import (DesignTarget, HybridRegime, SolverError, binom_range_prob, hyp1f1_ratio,
+from semcell import (DesignTarget, SolverError, binom_range_prob, hyp1f1_ratio,
                      optimal_sem_util_radius, radius_for_outage_threshold, sem_util_prob,
                      snr_scale, thresholds, utilization_window)
 from conftest import draw_scenario
@@ -71,7 +71,7 @@ def test_outage_radius_meets_the_level(scenario, log_p_th, floor_frac):
     L = params.num_users
     count_floor = 1 + int(floor_frac * (L - 1))
     target = DesignTarget.for_outage_cap(10.0 ** log_p_th, count_floor, L)
-    if thr.regime is HybridRegime.COMPOSITE_TAIL:
+    if thr.outage_cdf_argument() is None:
         # no single CDF argument: the documented solver failure
         try:
             radius_for_outage_threshold(target, thr, params)

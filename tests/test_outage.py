@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semcell import (HybridOutage, HybridRegime, NetOutageMode, RateConfig, RateThresholds,
+from semcell import (HybridOutage, NetOutageMode, RateConfig, RateThresholds,
                      Scenario, SemOutage, SemUtilization, BitOutage, binom_range_prob, bit_rate,
                      estimate_many, network_outage, outage_report, sem_rate, sem_util_prob,
                      sem_util_prob_deriv, similarity, snr_cdf, thresholds, user_outage_bit,
@@ -13,46 +13,32 @@ from semcell.cli import _point_state, parse_scenario_config
 from semcell.presets import PRESETS, expand_preset, table1_config
 from conftest import draw_scenario
 
-# the paper's closed-form branch table, numbered as in the paper
-_BRANCH_INDEX = {
-    HybridRegime.BIT_BOUND_LOW_RATE: 1,
-    HybridRegime.QOS_BOUND_LOW_RATE: 2,
-    HybridRegime.BIT_BOUND_MID_RATE: 3,
-    HybridRegime.QOS_BOUND_MID_RATE: 4,
-    HybridRegime.SEM_BOUND_MID_RATE: 5,
-    HybridRegime.BIT_BOUND_ABOVE_CROSSING: 6,
-    HybridRegime.BIT_BOUND_SATURATED: 7,
-}
-
-
 def binom_pmf_oracle(p: float, n: int, m: int) -> float:
     return math.comb(n, m) * p**m * (1.0 - p) ** (n - m)
 
 
 def _table_cdf_argument(thr):
-    """The branch table's single CDF argument for the regime label, None in
-    the composite corner (the regime-to-breakpoint map of the paper)."""
-    regime = thr.regime
-    if regime is HybridRegime.COMPOSITE_TAIL:
-        return None
-    if regime in (HybridRegime.QOS_BOUND_LOW_RATE, HybridRegime.QOS_BOUND_MID_RATE):
-        return thr.g_min
-    if regime is HybridRegime.SEM_BOUND_MID_RATE:
-        return thr.g_sem
-    return thr.g_bit
+    """The branch table's single CDF argument: g_bit when the semantic window
+    is empty (pure bit transmission), else that of the lowest-numbered
+    matching branch, None when no branch matches (the composite corner)."""
+    if thr.g_max <= thr.g_min:
+        return thr.g_bit
+    hits = _matching_branches(thr)
+    return hits[min(hits)] if hits else None
 
 
 class TestHybridUserOutage:
     def test_table1_regime_and_value(self, table1_params, table1_cfg, table1_fit):
         thr = thresholds(table1_cfg, table1_fit)
-        assert thr.regime is HybridRegime.QOS_BOUND_LOW_RATE
+        assert thr.outage_cdf_argument() == thr.g_min
         assert user_outage_hybrid(thr, table1_params) == pytest.approx(
             snr_cdf(thr.g_min, table1_params), abs=1e-15)
 
     def test_saturated_rate_is_pure_bit(self, table1_params, table1_fit):
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.5)
         thr = thresholds(cfg, table1_fit)
-        assert thr.regime is HybridRegime.BIT_BOUND_SATURATED
+        assert thr.sem_outage_edge == math.inf and thr.g_max <= thr.g_bit
+        assert thr.outage_cdf_argument() == thr.g_bit
         assert user_outage_hybrid(thr, table1_params) == pytest.approx(
             snr_cdf(thr.g_bit, table1_params), abs=1e-12)
 
@@ -83,13 +69,12 @@ class TestHybridUserOutage:
         for _ in range(1000):
             _, fit, cfg = draw_scenario(rng)
             thr = thresholds(cfg, fit)
-            hits = _matching_branches(thr)
-            if thr.regime is HybridRegime.BITCOM_COLLAPSE:
+            if thr.g_max <= thr.g_min:
                 continue
-            assert _BRANCH_INDEX.get(thr.regime) in hits
-            # overlapping conditions only at ties; the classifier takes
-            # the lowest index
-            assert _BRANCH_INDEX.get(thr.regime) == min(hits)
+            hits = _matching_branches(thr)
+            assert hits
+            # conditions overlap only at ties, where the branches agree
+            assert set(hits.values()) == {thr.outage_cdf_argument()}
 
     def test_boundary_continuity_at_branch_tie(self, table1_params, table1_fit):
         # r_out at which the bit cutoff meets the QoS cutoff: adjacent
@@ -110,25 +95,33 @@ class TestHybridUserOutage:
 
 
 def _matching_branches(thr):
-    """Indices of the closed-form branch table whose conditions hold."""
-    hits = []
-    kr, a1, a2 = thr.k_r_out, thr.sim_floor, thr.sim_ceiling
-    g_bit, g_min, g_sem, g_max = thr.g_bit, thr.g_min, thr.g_sem, thr.g_max
-    if kr <= a1 and g_bit <= g_min:
-        hits.append(1)
-    if kr <= a1 and g_min <= g_bit <= g_max:
-        hits.append(2)
-    if a1 <= kr <= a2 and g_sem is not None:
+    """The rows of the paper's closed-form branch table whose conditions
+    hold, numbered as in the paper, each mapped to its single CDF argument.
+
+    The semantic outage edge tells the rate classes apart: 0 when
+    k r_out <= a1, infinity when k r_out >= a2, g_sem between.
+    """
+    hits = {}
+    edge = thr.sem_outage_edge
+    g_bit, g_min, g_max = thr.g_bit, thr.g_min, thr.g_max
+    if edge == 0.0:
+        if g_bit <= g_min:
+            hits[1] = g_bit
+        if g_min <= g_bit <= g_max:
+            hits[2] = g_min
+    elif edge == math.inf:
+        if g_max <= g_bit:
+            hits[7] = g_bit
+    else:
+        g_sem = edge
         if g_sem <= g_bit <= g_min:
-            hits.append(3)
+            hits[3] = g_bit
         if g_sem <= g_min <= g_bit <= g_max:
-            hits.append(4)
+            hits[4] = g_min
         if g_min <= g_sem <= g_bit <= g_max:
-            hits.append(5)
+            hits[5] = g_sem
         if g_max <= g_bit <= g_sem:
-            hits.append(6)
-    if a2 <= kr and g_max <= g_bit:
-        hits.append(7)
+            hits[6] = g_bit
     return hits
 
 
@@ -160,9 +153,7 @@ class TestIntervalEvents:
         # a bit cutoff above the crossing with no semantic-rate outage (only
         # reachable with multi-crossing rate curves): the outage event is
         # [0, g_min] plus [g_max, g_bit], two intervals with a gap
-        thr = RateThresholds(g_min=1.0, g_max=2.0, g_bit=3.0, g_sem=None,
-                             regime=HybridRegime.COMPOSITE_TAIL, k_r_out=0.1,
-                             sim_floor=0.3, sim_ceiling=0.9)
+        thr = RateThresholds(g_min=1.0, g_max=2.0, g_bit=3.0, sem_outage_edge=0.0)
         assert thr.hybrid_outage_parts() == (((0.0, 1.0), (2.0, 3.0)), ())
         assert thr.outage_cdf_argument() is None
         assert _table_cdf_argument(thr) is None

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from semcell import (HybridRegime, RateConfig, bit_rate, gamma_gap,
-                     hybrid_rate, inv_similarity, sem_rate, similarity, thresholds)
+from semcell import (RateConfig, SimilarityFit, bit_rate, gamma_gap, inv_similarity,
+                     sem_rate, similarity, thresholds)
 from conftest import draw_scenario
 
 
@@ -123,7 +123,9 @@ class TestThresholds:
         assert thr.g_sem is None  # k r_out = 0.2 below the 0.37 floor
         assert thr.g_max == pytest.approx(801.86, abs=0.5)
         assert 10 * math.log10(thr.g_max) == pytest.approx(29.0, abs=0.1)
-        assert thr.regime is HybridRegime.QOS_BOUND_LOW_RATE
+        # the semantic rate never misses r_out: the QoS cutoff bounds the outage
+        assert thr.sem_outage_edge == 0.0
+        assert thr.outage_cdf_argument() == thr.g_min
 
     def test_crossing_residual(self, table1_cfg, table1_fit):
         thr = thresholds(table1_cfg, table1_fit)
@@ -151,77 +153,49 @@ class TestThresholds:
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.12)
         thr = thresholds(cfg, table1_fit)
         assert thr.g_sem == pytest.approx(1.2996456955970945, rel=1e-12)
-        assert thr.regime is HybridRegime.QOS_BOUND_MID_RATE
+        assert thr.g_sem < thr.g_min <= thr.g_bit <= thr.g_max
+        assert thr.outage_cdf_argument() == thr.g_min
 
     def test_saturated_band(self, table1_fit):
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.2)
         thr = thresholds(cfg, table1_fit)
         assert thr.g_sem is None
-        assert thr.regime is HybridRegime.BIT_BOUND_SATURATED
+        assert thr.sem_outage_edge == math.inf
+        assert thr.outage_cdf_argument() == thr.g_bit
 
     def test_sem_rate_bound_band(self, table1_fit):
         # k r_out above m_th puts the semantic-rate cutoff above the QoS one
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.16)
         thr = thresholds(cfg, table1_fit)
         assert thr.g_sem is not None and thr.g_sem > thr.g_min
-        assert thr.regime is HybridRegime.SEM_BOUND_MID_RATE
+        assert thr.outage_cdf_argument() == thr.g_sem
 
     def test_regime_classification_randomized(self):
         rng = np.random.default_rng(5)
-        seen = set()
+        qos_bound_low_rate = bit_bound_saturated = 0
         for _ in range(300):
             _, fit, cfg = draw_scenario(rng)
             thr = thresholds(cfg, fit)
-            seen.add(thr.regime)
-            # the classifier must always land on a definite branch
-            assert thr.regime is not HybridRegime.COMPOSITE_TAIL
+            # the hybrid outage event is always one interval [0, y_th]
             y_th = thr.outage_cdf_argument()
             assert y_th is not None and y_th > 0.0
-        assert HybridRegime.QOS_BOUND_LOW_RATE in seen
-        assert HybridRegime.BIT_BOUND_SATURATED in seen
+            qos_bound_low_rate += thr.sem_outage_edge == 0.0 and y_th == thr.g_min
+            bit_bound_saturated += thr.sem_outage_edge == math.inf and y_th == thr.g_bit
+        assert qos_bound_low_rate and bit_bound_saturated
+
+    def test_sem_outage_edge_at_the_fit_asymptotes(self):
+        # k r_out landing exactly on a1 or a2 (binary-exact values): the
+        # semantic rate then never, or always, misses r_out
+        fit = SimilarityFit(a1=0.25, a2=0.5, c1=0.2525, c2=-0.7895, k=4)
+        for r_out, sim_out, edge in ((0.0625, fit.a1, 0.0), (0.125, fit.a2, math.inf)):
+            cfg = RateConfig(mu=40, ber=1e-3, m_th=0.375, r_out=r_out)
+            assert fit.k * r_out == sim_out
+            thr = thresholds(cfg, fit)
+            assert thr.sem_outage_edge == edge
+            assert thr.g_sem is None
 
     def test_m_th_outside_fit_rejected(self, table1_fit):
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.2, r_out=0.04)
         with pytest.raises(ValueError):
             thresholds(cfg, table1_fit)
 
-
-class TestHybridRate:
-    def test_upper_seam_continuity(self, table1_cfg, table1_fit):
-        thr = thresholds(table1_cfg, table1_fit)
-        at_seam = hybrid_rate(thr.g_max, thr, table1_cfg, table1_fit)
-        assert at_seam == pytest.approx(bit_rate(thr.g_max, table1_cfg), rel=1e-12)
-        assert at_seam == pytest.approx(sem_rate(thr.g_max, table1_cfg, table1_fit), rel=1e-12)
-
-    def test_low_snr_is_bit(self, table1_cfg, table1_fit):
-        thr = thresholds(table1_cfg, table1_fit)
-        g = thr.g_min / 100.0
-        assert hybrid_rate(g, thr, table1_cfg, table1_fit) == pytest.approx(
-            bit_rate(g, table1_cfg), rel=1e-14)
-
-    def test_window_interior_prefers_semantic(self, table1_cfg, table1_fit):
-        thr = thresholds(table1_cfg, table1_fit)
-        g = math.sqrt(thr.g_min * thr.g_max)
-        value = hybrid_rate(g, thr, table1_cfg, table1_fit)
-        assert value == pytest.approx(sem_rate(g, table1_cfg, table1_fit), rel=1e-14)
-        assert value > bit_rate(g, table1_cfg)
-
-    def test_pointwise_selection_on_dense_grid(self):
-        # at or above the QoS cutoff the hybrid takes the better of the two
-        # rates (unique crossing); below the cutoff the semantic mode is
-        # inadmissible and the hybrid falls back to the bit rate even
-        # where the semantic rate is numerically higher
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            _, fit, cfg = draw_scenario(rng)
-            thr = thresholds(cfg, fit)
-            grid = np.geomspace(thr.g_min * 1e-3, thr.g_max * 1e3, 400)
-            hybrid = np.asarray(hybrid_rate(grid, thr, cfg, fit))
-            bit = np.asarray(bit_rate(grid, cfg))
-            if thr.regime is HybridRegime.BITCOM_COLLAPSE:
-                assert np.allclose(hybrid, bit, rtol=1e-12)
-                continue
-            best = np.maximum(bit, np.asarray(sem_rate(grid, cfg, fit)))
-            feasible = grid >= thr.g_min
-            assert np.allclose(hybrid[feasible], best[feasible], rtol=1e-9, atol=1e-12)
-            assert np.allclose(hybrid[~feasible], bit[~feasible], rtol=1e-12)
