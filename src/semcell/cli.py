@@ -18,9 +18,10 @@ import json
 import math
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from statistics import NormalDist
+from typing import get_type_hints
 
 import numpy as np
 
@@ -71,6 +72,16 @@ class ScenarioConfig:
 # config ingestion
 # ---------------------------------------------------------------------------
 
+# JSON names of the schema fields whose config key is not the field name
+_JSON_NAMES = {"k": "symbols_per_word", "mu": "bit_symbols_per_word",
+               "m_th": "similarity_threshold", "r_out": "outage_rate_threshold"}
+_KINDS = {bool: "true/false", int: "an integer", float: "a finite number"}
+# the config sections are these dataclasses: (field, JSON key, type, default) per field
+_SCHEMA = {cls: [(f.name, _JSON_NAMES.get(f.name, f.name), get_type_hints(cls)[f.name], f.default)
+                 for f in fields(cls)]
+           for cls in (NetworkParams, SimilarityFit, RateConfig)}
+
+
 def _section(doc: dict, key: str) -> dict:
     value = doc.get(key)
     if not isinstance(value, dict):
@@ -78,85 +89,52 @@ def _section(doc: dict, key: str) -> dict:
     return value
 
 
-def _get_number(section: dict, path: str, key: str, *, required: bool = True,
-                default: float | None = None) -> float | None:
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}: required number is missing")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _get_int(section: dict, path: str, key: str, *, required: bool = True,
-             default: int | None = None) -> int | None:
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}: required integer is missing")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+def _value(value, kind: type, path: str):
+    """One JSON value checked against a field type; a float field comes back finite."""
+    ok = (isinstance(value, bool) == (kind is bool)
+          and isinstance(value, (int, float) if kind is float else kind))
+    if ok and kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            ok = False
+        else:
+            ok = math.isfinite(value)
+    if not ok:
+        raise ConfigError(f"{path}: expected {_KINDS[kind]}, got {value!r}")
     return value
 
 
-def _get_bool(section: dict, path: str, key: str, default: bool) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected true/false, got {value!r}")
-    return value
+def _get(section: dict, path: str, key: str, kind: type, default=MISSING):
+    if key in section:
+        return _value(section[key], kind, f"{path}.{key}")
+    if default is MISSING:
+        raise ConfigError(f"{path}.{key}: required field is missing")
+    return default
 
 
-def _parse_network(doc: dict) -> NetworkParams:
-    sec = _section(doc, "network")
-    if "noise_density_dbm_per_hz" in sec and "noise_density_w_per_hz" in sec:
+def _read_fields(cls, path: str, section: dict):
+    """One dataclass from a config section, field by field, with its defaults."""
+    kwargs = {name: _get(section, path, key, kind, default)
+              for name, key, kind, default in _SCHEMA[cls]}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _noise_in_watts(sec: dict) -> dict:
+    """The network section with its noise density given in W/Hz."""
+    if "noise_density_dbm_per_hz" not in sec:
+        return sec
+    if "noise_density_w_per_hz" in sec:
         raise ConfigError("network: give noise density either in dBm/Hz or W/Hz, not both")
-    if "noise_density_dbm_per_hz" in sec:
+    try:
         noise = dbm_per_hz_to_watts_per_hz(
-            _get_number(sec, "network", "noise_density_dbm_per_hz"))
-    else:
-        noise = _get_number(sec, "network", "noise_density_w_per_hz")
-    try:
-        return NetworkParams(
-            num_users=_get_int(sec, "network", "num_users"),
-            tx_power_w=_get_number(sec, "network", "tx_power_w"),
-            total_bandwidth_hz=_get_number(sec, "network", "total_bandwidth_hz"),
-            carrier_freq_hz=_get_number(sec, "network", "carrier_freq_hz"),
-            noise_density_w_per_hz=noise,
-            pathloss_exp=_get_number(sec, "network", "pathloss_exp"),
-            cell_radius_m=_get_number(sec, "network", "cell_radius_m"))
-    except ValueError as exc:
-        raise ConfigError(f"network: {exc}") from exc
-
-
-def _parse_fit(doc: dict) -> SimilarityFit:
-    sec = _section(doc, "similarity_fit")
-    try:
-        return SimilarityFit(
-            a1=_get_number(sec, "similarity_fit", "a1"),
-            a2=_get_number(sec, "similarity_fit", "a2"),
-            c1=_get_number(sec, "similarity_fit", "c1"),
-            c2=_get_number(sec, "similarity_fit", "c2"),
-            k=_get_int(sec, "similarity_fit", "symbols_per_word"))
-    except ValueError as exc:
-        raise ConfigError(f"similarity_fit: {exc}") from exc
-
-
-def _parse_rate(doc: dict) -> RateConfig:
-    sec = _section(doc, "rate")
-    try:
-        return RateConfig(
-            mu=_get_int(sec, "rate", "bit_symbols_per_word"),
-            ber=_get_number(sec, "rate", "ber"),
-            m_th=_get_number(sec, "rate", "similarity_threshold"),
-            r_out=_get_number(sec, "rate", "outage_rate_threshold"),
-            use_capacity=_get_bool(sec, "rate", "use_capacity", False),
-            info_per_word=_get_number(sec, "rate", "info_per_word",
-                                      required=False, default=1.0))
-    except ValueError as exc:
-        raise ConfigError(f"rate: {exc}") from exc
+            _get(sec, "network", "noise_density_dbm_per_hz", float))
+    except OverflowError as exc:
+        raise ConfigError(f"network.noise_density_dbm_per_hz: {exc}") from exc
+    return {**sec, "noise_density_w_per_hz": noise}
 
 
 def _parse_sweep(doc: dict, fit: SimilarityFit) -> tuple[str, tuple[float, ...]]:
@@ -168,15 +146,11 @@ def _parse_sweep(doc: dict, fit: SimilarityFit) -> tuple[str, tuple[float, ...]]
         raw = sec["grid"]
         if not isinstance(raw, list) or len(raw) < 1:
             raise ConfigError("sweep.grid: expected a non-empty list of numbers")
-        grid = []
-        for i, value in enumerate(raw):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigError(f"sweep.grid[{i}]: expected a finite number, got {value!r}")
-            grid.append(float(value))
+        grid = [_value(value, float, f"sweep.grid[{i}]") for i, value in enumerate(raw)]
     else:
-        start = _get_number(sec, "sweep", "start")
-        stop = _get_number(sec, "sweep", "stop")
-        points = _get_int(sec, "sweep", "points")
+        start = _get(sec, "sweep", "start", float)
+        stop = _get(sec, "sweep", "stop", float)
+        points = _get(sec, "sweep", "points", int)
         if points < 1:
             raise ConfigError(f"sweep.points: must be >= 1, got {points}")
         grid = [float(v) for v in np.linspace(start, stop, points)]
@@ -196,71 +170,57 @@ def _parse_counts(doc: dict, key: str, num_users: int) -> tuple[int, int]:
         return 1, num_users
     if not isinstance(sec, dict):
         raise ConfigError(f"{key}: expected a JSON object")
-    lo = _get_int(sec, key, "lo", required=False, default=1)
-    hi = sec.get("hi")
-    if hi is None:
-        hi = num_users
-    elif isinstance(hi, bool) or not isinstance(hi, int):
-        raise ConfigError(f"{key}.hi: expected an integer or null, got {hi!r}")
+    lo = _get(sec, key, "lo", int, 1)
+    hi = num_users if sec.get("hi") is None else _get(sec, key, "hi", int)
     if not (0 <= lo <= hi <= num_users):
         raise ConfigError(f"{key}: need 0 <= lo <= hi <= num_users={num_users}, got ({lo}, {hi})")
     return lo, hi
 
 
 def parse_scenario_config(doc: dict, label: str = "run") -> ScenarioConfig:
-    """Validate a config dict into a resolved ScenarioConfig."""
+    """Validate a config dict into a resolved ScenarioConfig.
+
+    A config without ``sweep`` is the one point at ``network.cell_radius_m``.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
-    params = _parse_network(doc)
-    fit = _parse_fit(doc)
-    cfg = _parse_rate(doc)
+    params = _read_fields(NetworkParams, "network", _noise_in_watts(_section(doc, "network")))
+    fit = _read_fields(SimilarityFit, "similarity_fit", _section(doc, "similarity_fit"))
+    cfg = _read_fields(RateConfig, "rate", _section(doc, "rate"))
     if not (fit.a1 < cfg.m_th < fit.a2):
         raise ConfigError(
             f"rate.similarity_threshold: {cfg.m_th} must lie strictly inside "
             f"the fit asymptotes ({fit.a1}, {fit.a2})")
-    axis, grid = _parse_sweep(doc, fit)
+    if "sweep" in doc:
+        axis, grid = _parse_sweep(doc, fit)
+    else:
+        axis, grid = "radius_m", (params.cell_radius_m,)
     outage_lo, outage_hi = _parse_counts(doc, "outage_counts", params.num_users)
     util_lo, util_hi = _parse_counts(doc, "util_counts", params.num_users)
     mc = doc.get("mc", {})
     if not isinstance(mc, dict):
         raise ConfigError("mc: expected a JSON object")
-    samples = _get_int(mc, "mc", "samples", required=False, default=0)
+    samples = _get(mc, "mc", "samples", int, 0)
     if samples < 0:
         raise ConfigError(f"mc.samples: must be >= 0, got {samples}")
-    seed = _get_int(mc, "mc", "seed", required=False, default=0)
     return ScenarioConfig(
         scenario=Scenario(params=params, fit=fit, cfg=cfg),
         sweep_axis=axis, grid=grid,
         outage_lo=outage_lo, outage_hi=outage_hi,
         util_lo=util_lo, util_hi=util_hi,
-        mc_samples=samples, mc_seed=seed, label=label)
+        mc_samples=samples, mc_seed=_get(mc, "mc", "seed", int, 0), label=label)
+
+
+def _json_fields(obj) -> dict:
+    return {key: getattr(obj, name) for name, key, _, _ in _SCHEMA[type(obj)]}
 
 
 def scenario_config_dict(sc: ScenarioConfig) -> dict:
     """Canonical config dict of a resolved scenario (manifest payload)."""
-    params, fit, cfg = sc.scenario.params, sc.scenario.fit, sc.scenario.cfg
     return {
-        "network": {
-            "num_users": params.num_users,
-            "tx_power_w": params.tx_power_w,
-            "total_bandwidth_hz": params.total_bandwidth_hz,
-            "carrier_freq_hz": params.carrier_freq_hz,
-            "noise_density_w_per_hz": params.noise_density_w_per_hz,
-            "pathloss_exp": params.pathloss_exp,
-            "cell_radius_m": params.cell_radius_m,
-        },
-        "similarity_fit": {
-            "a1": fit.a1, "a2": fit.a2, "c1": fit.c1, "c2": fit.c2,
-            "symbols_per_word": fit.k,
-        },
-        "rate": {
-            "bit_symbols_per_word": cfg.mu,
-            "ber": cfg.ber,
-            "use_capacity": cfg.use_capacity,
-            "similarity_threshold": cfg.m_th,
-            "outage_rate_threshold": cfg.r_out,
-            "info_per_word": cfg.info_per_word,
-        },
+        "network": _json_fields(sc.scenario.params),
+        "similarity_fit": _json_fields(sc.scenario.fit),
+        "rate": _json_fields(sc.scenario.cfg),
         "sweep": {"axis": sc.sweep_axis, "grid": list(sc.grid)},
         "outage_counts": {"lo": sc.outage_lo, "hi": sc.outage_hi},
         "util_counts": {"lo": sc.util_lo, "hi": sc.util_hi},
@@ -275,13 +235,12 @@ def load_config(path: str | Path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if isinstance(doc, dict) and "config" in doc and doc.get("kind") == "semcell-manifest":
-        inner = doc["config"]
-        if not isinstance(inner, dict):
-            raise ConfigError("manifest config: expected a JSON object")
-        return inner
+    if isinstance(doc, dict) and doc.get("kind") == "semcell-manifest" and "config" in doc:
+        doc = doc["config"]
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config root of {path}: expected a JSON object")
     return doc
 
 
@@ -433,46 +392,35 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path,
 # commands
 # ---------------------------------------------------------------------------
 
-def _apply_cli_mc(doc: dict, args) -> dict:
-    if args.mc_samples is None and args.seed is None:
-        return doc
-    mc = dict(doc.get("mc", {}))
-    if args.mc_samples is not None:
-        mc["samples"] = args.mc_samples
-    if args.seed is not None:
-        mc["seed"] = args.seed
-    out = dict(doc)
-    out["mc"] = mc
-    return out
+def _mc_overrides(args) -> dict:
+    """The ScenarioConfig fields that --mc-samples and --seed set."""
+    if args.mc_samples is not None and args.mc_samples < 0:
+        raise ConfigError(f"--mc-samples: must be >= 0, got {args.mc_samples}")
+    return {name: value for name, value in (("mc_samples", args.mc_samples),
+                                            ("mc_seed", args.seed)) if value is not None}
 
 
 def _cmd_run(args) -> int:
-    doc = _apply_cli_mc(load_config(args.config), args)
+    doc = load_config(args.config)
+    overrides = _mc_overrides(args)
     if args.preset:
         labelled = expand_preset(doc, args.preset)
     else:
         labelled = [(Path(args.config).stem, doc)]
     for label, variant_doc in labelled:
-        sc = parse_scenario_config(variant_doc, label=label)
+        sc = replace(parse_scenario_config(variant_doc, label=label), **overrides)
         csv_path, manifest_path = run_scenario(sc, args.out, preset=args.preset)
         print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
 
 
-def _nominal_scenario(doc: dict, label: str) -> ScenarioConfig:
-    """Parse a one-point command's config, defaulting to a sweep of its own cell radius."""
-    if "sweep" not in doc:
-        doc = dict(doc)
-        doc["sweep"] = {"axis": "radius_m",
-                        "grid": [doc.get("network", {}).get("cell_radius_m", 1.0)]}
-    return parse_scenario_config(doc, label=label)
-
-
 def _cmd_validate(args) -> int:
-    sc = _nominal_scenario(_apply_cli_mc(load_config(args.config), args), "validate")
+    sc = replace(parse_scenario_config(load_config(args.config), label="validate"),
+                 **_mc_overrides(args))
     samples = sc.mc_samples if sc.mc_samples > 0 else 1_000_000
-    point = sc.scenario.params.cell_radius_m if sc.sweep_axis == "radius_m" else sc.grid[0]
-    row = evaluate_sweep(replace(sc, mc_samples=samples, grid=(point,)))[0]
+    # one point, at the configured radius and thresholds, whatever the sweep
+    row = evaluate_sweep(replace(sc, mc_samples=samples, sweep_axis="radius_m",
+                                 grid=(sc.scenario.params.cell_radius_m,)))[0]
     failures = 0
     print(f"closed form vs Monte Carlo at n={samples} (score test, |z| <= {_Z_BOUND:.3f}: "
           f"family-wise alpha {_FAMILY_ALPHA:g} over {len(_METRICS)} metrics)")
@@ -505,7 +453,7 @@ def _score_z(p_hat: float, p: float, n: int) -> float:
 
 
 def _cmd_design_radius(args) -> int:
-    sc = _nominal_scenario(load_config(args.config), "design")
+    sc = parse_scenario_config(load_config(args.config), label="design")
     params, fit, cfg = sc.scenario.params, sc.scenario.fit, sc.scenario.cfg
     if not (0.0 < args.pth < 1.0):
         raise ConfigError(f"--pth must lie in (0, 1), got {args.pth}")
@@ -526,7 +474,7 @@ def _cmd_design_radius(args) -> int:
 
 
 def _cmd_design_util(args) -> int:
-    sc = _nominal_scenario(load_config(args.config), "design")
+    sc = parse_scenario_config(load_config(args.config), label="design")
     params, fit, cfg = sc.scenario.params, sc.scenario.fit, sc.scenario.cfg
     if not (0 <= args.ll <= args.lu <= params.num_users):
         raise ConfigError(

@@ -119,9 +119,7 @@ class McEstimate:
     """Probability estimate with its binomial standard error."""
 
     estimate: float
-    n_samples: int
     std_error: float
-    seed: int
     low_precision: bool = False
 
 
@@ -459,9 +457,8 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
                 total = int(hits[p, user_kinds.index(kind)])
             p_hat = total / n
             row.append(McEstimate(
-                estimate=p_hat, n_samples=n,
-                std_error=math.sqrt(p_hat * (1.0 - p_hat) / n),
-                seed=seed, low_precision=low))
+                estimate=p_hat, std_error=math.sqrt(p_hat * (1.0 - p_hat) / n),
+                low_precision=low))
         results.append(row)
     return results
 

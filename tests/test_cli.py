@@ -2,12 +2,19 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from semcell import thresholds, utilization_window
-from semcell.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, ConfigError,
-                         main, parse_scenario_config, run_scenario, write_manifest)
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import draw_scenario
+from semcell import RateConfig, Scenario, outage_report, thresholds, utilization_window
+from semcell.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, ConfigError, ScenarioConfig,
+                         main, parse_scenario_config, run_scenario, scenario_config_dict,
+                         write_manifest)
 from semcell.presets import PRESETS, expand_preset, table1_config
 
 
@@ -66,6 +73,93 @@ class TestConfigParsing:
         doc["outage_counts"] = {"lo": 12, "hi": 4}
         with pytest.raises(ConfigError, match="outage_counts"):
             parse_scenario_config(doc)
+
+    def test_omitted_fields_take_the_dataclass_defaults(self):
+        doc = table1_config()
+        del doc["network"]["noise_density_dbm_per_hz"]
+        doc["network"]["noise_density_w_per_hz"] = 3.5e-21
+        del doc["rate"]["use_capacity"], doc["rate"]["info_per_word"]
+        sc = parse_scenario_config(doc)
+        assert sc.scenario.params.noise_density_w_per_hz == 3.5e-21
+        assert sc.scenario.cfg == RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.04)
+
+
+_AXIS_GRIDS = {
+    "radius_m": lambda sc: (0.5 * sc.params.cell_radius_m, sc.params.cell_radius_m),
+    "edge_snr_db": lambda sc: (10.0, 25.0, 40.0),
+    "m_th": lambda sc: (sc.cfg.m_th,),
+    "r_out": lambda sc: (sc.cfg.r_out, 2.0 * sc.cfg.r_out),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rate_class=st.sampled_from(["low", "mid", "high"]),
+       use_capacity=st.booleans(), axis=st.sampled_from(sorted(_AXIS_GRIDS)),
+       data=st.data())
+def test_schema_round_trip(seed, rate_class, use_capacity, axis, data):
+    # every scenario of the documented domain survives the manifest's JSON
+    params, fit, cfg = draw_scenario(np.random.default_rng(seed), rate_class=rate_class)
+    scenario = Scenario(params=params, fit=fit, cfg=replace(cfg, use_capacity=use_capacity))
+    users = params.num_users
+    outage_lo = data.draw(st.integers(0, users))
+    util_lo = data.draw(st.integers(0, users))
+    sc = ScenarioConfig(
+        scenario=scenario, sweep_axis=axis, grid=_AXIS_GRIDS[axis](scenario),
+        outage_lo=outage_lo, outage_hi=data.draw(st.integers(outage_lo, users)),
+        util_lo=util_lo, util_hi=data.draw(st.integers(util_lo, users)),
+        mc_samples=data.draw(st.integers(0, 10**6)), mc_seed=data.draw(st.integers(0, 2**63)),
+        label="round-trip")
+    doc = json.loads(json.dumps(scenario_config_dict(sc)))
+    assert parse_scenario_config(doc, sc.label) == sc
+
+
+def _root_list(doc):
+    return [doc]
+
+
+def _network_list_no_sweep(doc):
+    del doc["sweep"]
+    doc["network"] = [doc["network"]]
+    return doc
+
+
+def _mc_list(doc):
+    doc["mc"] = [1, 2]
+    return doc
+
+
+@pytest.mark.parametrize("mutate, argv, where", [
+    (_root_list, ["run", "--config", "CONFIG", "--out", "OUT", "--preset", "fig2"], "config root"),
+    (_root_list, ["validate", "--config", "CONFIG"], "config root"),
+    (_root_list, ["run", "--config", "CONFIG", "--out", "OUT", "--seed", "3"], "config root"),
+    (_network_list_no_sweep, ["validate", "--config", "CONFIG"], "network"),
+    (_network_list_no_sweep, ["design", "radius", "--config", "CONFIG", "--pth", "1e-3",
+                              "--ll", "3"], "network"),
+    (_network_list_no_sweep, ["design", "util", "--config", "CONFIG", "--ll", "5",
+                              "--lu", "10"], "network"),
+    (_mc_list, ["run", "--config", "CONFIG", "--out", "OUT", "--seed", "3"], "mc"),
+], ids=["root-run-preset", "root-validate", "root-run-seed", "network-validate",
+        "network-design-radius", "network-design-util", "mc-run-seed"])
+def test_malformed_config_exits_2(tmp_path, capsys, mutate, argv, where):
+    paths = {"CONFIG": str(write_config(tmp_path, mutate(table1_config()))),
+             "OUT": str(tmp_path / "out")}
+    assert main([paths.get(arg, arg) for arg in argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and where in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, literal", [
+    ("tx_power_w", "1" + "0" * 400),  # an integer no float can hold
+    ("noise_density_dbm_per_hz", "4000.0"),  # 10^397 W/Hz
+], ids=["int-literal", "dbm-overflow"])
+def test_number_beyond_float_range_is_a_config_error(tmp_path, capsys, field, literal):
+    doc = table1_config()
+    doc["network"][field] = "LITERAL"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc).replace('"LITERAL"', literal))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"config error: network.{field}: " in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -140,6 +234,19 @@ class TestRunCommand:
             assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
             outputs.append((out / "config.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_config_without_sweep_runs_at_the_cell_radius(self, tmp_path):
+        doc = table1_config()
+        del doc["sweep"]
+        doc["network"]["cell_radius_m"] = 750.0
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == EXIT_OK
+        rows = read_csv(tmp_path / "a" / "config.csv")
+        assert [float(row["axis_value"]) for row in rows] == [750.0]
+        manifest = tmp_path / "a" / "config.manifest.json"
+        assert main(["run", "--config", str(manifest), "--out", str(tmp_path / "b")]) == EXIT_OK
+        replay = tmp_path / "b" / "config.manifest.csv"
+        assert replay.read_bytes() == (tmp_path / "a" / "config.csv").read_bytes()
 
     def test_preset_expansion_runs(self, tmp_path):
         cfg_path = write_config(tmp_path, table1_config())
@@ -261,6 +368,19 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "MISMATCH" not in out
         assert out.count("uninformative") == 2
+
+    def test_validate_runs_at_the_configured_threshold(self, tmp_path, capsys):
+        # a sweep does not move the one point: m_th stays at rate.similarity_threshold
+        doc = table1_config()
+        doc["network"]["cell_radius_m"] = 1500.0
+        doc["sweep"] = {"axis": "m_th", "grid": [0.6, 0.9]}
+        cfg_path = write_config(tmp_path, doc)
+        main(["validate", "--config", str(cfg_path), "--mc-samples", "20000", "--seed", "1"])
+        out = capsys.readouterr().out
+        sc = parse_scenario_config(doc)
+        report = outage_report(thresholds(sc.scenario.cfg, sc.scenario.fit), sc.scenario.params)
+        for name in ("pi_h", "pi_b", "pi_s", "pi_g"):
+            assert f"{name}: analytic={getattr(report, name):.6e} " in out, name
 
     def test_validate_catches_wrong_model(self, tmp_path, monkeypatch):
         # poison one closed form and the oracle must flag it
