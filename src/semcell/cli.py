@@ -29,8 +29,8 @@ from . import __version__
 from .design import DesignTarget, optimal_sem_util_radius, radius_for_outage_threshold
 from .linkmodel import (NetworkParams, db_to_linear, dbm_per_hz_to_watts_per_hz,
                         linear_to_db, mean_edge_snr, snr_scale)
-from .montecarlo import (BitOutage, ExactCount, HybridOutage, RangeCount, Scenario,
-                         SemOutage, SemUtilization, estimate_many)
+from .montecarlo import (SEED_LIMIT, BitOutage, ExactCount, HybridOutage, RangeCount,
+                         Scenario, SemOutage, SemUtilization, estimate_many)
 from .outage import (NetOutageMode, binom_range_prob, network_outage, outage_report,
                      utilization_window)
 from .presets import PRESETS, expand_preset
@@ -46,6 +46,7 @@ _METRICS = ("pi_h", "pi_b", "pi_s", "net_all", "net_any", "s_range", "pi_g", "ut
 _FAMILY_ALPHA = 1e-3
 _Z_BOUND = NormalDist().inv_cdf(1.0 - _FAMILY_ALPHA / (2 * len(_METRICS)))
 _SWEEP_AXES = ("edge_snr_db", "radius_m", "m_th", "r_out")
+_MAX_POINTS = 10**6  # sweep.points, checked before the grid is allocated
 
 
 class ConfigError(ValueError):
@@ -151,8 +152,8 @@ def _parse_sweep(doc: dict, fit: SimilarityFit) -> tuple[str, tuple[float, ...]]
         start = _get(sec, "sweep", "start", float)
         stop = _get(sec, "sweep", "stop", float)
         points = _get(sec, "sweep", "points", int)
-        if points < 1:
-            raise ConfigError(f"sweep.points: must be >= 1, got {points}")
+        if not 1 <= points <= _MAX_POINTS:
+            raise ConfigError(f"sweep.points: must lie in [1, {_MAX_POINTS}], got {points}")
         grid = [float(v) for v in np.linspace(start, stop, points)]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep.grid: values must be strictly increasing")
@@ -175,6 +176,12 @@ def _parse_counts(doc: dict, key: str, num_users: int) -> tuple[int, int]:
     if not (0 <= lo <= hi <= num_users):
         raise ConfigError(f"{key}: need 0 <= lo <= hi <= num_users={num_users}, got ({lo}, {hi})")
     return lo, hi
+
+
+def _check_seed(seed: int, path: str) -> int:
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"{path}: must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def parse_scenario_config(doc: dict, label: str = "run") -> ScenarioConfig:
@@ -203,12 +210,13 @@ def parse_scenario_config(doc: dict, label: str = "run") -> ScenarioConfig:
     samples = _get(mc, "mc", "samples", int, 0)
     if samples < 0:
         raise ConfigError(f"mc.samples: must be >= 0, got {samples}")
+    seed = _check_seed(_get(mc, "mc", "seed", int, 0), "mc.seed")
     return ScenarioConfig(
         scenario=Scenario(params=params, fit=fit, cfg=cfg),
         sweep_axis=axis, grid=grid,
         outage_lo=outage_lo, outage_hi=outage_hi,
         util_lo=util_lo, util_hi=util_hi,
-        mc_samples=samples, mc_seed=_get(mc, "mc", "seed", int, 0), label=label)
+        mc_samples=samples, mc_seed=seed, label=label)
 
 
 def _json_fields(obj) -> dict:
@@ -396,6 +404,8 @@ def _mc_overrides(args) -> dict:
     """The ScenarioConfig fields that --mc-samples and --seed set."""
     if args.mc_samples is not None and args.mc_samples < 0:
         raise ConfigError(f"--mc-samples: must be >= 0, got {args.mc_samples}")
+    if args.seed is not None:
+        _check_seed(args.seed, "--seed")
     return {name: value for name, value in (("mc_samples", args.mc_samples),
                                             ("mc_seed", args.seed)) if value is not None}
 

@@ -7,16 +7,18 @@ never from the piecewise branch tables or the SNR breakpoints the closed
 forms use -- so an agreement check between the two is a genuine
 cross-validation.
 
-Reproducibility: samples are generated in fixed blocks of 2^16, each
-block from a counter-based Philox stream keyed by (seed, block index).
-Every value of a block sits at a fixed position of its stream, and a
-Philox stream can start at any counter (Salmon et al. 2011), so the unit
-of parallel work is a row tile of about 2^16 SNR values: it opens the
-block's stream at its own offset and draws only its rows, exactly the
-values a sequential draw of the block puts there.  Tiles of every block
-share one pool, so even a one-block sweep uses every worker.  Workers
-merge integer event counts, so an estimate is bit-identical for any
-worker count and any split of blocks into tiles.
+Reproducibility: samples are generated in fixed blocks of 2^16.  Block b
+draws from a PCG64DXSM stream (O'Neill 2014) seeded by the b-th spawned
+child of ``SeedSequence(seed)``, so its contents depend only on (seed, b),
+never on which worker draws them.  Every value of a block sits at a fixed
+position of its stream, one 64-bit output per double, and a PCG stream
+can jump ahead by any number of outputs, so the unit of parallel work is
+a row tile of about 2^16 SNR values: it opens the block's stream at its
+own offset and draws only its rows, exactly the values a sequential draw
+of the block puts there.  Tiles of every block share one pool, so even a
+one-block sweep uses every worker.  Workers merge integer event counts,
+so an estimate is bit-identical for any worker count and any split of
+blocks into tiles.
 
 Draw sharing: :func:`estimate_many` estimates a whole sweep in one call.
 All grid points reuse one set of channel draws per block -- the draws
@@ -44,15 +46,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linkmodel import NetworkParams, snr_scale
+from .linkmodel import NetworkParams, mean_edge_snr, snr_scale
 from .ratemodel import RateConfig, SimilarityFit, gamma_gap
 
 BLOCK_SIZE = 1 << 16
+SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT)
 # the full-cell stream of a block is a run of U1 then a run of U2 per chunk
 # of this many realizations; it divides BLOCK_SIZE, so every run is whole
 _CHUNK_ROWS = 4096
 _TILE_VALUES = 1 << 16  # SNR values per unit of parallel work, up to rounding
-_STEP = 4  # values per Philox4x64 counter step
 
 WORKERS_ENV_VAR = "SEMCELL_THREADS"
 
@@ -145,20 +147,20 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def user_stream(seed: int, block_index: int, offset: int = 0) -> np.random.Generator:
-    """Counter-based random stream for one sample block.
+    """Random stream for one sample block.
 
-    Philox keyed directly by (seed, block index): block contents depend
+    PCG64DXSM seeded by child ``block_index`` of ``SeedSequence(seed)``
+    (the child :meth:`SeedSequence.spawn` makes): block contents depend
     only on those two integers, never on which worker draws them.  The
     stream starts ``offset`` values into the block's sequence, at the
-    values a sequential draw puts there; ``offset`` must be a multiple of
-    4, one Philox4x64 counter step.
+    values a sequential draw puts there; each double takes one 64-bit
+    output, so any offset >= 0 works.
     """
-    if offset % _STEP:
-        raise ValueError(f"offset must be a multiple of {_STEP}, got {offset}")
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block_index)], dtype=np.uint64)
-    bit_generator = np.random.Philox(key=key)
+    if offset < 0:
+        raise ValueError(f"offset must be >= 0, got {offset}")
+    bit_generator = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(block_index,)))
     if offset:
-        bit_generator.advance(offset // _STEP)
+        bit_generator.advance(offset)
     return np.random.Generator(bit_generator)
 
 
@@ -171,32 +173,32 @@ def sample_user(stream: np.random.Generator, params: NetworkParams, size=None,
     """Draw received SNR(s) of uniformly placed users with Rayleigh fading.
 
     r = R sqrt(U1) (area-uniform disc), |h|^2 = -ln(1 - U2) (unit-mean
-    exponential by inverse transform), g = c_L |h|^2 r^(-a).
+    exponential by inverse transform), g = c_L |h|^2 r^(-a), computed as
+    c_L R^(-a) |h|^2 U1^(-a/2) with one power per draw.
 
     All U1 come first, then all U2.  By default U2 follows U1 directly;
     ``u2_offset`` puts the first U2 that many values after the first U1,
-    as in the U2 run of a longer sequential draw.  It needs a Philox
-    stream whose U1 run starts a counter step (see :func:`user_stream`)
-    and must be a multiple of 4.  ``out``, shaped (2, *size), holds U1
-    and U2 instead of new arrays; the SNRs come back in ``out[1]``.
+    as in the U2 run of a longer sequential draw, and must be at least
+    the number of U1 values; it needs a stream that can jump ahead (see
+    :func:`user_stream`).  ``out``, shaped (2, *size), holds U1 and U2
+    instead of new arrays; the SNRs come back in ``out[1]``.
     """
     u1 = _uniforms(stream, size, None if out is None else out[0])
     if u2_offset is not None:
-        if u2_offset % _STEP or u2_offset < u1.size:
-            raise ValueError(f"u2_offset must be a multiple of {_STEP} and at least "
-                             f"{u1.size}, got {u2_offset}")
-        # the U1 run ended inside counter step ceil(u1.size / 4)
-        stream.bit_generator.advance(u2_offset // _STEP + (-u1.size // _STEP))
+        if u2_offset < u1.size:
+            raise ValueError(f"u2_offset must be at least {u1.size}, got {u2_offset}")
+        stream.bit_generator.advance(u2_offset - u1.size)
     u2 = _uniforms(stream, size, None if out is None else out[1])
-    # in place, so two arrays stay live: r in u1, the fading gain and then g in u2
-    r = np.multiply(np.sqrt(u1, out=u1), params.cell_radius_m, out=u1)
-    at_origin = r == 0.0
-    g = np.negative(np.log1p(np.negative(u2, out=u2), out=u2), out=u2)
-    np.multiply(g, snr_scale(params), out=g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(g, np.power(r, -params.pathloss_exp, out=r), out=g)
-    # r == 0 has probability zero but a float can land on it: the SNR is +inf
-    g[at_origin] = np.inf
+    # U1 == 0 has probability zero but a float can land on it: the SNR is +inf
+    at_origin = not u1.all()
+    # in place, so two arrays stay live: U1^(-a/2) in u1, the fading gain and then g in u2
+    g = np.log1p(np.negative(u2, out=u2), out=u2)
+    np.multiply(g, -mean_edge_snr(params), out=g)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        near = np.power(u1, -0.5 * params.pathloss_exp, out=u1)
+        np.multiply(g, near, out=g)
+    if at_origin:
+        g[near == np.inf] = np.inf
     if size is None:
         return float(g[0])
     return g
@@ -306,11 +308,9 @@ class _Tile:
 
 def _row_tiles(rows: int, width: int) -> list[tuple[int, int]]:
     """(first row, row count) of near-equal tiles of about _TILE_VALUES values
-    covering ``rows`` rows of ``width`` values; every first row is a multiple
-    of 4, so a tile's U1 and U2 runs start on Philox counter steps."""
+    covering ``rows`` rows of ``width`` values."""
     pieces = -(-rows * width // _TILE_VALUES)
     step = -(-rows // pieces)
-    step += -step % _STEP
     return [(first, min(step, rows - first)) for first in range(0, rows, step)]
 
 
@@ -406,6 +406,8 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     scenarios = list(scenarios)
     if not scenarios:
         return []

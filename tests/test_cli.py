@@ -62,6 +62,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sweep.grid"):
             parse_scenario_config(doc)
 
+    @pytest.mark.parametrize("points", [10**30, 10**6 + 1])
+    def test_too_many_sweep_points_exit_2_before_the_grid_is_built(
+            self, tmp_path, capsys, monkeypatch, points):
+        doc = table1_config()
+        doc["sweep"] = {"axis": "radius_m", "start": 100.0, "stop": 2000.0, "points": points}
+        cfg_path = write_config(tmp_path, doc)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("np.linspace called")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "config error: sweep.points: " in capsys.readouterr().err
+
     def test_both_noise_keys_rejected(self):
         doc = table1_config()
         doc["network"]["noise_density_w_per_hz"] = 1e-20
@@ -160,6 +174,32 @@ def test_number_beyond_float_range_is_a_config_error(tmp_path, capsys, field, li
     cfg_path.write_text(json.dumps(doc).replace('"LITERAL"', literal))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert f"config error: network.{field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["mc.seed", "--seed"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, where, seed):
+    # seeds that differ by a multiple of 2^64 would otherwise draw the same samples
+    doc = table1_config()
+    argv = ["validate", "--config", "CONFIG", "--mc-samples", "1000"]
+    if where == "mc.seed":
+        doc["mc"] = {"samples": 1000, "seed": seed}
+    else:
+        argv += ["--seed", str(seed)]
+    cfg_path = str(write_config(tmp_path, doc))
+    assert main([cfg_path if arg == "CONFIG" else arg for arg in argv]) == EXIT_CONFIG
+    assert f"config error: {where}: " in capsys.readouterr().err
+
+
+def test_largest_seed_runs(tmp_path):
+    doc = table1_config()
+    doc["sweep"] = {"axis": "radius_m", "grid": [400.0, 800.0]}
+    doc["mc"] = {"samples": 2000, "seed": 2**64 - 1}
+    cfg_path = write_config(tmp_path, doc)
+    for extra in ([], ["--seed", str(2**64 - 1)]):
+        out = tmp_path / f"out{len(extra)}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)] + extra) == EXIT_OK
+        assert read_csv(out / "config.csv")[0]["mc_pi_h"]
 
 
 class TestRunCommand:

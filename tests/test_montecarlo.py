@@ -46,6 +46,13 @@ class TestSampleUser:
         expected = snr_scale(table1_params) * gain * table1_params.cell_radius_m ** (-3.0)
         assert g == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("u2", [0.5, 0.0])
+    def test_draw_at_the_origin_is_infinite(self, table1_params, u2):
+        # U1 = 0 puts the user at the origin, also when the fading draw is 0
+        assert sample_user(_StubStream(0.0, u2), table1_params) == math.inf
+        g = sample_user(_StubStream(0.0, u2), table1_params, size=(2, 3))
+        assert np.all(g == math.inf)
+
     def test_mean_radial_distance(self, table1_params):
         stream = user_stream(99, 0)
         u1 = stream.random(1_000_000)
@@ -68,13 +75,34 @@ class TestSampleUser:
             sample_user(user_stream(3, 1, offset=8), table1_params, size=5, u2_offset=1000),
             single[8:13])
 
-    def test_offsets_off_a_counter_step_rejected(self, table1_params):
+    def test_unaligned_offsets_draw_a_slice_of_the_sequential_draw(self, table1_params):
+        full = sample_user(user_stream(3, 1), table1_params, size=(399, 3))
+        # rows 7..12 of a 399-row run: U1 at 3 * 7 values in, U2 1197 values after U1
+        part = sample_user(user_stream(3, 1, offset=21), table1_params, size=(6, 3),
+                           u2_offset=1197)
+        assert np.array_equal(part, full[7:13])
+        single = sample_user(user_stream(3, 1), table1_params, size=999)
+        assert np.array_equal(
+            sample_user(user_stream(3, 1, offset=7), table1_params, size=5, u2_offset=999),
+            single[7:12])
+
+    def test_u2_offset_inside_the_u1_run_rejected(self, table1_params):
         with pytest.raises(ValueError):
-            user_stream(3, 1, offset=6)
+            sample_user(user_stream(3, 1), table1_params, size=12, u2_offset=11)
+
+    def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
-            sample_user(user_stream(3, 1), table1_params, size=5, u2_offset=10)
-        with pytest.raises(ValueError):
-            sample_user(user_stream(3, 1), table1_params, size=12, u2_offset=8)
+            user_stream(3, 1, offset=-1)
+
+    @pytest.mark.parametrize("x", [0, 5, 2**31 - 1, 2**32 - 1])
+    def test_seed_and_block_keys_do_not_collide(self, x):
+        # an entropy list [seed, block] would zero-pad: (x, 1) and (x + 2^32, 0)
+        # would give the same stream
+        def first(seed, block):
+            return user_stream(seed, block).random()
+
+        assert first(x, 1) != first(x + 2**32, 0)
+        assert first(x, 0) != first(x + 1, 0)
 
     def test_empirical_cdf_ks(self, table1_params):
         # sup-norm distance between the empirical CDF of 10^6 draws and
@@ -200,6 +228,11 @@ class TestValidation:
             estimate(RangeCount(5, 3), 10_000, 1, table1_scenario)
         with pytest.raises(ValueError):
             estimate(HybridOutage(), 0, 1, table1_scenario)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, table1_scenario, seed):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_many([HybridOutage()], 1_000, seed, [table1_scenario])
 
     def test_workers_env(self, table1_scenario, monkeypatch):
         from semcell import resolve_workers
