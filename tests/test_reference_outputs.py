@@ -1,5 +1,16 @@
-"""The committed reference sweeps under demos/output must regenerate byte for byte."""
+"""The reference sweeps must regenerate byte for byte.
 
+fig2, fig3 and fig6 are committed under demos/output and compared whole,
+manifests included.  fig4, fig5 and fig7 (the free-space sweeps and the
+utilization-range sweeps) are pinned by the SHA-256 digest of every CSV in
+tests/data/reference_digests.json.
+
+Regenerate the digests, only when a change to the closed forms is intended::
+
+    PYTHONPATH=src python tests/test_reference_outputs.py
+"""
+
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +20,8 @@ from semcell.cli import parse_scenario_config, run_scenario
 from semcell.presets import expand_preset, table1_config
 
 OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
+DIGESTS = Path(__file__).resolve().parent / "data" / "reference_digests.json"
+DIGEST_PRESETS = ("fig4", "fig5", "fig7")
 
 
 @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig6"])
@@ -26,3 +39,28 @@ def test_reference_sweeps_regenerate(preset, tmp_path):
         assert fresh == pinned, label
         labels.append(csv_path.name)
     assert sorted(labels) == sorted(p.name for p in (OUTPUT / preset).glob("*.csv"))
+
+
+def _csv_digests(preset: str, out_dir: Path) -> dict[str, str]:
+    """CSV file name -> SHA-256 hex digest, for every variant of the preset."""
+    digests = {}
+    for label, doc in expand_preset(table1_config(), preset):
+        csv_path, _ = run_scenario(parse_scenario_config(doc, label=label), out_dir, preset=preset)
+        digests[csv_path.name] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("preset", DIGEST_PRESETS)
+def test_reference_sweep_digests(preset, tmp_path):
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[preset]
+    assert _csv_digests(preset, tmp_path) == pinned
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {preset: _csv_digests(preset, Path(tmp)) for preset in DIGEST_PRESETS}
+    DIGESTS.parent.mkdir(parents=True, exist_ok=True)
+    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {DIGESTS}: {sum(map(len, table.values()))} digests")
