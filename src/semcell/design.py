@@ -15,7 +15,9 @@ h(x) = phi(x) - e^(-x) (see :func:`~semcell.specfun.kummer_pair`).
   probability pi_g(t) = phi(g_lo t) - phi(g_hi t), where
   D(t) = h(g_hi t) - h(g_lo t) = 0, and the radii where pi_g crosses the
   binomial level of the telescoping count-derivative identity, one on
-  each side of the peak.
+  each side of the peak.  pi_g, D and the Newton slope come from
+  :func:`~semcell.outage._utilization_terms`, the same curve that
+  :func:`~semcell.outage.sem_util_prob` and its radius derivative evaluate.
 
 Every numeric equation is bracketed in closed form and solved by
 :func:`~semcell.specfun.bracketed_root` (safeguarded Newton in ln t);
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .linkmodel import NetworkParams, snr_scale
-from .outage import sem_util_prob, sem_util_prob_deriv, utilization_window
+from .outage import _utilization_terms, sem_util_prob, sem_util_prob_deriv, utilization_window
 from .ratemodel import RateThresholds, SolverError
 from .specfun import (binom_range_prob, bracketed_root, hyp1f1_ratio, inv_reg_inc_beta_int,
                       kummer_pair, lambert_w0, log_binomial)
@@ -212,51 +214,39 @@ def range_count_prob_deriv(num_users: int, count_lo: int, count_hi: int,
     return dpi * L * (pmf(count_lo - 1) - pmf(count_hi))
 
 
-class _UtilizationCurve:
-    """pi_g(t) and the equations of its stationary points on the window (g_lo, g_hi)."""
+def _utilization_peak(s: float, window: tuple[float, float]) -> tuple[float, int, float]:
+    """Root of D(t) = 0, where t pi_g'(t) = s D(t) changes sign from + to -.
 
-    def __init__(self, s: float, g_lo: float, g_hi: float):
-        self.s, self.g_lo, self.g_hi = s, g_lo, g_hi
+    h rises on [0, 1] and falls on [X, inf) with X = 8 + 2 ln(1 + 1/s)
+    (for s <= 2, i.e. a >= 1), so D > 0 at g_hi t = 1 and D < 0 at
+    g_lo t = X.
+    """
+    def fdf(t: float) -> tuple[float, float]:
+        return _utilization_terms(s, *window, t)[1:]
 
-    def terms(self, t: float) -> tuple[float, float, float]:
-        """(pi_g, D, t D'), from h' = e^(-x) - s h / x at both window edges."""
-        s, x_lo, x_hi = self.s, self.g_lo * t, self.g_hi * t
-        phi_lo, h_lo = kummer_pair(s, x_lo)
-        phi_hi, h_hi = kummer_pair(s, x_hi)
-        slope = (x_hi * math.exp(-x_hi) - s * h_hi) - (x_lo * math.exp(-x_lo) - s * h_lo)
-        return min(1.0, max(0.0, phi_lo - phi_hi)), h_hi - h_lo, slope
+    g_lo, g_hi = window
+    x_big = 8.0 + 2.0 * math.log1p(1.0 / s)
+    return bracketed_root(fdf, 1.0 / g_hi, x_big / g_lo)
 
-    def peak(self) -> tuple[float, int, float]:
-        """Root of D(t) = 0, where t pi_g'(t) = s D(t) changes sign from + to -.
 
-        h rises on [0, 1] and falls on [X, inf) with X = 8 + 2 ln(1 + 1/s)
-        (for s <= 2, i.e. a >= 1), so D > 0 at g_hi t = 1 and D < 0 at
-        g_lo t = X.
-        """
-        def fdf(t: float) -> tuple[float, float]:
-            return self.terms(t)[1:]
+def _utilization_level_root(s: float, window: tuple[float, float], level: float,
+                            t_peak: float, side: str) -> tuple[float, int, float]:
+    """Root of pi_g(t) = level on one side of the peak (the level must not exceed it).
 
-        x_big = 8.0 + 2.0 * math.log1p(1.0 / self.s)
-        return bracketed_root(fdf, 1.0 / self.g_hi, x_big / self.g_lo)
+    pi_g <= s (g_hi - g_lo) t / (s+1) below the peak and
+    pi_g <= phi(g_lo t) <= Gamma(s+1) (g_lo t)^(-s) above it bound the
+    far ends of the two brackets (with a factor-two margin).
+    """
+    def fdf(t: float) -> tuple[float, float]:
+        value, d, _ = _utilization_terms(s, *window, t)
+        return value - level, s * d
 
-    def level_root(self, level: float, t_peak: float, side: str) -> tuple[float, int, float]:
-        """Root of pi_g(t) = level on one side of the peak (the level must not exceed it).
-
-        pi_g <= s (g_hi - g_lo) t / (s+1) below the peak and
-        pi_g <= phi(g_lo t) <= Gamma(s+1) (g_lo t)^(-s) above it bound the
-        far ends of the two brackets (with a factor-two margin).
-        """
-        s = self.s
-
-        def fdf(t: float) -> tuple[float, float]:
-            value, d, _ = self.terms(t)
-            return value - level, s * d
-
-        if side == "below":
-            t_far = 0.5 * level * (s + 1.0) / (s * (self.g_hi - self.g_lo))
-            return bracketed_root(fdf, min(t_far, 0.5 * t_peak), t_peak)
-        t_far = (2.0 * math.gamma(s + 1.0) / level) ** (1.0 / s) / self.g_lo
-        return bracketed_root(fdf, t_peak, max(t_far, 2.0 * t_peak))
+    g_lo, g_hi = window
+    if side == "below":
+        t_far = 0.5 * level * (s + 1.0) / (s * (g_hi - g_lo))
+        return bracketed_root(fdf, min(t_far, 0.5 * t_peak), t_peak)
+    t_far = (2.0 * math.gamma(s + 1.0) / level) ** (1.0 / s) / g_lo
+    return bracketed_root(fdf, t_peak, max(t_far, 2.0 * t_peak))
 
 
 def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
@@ -290,28 +280,28 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
         level = 1.0 / (1.0 + math.exp(log_ratio / (count_hi - count_lo + 1)))
 
     a = params.pathloss_exp
+    s = 2.0 / a
     c_l = snr_scale(params)
-    curve = _UtilizationCurve(2.0 / a, *window)
 
     def solution(t: float, equation: str, iterations: int, residual: float,
                  pi_g: float | None = None) -> UtilizationRadius:
         if pi_g is None:
-            pi_g = curve.terms(t)[0]
+            pi_g = _utilization_terms(s, *window, t)[0]
         return UtilizationRadius(
             radius=(t * c_l) ** (1.0 / a), equation=equation,
             range_prob=binom_range_prob(pi_g, num_users, count_lo, count_hi),
             residual=residual, iterations=iterations)
 
-    t_peak, iterations, residual = curve.peak()
-    pi_peak = curve.terms(t_peak)[0]
+    t_peak, iterations, residual = _utilization_peak(s, window)
+    pi_peak = _utilization_terms(s, *window, t_peak)[0]
     solutions = [solution(t_peak, "stationary", iterations, residual, pi_peak)]
 
     attainable = level is not None and level <= pi_peak
     if attainable:
         for side in ("below", "above"):
-            t_root, iterations, residual = curve.level_root(level, t_peak, side)
+            t_root, iterations, residual = _utilization_level_root(s, window, level, t_peak, side)
             solutions.append(solution(t_root, "level", iterations, residual))
-    solutions.sort(key=lambda s: s.radius)
+    solutions.sort(key=lambda sol: sol.radius)
     return UtilizationDesign(solutions=tuple(solutions), level_target=level,
                              level_attainable=attainable, semantic_possible=True,
                              has_maximum=not (count_lo == 0 and count_hi < num_users))

@@ -4,7 +4,10 @@ Per-user outage for the hybrid, bit-only and semantic-only modes, the
 two network-level outage definitions (all users / at least one user),
 binomial outage-count probabilities, and the probability that a user is
 actually served semantically (inside the semantic window and above the
-outage rate), together with its radius derivative.
+outage rate), together with its radius derivative.  Both of those, and
+the radius design's utilization roots, evaluate one curve,
+:func:`_utilization_terms`: pi_g and its derivative terms at the window
+edges x = g t on the Kummer axis, t = R^a / c_L.
 
 Every per-user event is a union of disjoint SNR intervals built by
 :class:`~semcell.ratemodel.RateThresholds` from the four breakpoints,
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 from .linkmodel import NetworkParams, snr_cdf, snr_scale
 from .ratemodel import Interval, RateThresholds
-from .specfun import binom_range_prob, hyp1f1_ratio, kummer_pair
+from .specfun import binom_range_prob, kummer_pair
 
 
 class NetOutageMode(enum.Enum):
@@ -118,15 +121,29 @@ def utilization_window(thr: RateThresholds) -> Interval | None:
     return (lo, thr.g_max) if lo < thr.g_max else None
 
 
-def _window_on_kummer_axis(thr: RateThresholds, params: NetworkParams):
-    """(s, x_lo, x_hi): s = 2/a and the utilization window's edges at
-    x = g R^a / c_L, or None when the window is empty."""
+def _utilization_terms(s: float, g_lo: float, g_hi: float, t: float) -> tuple[float, float, float]:
+    """(pi_g, D, t D') of the utilization window (g_lo, g_hi) at t = R^a / c_L.
+
+    With the window edges at x = g t on the Kummer axis and (phi, h) from
+    :func:`~semcell.specfun.kummer_pair`: pi_g = phi(g_lo t) - phi(g_hi t)
+    (clamped to [0, 1]), D = h(g_hi t) - h(g_lo t), so that
+    t pi_g'(t) = s D and R pi_g'(R) = 2 D, and t D'(t) from
+    x h'(x) = x e^(-x) - s h(x) at both edges.
+    """
+    x_lo, x_hi = g_lo * t, g_hi * t
+    phi_lo, h_lo = kummer_pair(s, x_lo)
+    phi_hi, h_hi = kummer_pair(s, x_hi)
+    slope = (x_hi * math.exp(-x_hi) - s * h_hi) - (x_lo * math.exp(-x_lo) - s * h_lo)
+    return _clamp01(phi_lo - phi_hi), h_hi - h_lo, slope
+
+
+def _utilization_at_radius(thr: RateThresholds, params: NetworkParams) -> tuple[float, float, float]:
+    """:func:`_utilization_terms` at the params' radius; zeros when the window is empty."""
     window = utilization_window(thr)
     if window is None:
-        return None
+        return 0.0, 0.0, 0.0
     a = params.pathloss_exp
-    scale = params.cell_radius_m ** a / snr_scale(params)
-    return 2.0 / a, window[0] * scale, window[1] * scale
+    return _utilization_terms(2.0 / a, *window, params.cell_radius_m ** a / snr_scale(params))
 
 
 def sem_util_prob(thr: RateThresholds, params: NetworkParams) -> float:
@@ -135,23 +152,14 @@ def sem_util_prob(thr: RateThresholds, params: NetworkParams) -> float:
     Difference of two Kummer-ratio terms across the utilization window;
     identically zero when the window is empty.
     """
-    axis = _window_on_kummer_axis(thr, params)
-    if axis is None:
-        return 0.0
-    s, x_lo, x_hi = axis
-    return _clamp01(hyp1f1_ratio(s, x_lo) - hyp1f1_ratio(s, x_hi))
+    return _utilization_at_radius(thr, params)[0]
 
 
 def sem_util_prob_deriv(thr: RateThresholds, params: NetworkParams) -> float:
     """Radius derivative of :func:`sem_util_prob` at the params' radius.
 
     (2/R) [h(x_hi) - h(x_lo)] with h(x) = 1F1(2/a; 1+2/a; -x) - e^(-x)
-    (:func:`~semcell.specfun.kummer_pair`, free of cancellation as x -> 0)
-    and x = g R^a / c_L evaluated at the window edges; zero when the
+    (free of cancellation as x -> 0) at the window edges; zero when the
     window is empty.
     """
-    axis = _window_on_kummer_axis(thr, params)
-    if axis is None:
-        return 0.0
-    s, x_lo, x_hi = axis
-    return 2.0 / params.cell_radius_m * (kummer_pair(s, x_hi)[1] - kummer_pair(s, x_lo)[1])
+    return 2.0 / params.cell_radius_m * _utilization_at_radius(thr, params)[1]

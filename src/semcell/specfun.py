@@ -1,8 +1,10 @@
 """Scalar special-function kernel.
 
 Everything the reliability formulas need beyond the standard library:
-the Kummer ratio 1F1(s; s+1; -x) and its cancellation-free companion
-1F1(s; s+1; -x) - e^(-x), the binomial range probability (whose upper
+one Kummer kernel, :func:`kummer_pair`, the only evaluation of the ratio
+1F1(s; s+1; -x) and of its cancellation-free companion
+1F1(s; s+1; -x) - e^(-x) (:func:`hyp1f1_ratio` is its first value),
+the binomial range probability (whose upper
 tail is the regularized incomplete beta function with integer shape
 parameters) and the inverse of that tail, the principal branch of the
 Lambert W function, log-binomial coefficients, and the safeguarded root
@@ -20,34 +22,10 @@ _MAX_ITER = 500
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, lower edge of the W0 domain
 
 
-def _gamma_series_sum(s: float, x: float) -> float:
-    """Sum_{n>=0} x^n / (s (s+1) ... (s+n)), the series factor of gamma(s, x).
-
-    Converges for any x >= 0 but is only fast (and numerically sane,
-    no alternation) for x < s + 1.
-    """
-    term = 1.0 / s
-    total = term
-    n = 0
-    while n < _MAX_ITER:
-        n += 1
-        term *= x / (s + n)
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            return total
-    raise ArithmeticError(f"incomplete gamma series did not converge for s={s}, x={x}")
-
-
 def _upper_gamma_cf(s: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(s, x) by modified Lentz continued fraction.
-
-    Valid companion of the series for x >= s + 1.  Exactly 0.0, without
-    iterating, once the prefactor x^s e^(-x) underflows (beyond x ~ 1e17
-    the fraction would never meet its stopping test).
-    """
+    """Upper incomplete gamma Gamma(s, x) by modified Lentz continued fraction,
+    for s + 1 <= x <= 40 (s+1), where :func:`kummer_pair` uses it."""
     prefactor = math.exp(-x + s * math.log(x))
-    if prefactor == 0.0:
-        return 0.0
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -70,58 +48,49 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     raise ArithmeticError(f"incomplete gamma continued fraction did not converge for s={s}, x={x}")
 
 
-def hyp1f1_ratio(s: float, x: float) -> float:
-    """Confluent hypergeometric value 1F1(s; s+1; -x) for s > 0, x >= 0.
-
-    Identical to s * x^(-s) * gamma(s, x); the series branch cancels the
-    x^(-s) * x^s pair analytically, so the x -> 0 limit of 1 is exact with
-    no 0/0.  Strictly decreasing in x, from 1 at x = 0 towards 0.
-    """
-    if not (math.isfinite(s) and math.isfinite(x)) or s <= 0.0 or x < 0.0:
-        raise ValueError(f"hyp1f1_ratio requires finite s > 0 and x >= 0, got s={s}, x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        value = s * math.exp(-x) * _gamma_series_sum(s, x)
-    else:
-        g = math.gamma(s) - _upper_gamma_cf(s, x)
-        value = s * math.exp(-s * math.log(x)) * g
-    # guard against <=1 ulp of drift outside (0, 1]
-    return min(1.0, max(0.0, value))
-
-
 def kummer_pair(s: float, x: float) -> tuple[float, float]:
     """(phi, h) with phi = 1F1(s; s+1; -x) and h = phi - e^(-x), for s > 0, x >= 0.
 
-    By Kummer's transformation phi = e^(-x) sum_{n>=0} x^n / (s+1)_n, so
-    below the x = s + 1 crossover h = e^(-x) sum_{n>=1} x^n / (s+1)_n is a
-    sum of positive terms and keeps full relative precision as x -> 0
-    (h ~ x / (s+1)), where phi - e^(-x) would cancel.  Above the crossover
-    phi comes from the continued fraction (or, beyond x = 40 (s+1), its
-    power-law limit Gamma(s+1) x^(-s)) and exceeds 2 e^(-x), so the plain
-    difference loses at most one bit.  h' = e^(-x) - s h / x.
+    The only evaluation of the Kummer ratio phi = s x^(-s) gamma(s, x),
+    which falls strictly from 1 at x = 0 towards 0.  Below the x = s + 1
+    crossover gamma(s, x) comes from its series under Kummer's
+    transformation (DLMF 8.7, 13.2): phi = s e^(-x) sum_{n>=0} t_n with
+    t_0 = 1/s, t_n = t_{n-1} x / (s+n), and h is the same sum without t_0,
+    a sum of positive terms that keeps full relative precision as x -> 0
+    (h ~ x / (s+1)), where phi - e^(-x) would cancel.  Above it
+    phi = s x^(-s) (Gamma(s) - Gamma(s, x)), with Gamma(s, x) from the
+    continued fraction up to x = 40 (s+1) and dropped beyond, where it is
+    below half an ulp of Gamma(s) (the power law Gamma(s+1) x^(-s)); phi
+    exceeds 2 e^(-x) there, so the plain difference h loses at most one
+    bit.  h' = e^(-x) - s h / x.
     """
     if not (math.isfinite(s) and math.isfinite(x)) or s <= 0.0 or x < 0.0:
         raise ValueError(f"kummer_pair requires finite s > 0 and x >= 0, got s={s}, x={x}")
     if x == 0.0:
         return 1.0, 0.0
     if x < s + 1.0:
-        term = total = x / (s + 1.0)
-        n = 1
-        while term > total * 1e-17:
-            n += 1
-            if n > _MAX_ITER:
-                raise ArithmeticError(f"Kummer series did not converge for s={s}, x={x}")
+        term = total = 1.0 / s
+        tail = 0.0
+        for n in range(1, _MAX_ITER + 1):
             term *= x / (s + n)
             total += term
-        decay = math.exp(-x)
-        return decay * (1.0 + total), decay * total
-    if x > 40.0 * (s + 1.0):
-        # Gamma(s, x) < e^(-40) Gamma(s) here: phi is its power-law limit
-        phi = math.gamma(s + 1.0) * math.exp(-s * math.log(x))
-    else:
-        phi = s * math.exp(-s * math.log(x)) * (math.gamma(s) - _upper_gamma_cf(s, x))
+            tail += term
+            if term < tail * 1e-17:
+                scale = s * math.exp(-x)
+                # guard against <=1 ulp of drift above 1
+                return min(1.0, scale * total), scale * tail
+        raise ArithmeticError(f"Kummer series did not converge for s={s}, x={x}")
+    gamma = math.gamma(s)
+    if x <= 40.0 * (s + 1.0):
+        gamma -= _upper_gamma_cf(s, x)
+    phi = s * math.exp(-s * math.log(x)) * gamma
     return phi, phi - math.exp(-x)
+
+
+def hyp1f1_ratio(s: float, x: float) -> float:
+    """Confluent hypergeometric value 1F1(s; s+1; -x) for s > 0, x >= 0:
+    the phi of :func:`kummer_pair`."""
+    return kummer_pair(s, x)[0]
 
 
 def log_binomial(n: int, k: int) -> float:

@@ -7,7 +7,7 @@ from scipy import special as sp
 
 from semcell import (binom_range_prob, hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0,
                      log_binomial)
-from semcell.specfun import bracketed_root, kummer_pair
+from semcell.specfun import _upper_gamma_cf, bracketed_root, kummer_pair
 
 
 def kummer_series(s, x: float) -> float:
@@ -47,6 +47,30 @@ def kummer_gap_series(s, x: float) -> float:
         total -= n / (s + n) * term
         if n > 5 and abs(term) < abs(total) * Fraction(1, 10**30):
             return float(total)
+
+
+def gamma_series_phi(s: float, x: float) -> float:
+    """1F1(s; s+1; -x) from the lower incomplete gamma in two branches, the
+    reference that the kernel must match bit for bit.
+
+    Below x = s + 1: s e^(-x) sum_{n>=0} x^n / (s (s+1) ... (s+n)), summed
+    until a term falls below 1e-17 of the sum.  Above it:
+    s x^(-s) (Gamma(s) - Gamma(s, x)), Gamma(s, x) by continued fraction.
+    Clamped to [0, 1].
+    """
+    if x == 0.0:
+        return 1.0
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        n = 0
+        while term >= total * 1e-17:
+            n += 1
+            term *= x / (s + n)
+            total += term
+        value = s * math.exp(-x) * total
+    else:
+        value = s * math.exp(-s * math.log(x)) * (math.gamma(s) - _upper_gamma_cf(s, x))
+    return min(1.0, max(0.0, value))
 
 
 def reg_inc_beta_int(p: float, k: int, m: int) -> float:
@@ -115,11 +139,20 @@ class TestHyp1f1Ratio:
 
 
 class TestKummerPair:
-    def test_phi_matches_hyp1f1_ratio(self):
-        for s in (2.0 / 4.5, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0):
-            for x in np.geomspace(1e-6, 1e9, 40):
-                phi, _ = kummer_pair(s, float(x))
-                assert phi == pytest.approx(hyp1f1_ratio(s, float(x)), rel=1e-13)
+    def test_phi_bit_identical_to_gamma_series_reference(self):
+        # the emitted CSVs keep their bytes only while phi does: every point
+        # on both sides of the s + 1 and 40 (s+1) branch edges, up to x = 1e20
+        rng = np.random.default_rng(23)
+        s_grid = [2.0 / a for a in np.linspace(1.0, 4.5, 15)] + list(rng.uniform(2 / 4.5, 2 / 1.5, 6))
+        for s in map(float, s_grid):
+            edges = np.array([s + 1.0, 40.0 * (s + 1.0)])
+            grid = np.concatenate([
+                np.geomspace(1e-18, 1e20, 400),
+                np.outer(edges, 1.0 + np.linspace(-0.05, 0.05, 101)).ravel(),
+                np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf),
+                rng.uniform(0.0, 3.0 * (s + 1.0), 200)])
+            for x in map(float, grid):
+                assert hyp1f1_ratio(s, x) == gamma_series_phi(s, x), (s, x)
 
     def test_gap_against_rational_series(self):
         # h = phi - e^-x keeps full relative precision down to x -> 0,
