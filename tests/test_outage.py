@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,8 +284,11 @@ class TestBinomRangeProb:
         assert binom_range_prob(0.5, 4, 2, 2) == pytest.approx(0.375, abs=1e-14)
 
     def test_matches_beta_tail(self):
-        assert binom_range_prob(0.3, 30, 3, 30) == pytest.approx(
-            binom_range_prob(0.3, 3 + 28 - 1, 3, 3 + 28 - 1), abs=1e-13)
+        # I_p(3, 28) = P[Binomial(30, p) >= 3], summed exactly in integers
+        num, den = (0.3).as_integer_ratio()
+        exact = Fraction(sum(math.comb(30, j) * num**j * (den - num) ** (30 - j)
+                             for j in range(3, 31)), den**30)
+        assert binom_range_prob(0.3, 30, 3, 30) == pytest.approx(float(exact), abs=1e-13)
 
     def test_pmf_sums_to_one(self):
         rng = np.random.default_rng(37)
