@@ -222,7 +222,7 @@ def _utilization_peak(s: float, window: tuple[float, float]) -> tuple[float, int
     g_lo t = X.
     """
     def fdf(t: float) -> tuple[float, float]:
-        return _utilization_terms(s, *window, t)[1:]
+        return _utilization_terms(s, window, t)[1:]
 
     g_lo, g_hi = window
     x_big = 8.0 + 2.0 * math.log1p(1.0 / s)
@@ -238,7 +238,7 @@ def _utilization_level_root(s: float, window: tuple[float, float], level: float,
     far ends of the two brackets (with a factor-two margin).
     """
     def fdf(t: float) -> tuple[float, float]:
-        value, d, _ = _utilization_terms(s, *window, t)
+        value, d, _ = _utilization_terms(s, window, t)
         return value - level, s * d
 
     g_lo, g_hi = window
@@ -286,14 +286,14 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
     def solution(t: float, equation: str, iterations: int, residual: float,
                  pi_g: float | None = None) -> UtilizationRadius:
         if pi_g is None:
-            pi_g = _utilization_terms(s, *window, t)[0]
+            pi_g = _utilization_terms(s, window, t)[0]
         return UtilizationRadius(
             radius=(t * c_l) ** (1.0 / a), equation=equation,
             range_prob=binom_range_prob(pi_g, num_users, count_lo, count_hi),
             residual=residual, iterations=iterations)
 
     t_peak, iterations, residual = _utilization_peak(s, window)
-    pi_peak = _utilization_terms(s, *window, t_peak)[0]
+    pi_peak = _utilization_terms(s, window, t_peak)[0]
     solutions = [solution(t_peak, "stationary", iterations, residual, pi_peak)]
 
     attainable = level is not None and level <= pi_peak

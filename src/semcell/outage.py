@@ -121,7 +121,7 @@ def utilization_window(thr: RateThresholds) -> Interval | None:
     return (lo, thr.g_max) if lo < thr.g_max else None
 
 
-def _utilization_terms(s: float, g_lo: float, g_hi: float, t: float) -> tuple[float, float, float]:
+def _utilization_terms(s: float, window: Interval, t: float) -> tuple[float, float, float]:
     """(pi_g, D, t D') of the utilization window (g_lo, g_hi) at t = R^a / c_L.
 
     With the window edges at x = g t on the Kummer axis and (phi, h) from
@@ -130,7 +130,7 @@ def _utilization_terms(s: float, g_lo: float, g_hi: float, t: float) -> tuple[fl
     t pi_g'(t) = s D and R pi_g'(R) = 2 D, and t D'(t) from
     x h'(x) = x e^(-x) - s h(x) at both edges.
     """
-    x_lo, x_hi = g_lo * t, g_hi * t
+    x_lo, x_hi = window[0] * t, window[1] * t
     phi_lo, h_lo = kummer_pair(s, x_lo)
     phi_hi, h_hi = kummer_pair(s, x_hi)
     slope = (x_hi * math.exp(-x_hi) - s * h_hi) - (x_lo * math.exp(-x_lo) - s * h_lo)
@@ -143,7 +143,7 @@ def _utilization_at_radius(thr: RateThresholds, params: NetworkParams) -> tuple[
     if window is None:
         return 0.0, 0.0, 0.0
     a = params.pathloss_exp
-    return _utilization_terms(2.0 / a, *window, params.cell_radius_m ** a / snr_scale(params))
+    return _utilization_terms(2.0 / a, window, params.cell_radius_m ** a / snr_scale(params))
 
 
 def sem_util_prob(thr: RateThresholds, params: NetworkParams) -> float:

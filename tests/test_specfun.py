@@ -7,7 +7,7 @@ from scipy import special as sp
 
 from semcell import (binom_range_prob, hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0,
                      log_binomial)
-from semcell.specfun import _upper_gamma_cf, bracketed_root, kummer_pair
+from semcell.specfun import bracketed_root, kummer_pair
 
 
 def kummer_series(s, x: float) -> float:
@@ -55,8 +55,9 @@ def gamma_series_phi(s: float, x: float) -> float:
 
     Below x = s + 1: s e^(-x) sum_{n>=0} x^n / (s (s+1) ... (s+n)), summed
     until a term falls below 1e-17 of the sum.  Above it:
-    s x^(-s) (Gamma(s) - Gamma(s, x)), Gamma(s, x) by continued fraction.
-    Clamped to [0, 1].
+    s x^(-s) (Gamma(s) - Gamma(s, x)), with Gamma(s, x) from the modified
+    Lentz continued fraction at every x, taken as 0 once its prefactor
+    x^s e^(-x) underflows.  Clamped to [0, 1].
     """
     if x == 0.0:
         return 1.0
@@ -67,9 +68,29 @@ def gamma_series_phi(s: float, x: float) -> float:
             n += 1
             term *= x / (s + n)
             total += term
-        value = s * math.exp(-x) * total
-    else:
-        value = s * math.exp(-s * math.log(x)) * (math.gamma(s) - _upper_gamma_cf(s, x))
+        return min(1.0, max(0.0, s * math.exp(-x) * total))
+    upper = prefactor = math.exp(-x + s * math.log(x))
+    if prefactor != 0.0:
+        tiny = 1e-300
+        b = x + 1.0 - s
+        c = 1.0 / tiny
+        d = h = 1.0 / b
+        for i in range(1, 500):
+            an = -i * (i - s)
+            b += 2.0
+            d = an * d + b
+            d = tiny if abs(d) < tiny else d
+            c = b + an / c
+            c = tiny if abs(c) < tiny else c
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < 1e-16:
+                break
+        else:
+            raise ArithmeticError(f"reference continued fraction did not converge at s={s}, x={x}")
+        upper = prefactor * h
+    value = s * math.exp(-s * math.log(x)) * (math.gamma(s) - upper)
     return min(1.0, max(0.0, value))
 
 
