@@ -34,7 +34,8 @@ from .montecarlo import (SEED_LIMIT, BitOutage, ExactCount, HybridOutage, RangeC
 from .outage import (NetOutageMode, binom_range_prob, network_outage, outage_report,
                      utilization_window)
 from .presets import PRESETS, expand_preset
-from .ratemodel import (RateConfig, SimilarityFit, SolverError, gamma_gap, thresholds)
+from .ratemodel import (RateConfig, RateThresholds, SimilarityFit, SolverError, gamma_gap,
+                        shift_thresholds, thresholds)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -256,20 +257,22 @@ def load_config(path: str | Path) -> dict:
 # sweep evaluation
 # ---------------------------------------------------------------------------
 
-def _point_state(sc: ScenarioConfig, axis_value: float, thr_shared):
-    """Scenario (params, cfg, thresholds) at one grid point."""
+def _point_state(sc: ScenarioConfig, axis_value: float, thr: RateThresholds):
+    """Scenario (params, cfg, thresholds) at one grid point, from the thresholds
+    of the sweep's own config: the same on the radius axes, with the
+    closed-form edges rebuilt and g_max kept on the m_th and r_out axes."""
     params = sc.scenario.params
     cfg = sc.scenario.cfg
     if sc.sweep_axis == "radius_m":
-        return replace(params, cell_radius_m=axis_value), cfg, thr_shared
+        return replace(params, cell_radius_m=axis_value), cfg, thr
     if sc.sweep_axis == "edge_snr_db":
         radius = (snr_scale(params) / db_to_linear(axis_value)) ** (1.0 / params.pathloss_exp)
-        return replace(params, cell_radius_m=radius), cfg, thr_shared
+        return replace(params, cell_radius_m=radius), cfg, thr
     if sc.sweep_axis == "m_th":
         cfg = replace(cfg, m_th=axis_value)
     else:
         cfg = replace(cfg, r_out=axis_value)
-    return params, cfg, thresholds(cfg, sc.scenario.fit)
+    return params, cfg, shift_thresholds(thr, cfg, sc.scenario.fit)
 
 
 _MC_EVENTS = {
@@ -285,7 +288,7 @@ _MC_EVENTS = {
 
 
 def _analytic_row(sc: ScenarioConfig, axis_value: float, params: NetworkParams,
-                  thr) -> dict[str, float]:
+                  thr: RateThresholds) -> dict[str, float]:
     """Closed-form metric columns at one grid point."""
     report = outage_report(thr, params)
     num_users = params.num_users
@@ -302,19 +305,21 @@ def _analytic_row(sc: ScenarioConfig, axis_value: float, params: NetworkParams,
     }
 
 
-def evaluate_sweep(sc: ScenarioConfig, workers: int | None = None) -> list[dict[str, float]]:
+def evaluate_sweep(sc: ScenarioConfig, thr: RateThresholds,
+                   workers: int | None = None) -> list[dict[str, float]]:
     """Rows for every grid point, in axis order (analytic, plus MC if enabled).
 
-    One Monte Carlo call covers the whole grid, so every point reuses the
-    same channel draws.
+    ``thr`` is ``thresholds(sc.scenario.cfg, sc.scenario.fit)``: the sweep's
+    one rate-crossing solve, since no axis moves g_max.  Per point only the
+    closed-form edges are rebuilt (m_th and r_out axes), the SNR CDF is
+    taken once per distinct breakpoint, and the binomial tails read a
+    log-ratio table built once per count range.  One Monte Carlo call
+    covers the whole grid, so every point reuses the same channel draws.
     """
     fit = sc.scenario.fit
-    thr_shared = None
-    if sc.sweep_axis in ("radius_m", "edge_snr_db"):
-        thr_shared = thresholds(sc.scenario.cfg, fit)
-    states = [_point_state(sc, value, thr_shared) for value in sc.grid]
-    rows = [_analytic_row(sc, value, params, thr)
-            for value, (params, _, thr) in zip(sc.grid, states)]
+    states = [_point_state(sc, value, thr) for value in sc.grid]
+    rows = [_analytic_row(sc, value, params, point_thr)
+            for value, (params, _, point_thr) in zip(sc.grid, states)]
     if sc.mc_samples > 0:
         scenarios = [Scenario(params=params, fit=fit, cfg=cfg) for params, cfg, _ in states]
         events = [_MC_EVENTS[name](sc) for name in _METRICS]
@@ -347,11 +352,11 @@ def write_csv(path: Path, rows: list[dict[str, float]], mc_enabled: bool) -> Non
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def derived_constants(sc: ScenarioConfig) -> dict:
-    """Derived quantities recorded in the manifest for the nominal config,
-    with the hybrid outage and utilization events as finite SNR intervals."""
-    params, fit, cfg = sc.scenario.params, sc.scenario.fit, sc.scenario.cfg
-    thr = thresholds(cfg, fit)
+def derived_constants(sc: ScenarioConfig, thr: RateThresholds) -> dict:
+    """Derived quantities recorded in the manifest for the nominal config, whose
+    thresholds are ``thr``, with the hybrid outage and utilization events as
+    finite SNR intervals."""
+    params, cfg = sc.scenario.params, sc.scenario.cfg
     bit, sem = thr.hybrid_outage_parts()
     return {
         "snr_scale": snr_scale(params),
@@ -366,13 +371,13 @@ def derived_constants(sc: ScenarioConfig) -> dict:
     }
 
 
-def write_manifest(path: Path, sc: ScenarioConfig, preset: str | None) -> None:
+def write_manifest(path: Path, sc: ScenarioConfig, thr: RateThresholds, preset: str | None) -> None:
     manifest = {
         "kind": "semcell-manifest",
         "label": sc.label,
         "preset": preset,
         "config": scenario_config_dict(sc),
-        "derived": derived_constants(sc),
+        "derived": derived_constants(sc, thr),
         "versions": {
             "semcell": __version__,
             "numpy": np.__version__,
@@ -385,14 +390,18 @@ def write_manifest(path: Path, sc: ScenarioConfig, preset: str | None) -> None:
 
 def run_scenario(sc: ScenarioConfig, out_dir: str | Path,
                  workers: int | None = None, preset: str | None = None) -> tuple[Path, Path]:
-    """Evaluate one sweep and write its CSV and manifest; returns the paths."""
+    """Evaluate one sweep and write its CSV and manifest; returns the paths.
+
+    One thresholds solve serves the rows and the manifest.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = evaluate_sweep(sc, workers=workers)
+    thr = thresholds(sc.scenario.cfg, sc.scenario.fit)
+    rows = evaluate_sweep(sc, thr, workers=workers)
     csv_path = out / f"{sc.label}.csv"
     manifest_path = out / f"{sc.label}.manifest.json"
     write_csv(csv_path, rows, mc_enabled=sc.mc_samples > 0)
-    write_manifest(manifest_path, sc, preset=preset)
+    write_manifest(manifest_path, sc, thr, preset=preset)
     return csv_path, manifest_path
 
 
@@ -430,7 +439,8 @@ def _cmd_validate(args) -> int:
     samples = sc.mc_samples if sc.mc_samples > 0 else 1_000_000
     # one point, at the configured radius and thresholds, whatever the sweep
     row = evaluate_sweep(replace(sc, mc_samples=samples, sweep_axis="radius_m",
-                                 grid=(sc.scenario.params.cell_radius_m,)))[0]
+                                 grid=(sc.scenario.params.cell_radius_m,)),
+                         thresholds(sc.scenario.cfg, sc.scenario.fit))[0]
     failures = 0
     print(f"closed form vs Monte Carlo at n={samples} (score test, |z| <= {_Z_BOUND:.3f}: "
           f"family-wise alpha {_FAMILY_ALPHA:g} over {len(_METRICS)} metrics)")

@@ -17,6 +17,10 @@ semantic window plus the semantic outage set inside it; the paper's
 branch table covers the cases where the two parts merge into one
 interval [0, y] (checked against the table in the test suite).  The
 manifest records both parts and the utilization window.
+
+:func:`outage_report` takes F_g once per distinct breakpoint of its
+point (F_g(0) = 0 and F_g(inf) = 1 without a call) and shares it between
+the hybrid and semantic outage events.
 """
 
 from __future__ import annotations
@@ -56,12 +60,31 @@ def user_outage_bit(thr: RateThresholds, params: NetworkParams) -> float:
     return snr_cdf(thr.g_bit, params)
 
 
-def _cdf_mass(intervals: tuple[Interval, ...], params: NetworkParams) -> float:
-    """SNR probability of a union of disjoint intervals: sum F(hi) - sum F(lo), F(inf) = 1."""
-    def cdf(y: float) -> float:
-        return 1.0 if y == math.inf else snr_cdf(y, params)
+def _cdf_memo(params: NetworkParams):
+    """F_g at the params' radius, evaluated once per distinct SNR: F(0) = 0, F(inf) = 1."""
+    values = {0.0: 0.0, math.inf: 1.0}
 
+    def cdf(y: float) -> float:
+        value = values.get(y)
+        if value is None:
+            value = values[y] = snr_cdf(y, params)
+        return value
+
+    return cdf
+
+
+def _cdf_mass(intervals: tuple[Interval, ...], cdf) -> float:
+    """SNR probability of a union of disjoint intervals: sum F(hi) - sum F(lo)."""
     return sum(cdf(hi) for _, hi in intervals) - sum(cdf(lo) for lo, _ in intervals)
+
+
+def _sem_outage(thr: RateThresholds, cdf) -> float:
+    return _cdf_mass(((0.0, max(thr.g_min, thr.sem_outage_edge)),), cdf)
+
+
+def _hybrid_outage(thr: RateThresholds, cdf) -> float:
+    bit, sem = thr.hybrid_outage_parts()
+    return _clamp01(_cdf_mass(bit, cdf) + _cdf_mass(sem, cdf))
 
 
 def user_outage_sem(thr: RateThresholds, params: NetworkParams) -> float:
@@ -71,7 +94,7 @@ def user_outage_sem(thr: RateThresholds, params: NetworkParams) -> float:
     semantic rate is below the threshold (below ``sem_outage_edge``); 1
     identically once k * r_out reaches the similarity ceiling.
     """
-    return _cdf_mass(((0.0, max(thr.g_min, thr.sem_outage_edge)),), params)
+    return _sem_outage(thr, _cdf_memo(params))
 
 
 def user_outage_hybrid(thr: RateThresholds, params: NetworkParams) -> float:
@@ -81,16 +104,20 @@ def user_outage_hybrid(thr: RateThresholds, params: NetworkParams) -> float:
     the semantic window) plus that of the semantic part (semantic rate
     below it inside the window).
     """
-    bit, sem = thr.hybrid_outage_parts()
-    return _clamp01(_cdf_mass(bit, params) + _cdf_mass(sem, params))
+    return _hybrid_outage(thr, _cdf_memo(params))
 
 
 def outage_report(thr: RateThresholds, params: NetworkParams) -> OutageReport:
-    """Evaluate all four per-user probabilities for one scenario."""
+    """Evaluate all four per-user probabilities for one scenario.
+
+    pi_h and pi_s share one F per distinct breakpoint; pi_b is
+    :func:`user_outage_bit`, looked up on this module at each call.
+    """
+    cdf = _cdf_memo(params)
     return OutageReport(
-        pi_h=user_outage_hybrid(thr, params),
+        pi_h=_hybrid_outage(thr, cdf),
         pi_b=user_outage_bit(thr, params),
-        pi_s=user_outage_sem(thr, params),
+        pi_s=_sem_outage(thr, cdf),
         pi_g=sem_util_prob(thr, params))
 
 

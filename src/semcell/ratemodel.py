@@ -202,7 +202,10 @@ def _rate_gap_deriv(g: float, cfg: RateConfig, fit: SimilarityFit, gap: float) -
 
 
 def _solve_rate_crossing(cfg: RateConfig, fit: SimilarityFit, gap: float) -> float:
-    """Largest g with sem_rate(g) = bit_rate(g).
+    """Largest g with sem_rate(g) = bit_rate(g): g_max.
+
+    It depends only on mu, the SNR gap and the fit; m_th, r_out and
+    info_per_word (which scales both rates) never enter.
 
     The bit rate passes the semantic ceiling a2/k at
     g_hi = gamma (2^(mu a2 / k) - 1), so the largest crossing lies below
@@ -270,18 +273,17 @@ def _solve_rate_crossing(cfg: RateConfig, fit: SimilarityFit, gap: float) -> flo
     return g
 
 
-def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
-    """Compute the SNR breakpoints.  The semantic outage edge is 0, ``g_sem`` or
-    infinity as k r_out / info_per_word lies at most a1, inside (a1, a2) or at least a2."""
+def _edges(cfg: RateConfig, fit: SimilarityFit) -> dict[str, float]:
+    """The closed-form breakpoints g_min, g_bit and sem_outage_edge, the ones
+    that m_th, r_out and info_per_word move.  The semantic outage edge is 0,
+    ``g_sem`` or infinity as k r_out / info_per_word lies at most a1, inside
+    (a1, a2) or at least a2."""
     if not (fit.a1 < cfg.m_th < fit.a2):
         raise ValueError(
             f"similarity threshold {cfg.m_th} must lie strictly between the fit asymptotes ({fit.a1}, {fit.a2})")
-    gap = gamma_gap(cfg)
     # both rates carry the factor info_per_word, so each reaches r_out where
     # its unscaled formula reaches r_out / info_per_word; g_max is unaffected
     r_out = cfg.r_out / cfg.info_per_word
-    g_bit = gap * (2.0 ** (cfg.mu * r_out) - 1.0)
-    g_min = inv_similarity(cfg.m_th, fit)
     sim_out = fit.k * r_out
     if sim_out <= fit.a1:
         edge = 0.0
@@ -289,6 +291,25 @@ def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
         edge = math.inf
     else:
         edge = inv_similarity(sim_out, fit)
-    g_max = _solve_rate_crossing(cfg, fit, gap)
-    return RateThresholds(g_min=g_min, g_max=g_max, g_bit=g_bit, sem_outage_edge=edge)
+    return {"g_min": inv_similarity(cfg.m_th, fit),
+            "g_bit": gamma_gap(cfg) * (2.0 ** (cfg.mu * r_out) - 1.0),
+            "sem_outage_edge": edge}
 
+
+def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
+    """Compute the SNR breakpoints: the closed-form edges and the rate crossing.
+
+    g_max, the largest rate crossing, depends only on mu, the SNR gap
+    (ber, use_capacity) and the fit; it is the one breakpoint that takes
+    an iterative solve.  For configs that differ only in m_th, r_out or
+    info_per_word, :func:`shift_thresholds` reuses it.
+    """
+    edges = _edges(cfg, fit)
+    return RateThresholds(g_max=_solve_rate_crossing(cfg, fit, gamma_gap(cfg)), **edges)
+
+
+def shift_thresholds(thr: RateThresholds, cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
+    """``thresholds(cfg, fit)`` without the rate-crossing solve: the closed-form
+    edges of cfg with the g_max of ``thr``, which must come from a config that
+    differs from cfg only in m_th, r_out or info_per_word."""
+    return RateThresholds(g_max=thr.g_max, **_edges(cfg, fit))

@@ -17,6 +17,8 @@ on out-of-domain input.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import accumulate
 
 _MAX_ITER = 500
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, lower edge of the W0 domain
@@ -100,11 +102,26 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+@lru_cache(maxsize=128)
+def _binom_log_table(num_users: int, count_lo: int, count_hi: int) -> tuple[float, tuple[float, ...]]:
+    """(ln C(n, lo), (ln((n - m) / (m + 1)) for m = lo .. hi - 1)): the log
+    binomial coefficient at the lower end and the log ratios of consecutive
+    coefficients up to the upper end.  It depends on the integers alone, so
+    a sweep (fixed n and count range) or an inversion builds it once."""
+    log = math.log
+    return (log_binomial(num_users, count_lo),
+            tuple(log((num_users - m) / (m + 1.0)) for m in range(count_lo, count_hi)))
+
+
 def binom_range_prob(p: float, num_users: int, count_lo: int, count_hi: int) -> float:
     """P[count_lo <= Binomial(num_users, p) <= count_hi], in log space.
 
     With count_hi = num_users this equals the regularized incomplete beta
-    I_p(count_lo, num_users - count_lo + 1).
+    I_p(count_lo, num_users - count_lo + 1).  The log terms are
+    ln C(n, lo) + lo ln p + (n - lo) ln(1 - p), then each previous one plus
+    the next log coefficient ratio and ln(p / (1 - p)); the coefficients
+    and ratios come from a table keyed on (n, lo, hi) alone, held for the
+    128 most recent ranges, so a call costs O(hi - lo) whatever n is.
     """
     if not (0 <= count_lo <= count_hi <= num_users):
         raise ValueError(
@@ -119,11 +136,9 @@ def binom_range_prob(p: float, num_users: int, count_lo: int, count_hi: int) -> 
     log_p = log(p)
     log_q = math.log1p(-p)
     step = log_p - log_q
-    log_term = log_binomial(num_users, count_lo) + count_lo * log_p + (num_users - count_lo) * log_q
-    terms = [log_term]
-    for m in range(count_lo, count_hi):
-        log_term += log((num_users - m) / (m + 1.0)) + step
-        terms.append(log_term)
+    log_coef, ratios = _binom_log_table(num_users, count_lo, count_hi)
+    log_term = log_coef + count_lo * log_p + (num_users - count_lo) * log_q
+    terms = list(accumulate(map(step.__add__, ratios), initial=log_term))
     top = max(terms)
     return min(1.0, exp(top) * sum(exp(t - top) for t in terms))
 

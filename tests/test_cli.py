@@ -228,11 +228,11 @@ class TestRunCommand:
             doc["rate"]["outage_rate_threshold"] = r_out
             sc = parse_scenario_config(doc, label="events")
             path = tmp_path / f"{r_out}.manifest.json"
-            write_manifest(path, sc, preset=None)
+            thr = thresholds(sc.scenario.cfg, sc.scenario.fit)
+            write_manifest(path, sc, thr, preset=None)
             text = path.read_text()
             assert "Infinity" not in text
             derived = json.loads(text)["derived"]
-            thr = thresholds(sc.scenario.cfg, sc.scenario.fit)
             bit, sem = thr.hybrid_outage_parts()
             window = utilization_window(thr)
             assert derived["hybrid_outage"] == {"bit": [list(i) for i in bit],

@@ -7,7 +7,7 @@ from scipy import special as sp
 
 from semcell import (binom_range_prob, hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0,
                      log_binomial)
-from semcell.specfun import bracketed_root, kummer_pair
+from semcell.specfun import _binom_log_table, bracketed_root, kummer_pair
 
 
 def kummer_series(s, x: float) -> float:
@@ -92,6 +92,31 @@ def gamma_series_phi(s: float, x: float) -> float:
         upper = prefactor * h
     value = s * math.exp(-s * math.log(x)) * (math.gamma(s) - upper)
     return min(1.0, max(0.0, value))
+
+
+def loop_binom_range_prob(p: float, num_users: int, count_lo: int, count_hi: int) -> float:
+    """The binomial range probability as it was before its log ratios were tabled:
+    one log per term in a loop.  The reference that binom_range_prob must equal."""
+    if not (0 <= count_lo <= count_hi <= num_users):
+        raise ValueError(
+            f"need 0 <= count_lo <= count_hi <= num_users, got ({count_lo}, {count_hi}, {num_users})")
+    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    if p == 0.0:
+        return 1.0 if count_lo == 0 else 0.0
+    if p == 1.0:
+        return 1.0 if count_hi == num_users else 0.0
+    log, exp = math.log, math.exp
+    log_p = log(p)
+    log_q = math.log1p(-p)
+    step = log_p - log_q
+    log_term = log_binomial(num_users, count_lo) + count_lo * log_p + (num_users - count_lo) * log_q
+    terms = [log_term]
+    for m in range(count_lo, count_hi):
+        log_term += log((num_users - m) / (m + 1.0)) + step
+        terms.append(log_term)
+    top = max(terms)
+    return min(1.0, exp(top) * sum(exp(t - top) for t in terms))
 
 
 def reg_inc_beta_int(p: float, k: int, m: int) -> float:
@@ -281,6 +306,50 @@ class TestRegIncBetaInt:
             reg_inc_beta_int(-0.1, 2, 3)
         with pytest.raises(ValueError):
             reg_inc_beta_int(1.1, 2, 3)
+
+
+class TestBinomLogTable:
+    def test_bit_identical_to_loop_reference_on_random_ranges(self):
+        # a third of the draws deep in either tail: p down to 1e-300, up to 1 - 1e-16
+        rng = np.random.default_rng(29)
+        for _ in range(12_000):
+            n = int(rng.integers(1, 61))
+            lo = int(rng.integers(0, n + 1))
+            hi = int(rng.integers(lo, n + 1))
+            kind = rng.integers(3)
+            if kind == 0:
+                p = float(rng.uniform(0.0, 1.0))
+            elif kind == 1:
+                p = float(10.0 ** rng.uniform(-300.0, 0.0))
+            else:
+                p = 1.0 - float(10.0 ** rng.uniform(-16.0, 0.0))
+            assert binom_range_prob(p, n, lo, hi) == loop_binom_range_prob(p, n, lo, hi), (p, n, lo, hi)
+
+    def test_bit_identical_to_loop_reference_on_acceptance_grid(self):
+        for p in map(float, np.linspace(0.01, 0.99, 99)):
+            for n in range(1, 61):
+                for lo in range(1, n + 1):
+                    assert binom_range_prob(p, n, lo, n) == loop_binom_range_prob(p, n, lo, n)
+
+    def test_extreme_probabilities_match_the_reference(self):
+        for p in (0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0):
+            for n, lo, hi in ((1, 0, 1), (7, 0, 0), (7, 7, 7), (60, 3, 40), (60, 0, 60)):
+                assert binom_range_prob(p, n, lo, hi) == loop_binom_range_prob(p, n, lo, hi)
+
+    def test_table_length_is_the_count_range(self):
+        # the work is O(hi - lo): a one-count range of a million users tables no ratio
+        p = 1e-6
+        assert binom_range_prob(p, 10**6, 3, 3) == loop_binom_range_prob(p, 10**6, 3, 3)
+        log_coef, ratios = _binom_log_table(10**6, 3, 3)
+        assert ratios == () and log_coef == log_binomial(10**6, 3)
+        assert len(_binom_log_table(10**6, 999_990, 10**6)[1]) == 10
+
+    def test_one_table_per_inversion(self):
+        # every Newton step of the inverse reads the same (n, k, n) table
+        _binom_log_table.cache_clear()
+        inv_reg_inc_beta_int(0.01, 3, 28)
+        info = _binom_log_table.cache_info()
+        assert info.misses == 1 and info.hits > 1
 
 
 class TestInvRegIncBetaInt:

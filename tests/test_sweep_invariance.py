@@ -1,0 +1,139 @@
+"""What a sweep computes once must equal what each point would compute alone.
+
+A sweep along m_th or r_out solves the rate crossing g_max once and
+rebuilds only the closed-form edges per point; one outage report takes
+the SNR CDF once per distinct breakpoint.  Both must leave every number
+bit for bit as a fresh per-point evaluation gives it.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import semcell.outage
+import semcell.ratemodel
+from conftest import draw_scenario
+from semcell import (NetOutageMode, Scenario, binom_range_prob, network_outage, outage_report,
+                     sem_util_prob, thresholds, user_outage_bit, user_outage_hybrid,
+                     user_outage_sem)
+from semcell.cli import ScenarioConfig, evaluate_sweep, run_scenario
+from semcell.ratemodel import shift_thresholds
+
+
+def _shifted_configs(cfg, fit, rng, count=4):
+    """Copies of cfg with m_th inside the fit and r_out in every rate class."""
+    span = fit.a2 - fit.a1
+    for _ in range(count):
+        m_th = float(rng.uniform(fit.a1 + 0.01 * span, fit.a2 - 0.01 * span))
+        k_r_out = float(rng.uniform(0.2 * fit.a1, 1.5 * fit.a2))
+        yield replace(cfg, m_th=m_th, r_out=k_r_out / fit.k)
+
+
+def _sweep_config(params, fit, cfg, axis, grid) -> ScenarioConfig:
+    num_users = params.num_users
+    return ScenarioConfig(scenario=Scenario(params=params, fit=fit, cfg=cfg),
+                          sweep_axis=axis, grid=tuple(grid),
+                          outage_lo=1, outage_hi=num_users, util_lo=1,
+                          util_hi=max(1, num_users // 2), mc_samples=0, mc_seed=0,
+                          label="sweep")
+
+
+def _fresh_row(sc: ScenarioConfig, value: float) -> dict[str, float]:
+    """One row from a fresh thresholds() and the standalone closed forms."""
+    params, fit = sc.scenario.params, sc.scenario.fit
+    cfg = replace(sc.scenario.cfg, **{sc.sweep_axis: value})
+    thr = thresholds(cfg, fit)
+    pi_h = user_outage_hybrid(thr, params)
+    pi_g = sem_util_prob(thr, params)
+    num_users = params.num_users
+    return {
+        "axis_value": value,
+        "pi_h": pi_h,
+        "pi_b": user_outage_bit(thr, params),
+        "pi_s": user_outage_sem(thr, params),
+        "net_all": network_outage(pi_h, num_users, NetOutageMode.ALL_IN_OUTAGE),
+        "net_any": network_outage(pi_h, num_users, NetOutageMode.AT_LEAST_ONE),
+        "s_range": binom_range_prob(pi_h, num_users, sc.outage_lo, sc.outage_hi),
+        "pi_g": pi_g,
+        "util_range": binom_range_prob(pi_g, num_users, sc.util_lo, sc.util_hi),
+    }
+
+
+def test_rate_crossing_ignores_m_th_and_r_out():
+    rng = np.random.default_rng(101)
+    for _ in range(150):
+        _, fit, cfg = draw_scenario(rng)
+        thr = thresholds(cfg, fit)
+        for shifted in _shifted_configs(cfg, fit, rng):
+            fresh = thresholds(shifted, fit)
+            assert fresh.g_max == thr.g_max
+            assert shift_thresholds(thr, shifted, fit) == fresh
+
+
+@pytest.mark.parametrize("axis", ["m_th", "r_out"])
+def test_threshold_axis_rows_equal_fresh_points(axis):
+    rng = np.random.default_rng(103 if axis == "m_th" else 107)
+    for _ in range(25):
+        params, fit, cfg = draw_scenario(rng)
+        span = fit.a2 - fit.a1
+        if axis == "m_th":
+            grid = np.linspace(fit.a1 + 0.02 * span, fit.a2 - 0.02 * span, 12)
+        else:
+            grid = np.linspace(0.2 * fit.a1, 1.5 * fit.a2, 12) / fit.k
+        sc = _sweep_config(params, fit, cfg, axis, map(float, grid))
+        rows = evaluate_sweep(sc, thresholds(cfg, fit))
+        assert rows == [_fresh_row(sc, value) for value in sc.grid]
+
+
+def test_outage_report_equals_standalone_closed_forms():
+    rng = np.random.default_rng(109)
+    for _ in range(300):
+        params, fit, cfg = draw_scenario(rng)
+        thr = thresholds(cfg, fit)
+        for scale in (10.0 ** -0.5, 1.0, 10.0 ** 0.5):
+            at = replace(params, cell_radius_m=params.cell_radius_m * scale)
+            report = outage_report(thr, at)
+            assert report.pi_h == user_outage_hybrid(thr, at)
+            assert report.pi_b == user_outage_bit(thr, at)
+            assert report.pi_s == user_outage_sem(thr, at)
+            assert report.pi_g == sem_util_prob(thr, at)
+
+
+def test_outage_report_takes_each_cdf_once(monkeypatch):
+    # pi_h and pi_s share F; only pi_b, which goes through the module
+    # attribute user_outage_bit, may take F at g_bit a second time
+    calls = []
+    true_cdf = semcell.outage.snr_cdf
+
+    def counted(y, params):
+        calls.append(y)
+        return true_cdf(y, params)
+
+    monkeypatch.setattr(semcell.outage, "snr_cdf", counted)
+    rng = np.random.default_rng(113)
+    for _ in range(200):
+        params, fit, cfg = draw_scenario(rng)
+        thr = thresholds(cfg, fit)
+        calls.clear()
+        outage_report(thr, params)
+        assert 0.0 not in calls
+        assert len(calls) - len(set(calls)) <= 1
+
+
+@pytest.mark.parametrize("axis", ["m_th", "r_out", "radius_m"])
+def test_one_rate_crossing_per_run(axis, monkeypatch, table1_params, table1_fit, table1_cfg,
+                                   tmp_path):
+    solves = []
+    true_solve = semcell.ratemodel._solve_rate_crossing
+
+    def counted(*args):
+        solves.append(args)
+        return true_solve(*args)
+
+    monkeypatch.setattr(semcell.ratemodel, "_solve_rate_crossing", counted)
+    grid = {"m_th": np.linspace(0.4, 0.95, 8), "r_out": np.linspace(0.01, 0.3, 8),
+            "radius_m": np.linspace(100.0, 3000.0, 8)}[axis]
+    sc = _sweep_config(table1_params, table1_fit, table1_cfg, axis, map(float, grid))
+    run_scenario(sc, tmp_path)
+    assert len(solves) == 1
