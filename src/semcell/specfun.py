@@ -17,6 +17,7 @@ on out-of-domain input.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
 from itertools import accumulate
 
@@ -103,14 +104,17 @@ def log_binomial(n: int, k: int) -> float:
 
 
 @lru_cache(maxsize=128)
-def _binom_log_table(num_users: int, count_lo: int, count_hi: int) -> tuple[float, tuple[float, ...]]:
-    """(ln C(n, lo), (ln((n - m) / (m + 1)) for m = lo .. hi - 1)): the log
+def _binom_log_table(num_users: int, count_lo: int, count_hi: int) -> tuple[float, memoryview]:
+    """(ln C(n, lo), [ln((n - m) / (m + 1)) for m = lo .. hi - 1]): the log
     binomial coefficient at the lower end and the log ratios of consecutive
     coefficients up to the upper end.  It depends on the integers alone, so
-    a sweep (fixed n and count range) or an inversion builds it once."""
+    a sweep (fixed n and count range) or an inversion builds it once.  The
+    ratios are one read-only buffer of doubles: a cached table holds no
+    float objects, which would otherwise scatter across the allocator's
+    pools as tables are evicted and grow the process's memory."""
     log = math.log
-    return (log_binomial(num_users, count_lo),
-            tuple(log((num_users - m) / (m + 1.0)) for m in range(count_lo, count_hi)))
+    ratios = array("d", [log((num_users - m) / (m + 1.0)) for m in range(count_lo, count_hi)])
+    return log_binomial(num_users, count_lo), memoryview(ratios).toreadonly()
 
 
 def binom_range_prob(p: float, num_users: int, count_lo: int, count_hi: int) -> float:

@@ -341,7 +341,8 @@ class TestBinomLogTable:
         p = 1e-6
         assert binom_range_prob(p, 10**6, 3, 3) == loop_binom_range_prob(p, 10**6, 3, 3)
         log_coef, ratios = _binom_log_table(10**6, 3, 3)
-        assert ratios == () and log_coef == log_binomial(10**6, 3)
+        assert len(ratios) == 0 and log_coef == log_binomial(10**6, 3)
+        assert ratios.readonly  # one table serves every caller
         assert len(_binom_log_table(10**6, 999_990, 10**6)[1]) == 10
 
     def test_one_table_per_inversion(self):
