@@ -310,7 +310,7 @@ class TestRegIncBetaInt:
 
 class TestBinomLogTable:
     def test_bit_identical_to_loop_reference_on_random_ranges(self):
-        # a third of the draws deep in either tail: p down to 1e-300, up to 1 - 1e-16
+        # a third of the draws in each tail: p down to 1e-300 and up to 1 - 1e-16
         rng = np.random.default_rng(29)
         for _ in range(12_000):
             n = int(rng.integers(1, 61))
