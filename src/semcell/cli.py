@@ -82,6 +82,24 @@ _KINDS = {bool: "true/false", int: "an integer", float: "a finite number"}
 _SCHEMA = {cls: [(f.name, _JSON_NAMES.get(f.name, f.name), get_type_hints(cls)[f.name], f.default)
                  for f in fields(cls)]
            for cls in (NetworkParams, SimilarityFit, RateConfig)}
+# the keys each config section may hold; the root's keys are the sections
+_SECTION_KEYS = {
+    "network": {"noise_density_dbm_per_hz", *(key for _, key, _, _ in _SCHEMA[NetworkParams])},
+    "similarity_fit": {key for _, key, _, _ in _SCHEMA[SimilarityFit]},
+    "rate": {key for _, key, _, _ in _SCHEMA[RateConfig]},
+    "sweep": {"axis", "grid", "start", "stop", "points"},
+    "outage_counts": {"lo", "hi"}, "util_counts": {"lo", "hi"}, "mc": {"samples", "seed"},
+}
+
+
+def _check_keys(doc: dict) -> None:
+    """Reject, by its path, a key no section defines: a typo must not fall back to a default."""
+    for key, section in doc.items():
+        if key not in _SECTION_KEYS:
+            raise ConfigError(f"{key}: unknown field")
+        for name in section if isinstance(section, dict) else ():
+            if name not in _SECTION_KEYS[key]:
+                raise ConfigError(f"{key}.{name}: unknown field")
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -192,6 +210,7 @@ def parse_scenario_config(doc: dict, label: str = "run") -> ScenarioConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
+    _check_keys(doc)
     params = _read_fields(NetworkParams, "network", _noise_in_watts(_section(doc, "network")))
     fit = _read_fields(SimilarityFit, "similarity_fit", _section(doc, "similarity_fit"))
     cfg = _read_fields(RateConfig, "rate", _section(doc, "rate"))
@@ -336,10 +355,6 @@ def evaluate_sweep(sc: ScenarioConfig, thr: RateThresholds,
 # output files
 # ---------------------------------------------------------------------------
 
-def _format_value(value: float) -> str:
-    return repr(float(value))
-
-
 def write_csv(path: Path, rows: list[dict[str, float]], mc_enabled: bool) -> None:
     columns = ["axis_value", *_METRICS]
     if mc_enabled:
@@ -348,7 +363,7 @@ def write_csv(path: Path, rows: list[dict[str, float]], mc_enabled: bool) -> Non
             columns.append(f"mc_{name}_stderr")
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_format_value(row[c]) for c in columns))
+        lines.append(",".join(repr(float(row[c])) for c in columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

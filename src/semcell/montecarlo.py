@@ -164,13 +164,9 @@ def user_stream(seed: int, block_index: int, offset: int = 0) -> np.random.Gener
     return np.random.Generator(bit_generator)
 
 
-def _uniforms(stream, size, out):
-    return np.atleast_1d(stream.random(size) if out is None else stream.random(size, out=out))
-
-
-def sample_user(stream: np.random.Generator, params: NetworkParams, size=None,
-                u2_offset: int | None = None, out: np.ndarray | None = None):
-    """Draw received SNR(s) of uniformly placed users with Rayleigh fading.
+def sample_user(stream: np.random.Generator, params: NetworkParams, size,
+                u2_offset: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Draw received SNRs, shaped ``size``, of uniformly placed users with Rayleigh fading.
 
     r = R sqrt(U1) (area-uniform disc), |h|^2 = -ln(1 - U2) (unit-mean
     exponential by inverse transform), g = c_L |h|^2 r^(-a), computed as
@@ -183,12 +179,12 @@ def sample_user(stream: np.random.Generator, params: NetworkParams, size=None,
     :func:`user_stream`).  ``out``, shaped (2, *size), holds U1 and U2
     instead of new arrays; the SNRs come back in ``out[1]``.
     """
-    u1 = _uniforms(stream, size, None if out is None else out[0])
+    u1 = stream.random(size, out=None if out is None else out[0])
     if u2_offset is not None:
         if u2_offset < u1.size:
             raise ValueError(f"u2_offset must be at least {u1.size}, got {u2_offset}")
         stream.bit_generator.advance(u2_offset - u1.size)
-    u2 = _uniforms(stream, size, None if out is None else out[1])
+    u2 = stream.random(size, out=None if out is None else out[1])
     # U1 == 0 has probability zero but a float can land on it: the SNR is +inf
     at_origin = not u1.all()
     # in place, so two arrays stay live: U1^(-a/2) in u1, the fading gain and then g in u2
@@ -199,8 +195,6 @@ def sample_user(stream: np.random.Generator, params: NetworkParams, size=None,
         np.multiply(g, near, out=g)
     if at_origin:
         g[near == np.inf] = np.inf
-    if size is None:
-        return float(g[0])
     return g
 
 
@@ -211,11 +205,11 @@ def _curves(g0: np.ndarray, log_g0: np.ndarray, scenario: Scenario, ratio: float
     ``log_g0`` is log10(g0), taken once per tile, so a point costs one exp,
     one log2 and one divide.  Operation by operation, in this order:
 
-    * rate_bit = log2(1 + g0 * (ratio / gap)) * (info / mu);
+    * rate_bit = log2(1 + g0 * (ratio / gap)) * (1 / mu);
     * m = a1 + (a2 - a1) / (1 + e^(log_g0 * (-10 c1) + (-10 c1 log10(ratio) - c2))),
       the logistic of z = c1 10 log10(g0 ratio) + c2 with the sign folded
       into the constants;
-    * rate_sem = m * (info / k).
+    * rate_sem = m * (1 / k).
 
     The exponent needs no clip: ``g0`` lies in [0, inf] and is never NaN
     (see :func:`sample_user`) and c1 > 0, so the exponent is never NaN;
@@ -236,14 +230,14 @@ def _curves(g0: np.ndarray, log_g0: np.ndarray, scenario: Scenario, ratio: float
         np.multiply(g0, ratio / gap, out=rate_bit)
         np.add(rate_bit, 1.0, out=rate_bit)
         np.log2(rate_bit, out=rate_bit)
-        np.multiply(rate_bit, cfg.info_per_word / cfg.mu, out=rate_bit)
+        np.multiply(rate_bit, 1.0 / cfg.mu, out=rate_bit)
         np.multiply(log_g0, slope, out=m)
         np.add(m, offset, out=m)
         np.exp(m, out=m)
         np.add(m, 1.0, out=m)
         np.divide(fit.a2 - fit.a1, m, out=m)
         np.add(m, fit.a1, out=m)
-    np.multiply(m, cfg.info_per_word / fit.k, out=rate_sem)
+    np.multiply(m, 1.0 / fit.k, out=rate_sem)
 
 
 def _indicators(kinds: list[type], m: np.ndarray, rate_sem: np.ndarray,

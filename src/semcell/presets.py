@@ -41,7 +41,6 @@ TABLE1_CONFIG = {
         "use_capacity": False,
         "similarity_threshold": 0.75,
         "outage_rate_threshold": 0.04,
-        "info_per_word": 1.0,
     },
     "sweep": {"axis": "radius_m", "grid": _lin(100.0, 3000.0, 30)},
     "outage_counts": {"lo": 1, "hi": None},

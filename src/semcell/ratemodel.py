@@ -66,7 +66,6 @@ class RateConfig:
     m_th: float
     r_out: float
     use_capacity: bool = False
-    info_per_word: float = 1.0
 
     def __post_init__(self) -> None:
         if self.mu < 1:
@@ -77,8 +76,6 @@ class RateConfig:
             raise ValueError(f"similarity threshold must lie in (0, 1), got {self.m_th}")
         if not (math.isfinite(self.r_out) and self.r_out > 0.0):
             raise ValueError(f"outage rate threshold must be positive, got {self.r_out}")
-        if not (math.isfinite(self.info_per_word) and self.info_per_word > 0.0):
-            raise ValueError(f"info_per_word must be positive, got {self.info_per_word}")
 
 
 Interval = tuple[float, float]
@@ -159,29 +156,27 @@ def gamma_gap(cfg: RateConfig) -> float:
     """SNR gap of the uncoded scheme: max(-ln(5 ber) / 1.5, 1); 1 at capacity."""
     if cfg.use_capacity:
         return 1.0
-    if not (0.0 < cfg.ber < 0.2):
-        raise ValueError(f"ber must lie in (0, 0.2), got {cfg.ber}")
     return max(1.0, -math.log(5.0 * cfg.ber) / 1.5)
 
 
 def bit_rate(g, cfg: RateConfig):
-    """Bit-transmission rate log2(1 + g / gamma) / mu, scaled by info_per_word.
+    """Bit-transmission rate log2(1 + g / gamma) / mu.
 
     Zero at g = 0, strictly increasing and unbounded.
     """
     garr = np.asarray(g, dtype=float)
     if np.any(garr < 0.0) or np.any(np.isnan(garr)):
         raise ValueError("bit_rate requires nonnegative SNR")
-    value = cfg.info_per_word * np.log2(1.0 + garr / gamma_gap(cfg)) / cfg.mu
+    value = np.log2(1.0 + garr / gamma_gap(cfg)) / cfg.mu
     return _scalar_like(value, g)
 
 
 def sem_rate(g, cfg: RateConfig, fit: SimilarityFit):
-    """Semantic-transmission rate similarity(g) / k, scaled by info_per_word.
+    """Semantic-transmission rate similarity(g) / k.
 
     Bounded between a1/k and a2/k; strictly increasing.
     """
-    value = cfg.info_per_word * np.asarray(similarity(g, fit)) / fit.k
+    value = np.asarray(similarity(g, fit)) / fit.k
     return _scalar_like(value, g)
 
 
@@ -204,8 +199,7 @@ def _rate_gap_deriv(g: float, cfg: RateConfig, fit: SimilarityFit, gap: float) -
 def _solve_rate_crossing(cfg: RateConfig, fit: SimilarityFit, gap: float) -> float:
     """Largest g with sem_rate(g) = bit_rate(g): g_max.
 
-    It depends only on mu, the SNR gap and the fit; m_th, r_out and
-    info_per_word (which scales both rates) never enter.
+    It depends only on mu, the SNR gap and the fit, never on m_th or r_out.
 
     The bit rate passes the semantic ceiling a2/k at
     g_hi = gamma (2^(mu a2 / k) - 1), so the largest crossing lies below
@@ -275,16 +269,12 @@ def _solve_rate_crossing(cfg: RateConfig, fit: SimilarityFit, gap: float) -> flo
 
 def _edges(cfg: RateConfig, fit: SimilarityFit) -> dict[str, float]:
     """The closed-form breakpoints g_min, g_bit and sem_outage_edge, the ones
-    that m_th, r_out and info_per_word move.  The semantic outage edge is 0,
-    ``g_sem`` or infinity as k r_out / info_per_word lies at most a1, inside
-    (a1, a2) or at least a2."""
+    that m_th and r_out move.  The semantic outage edge is 0, ``g_sem`` or
+    infinity as k r_out lies at most a1, inside (a1, a2) or at least a2."""
     if not (fit.a1 < cfg.m_th < fit.a2):
         raise ValueError(
             f"similarity threshold {cfg.m_th} must lie strictly between the fit asymptotes ({fit.a1}, {fit.a2})")
-    # both rates carry the factor info_per_word, so each reaches r_out where
-    # its unscaled formula reaches r_out / info_per_word; g_max is unaffected
-    r_out = cfg.r_out / cfg.info_per_word
-    sim_out = fit.k * r_out
+    sim_out = fit.k * cfg.r_out
     if sim_out <= fit.a1:
         edge = 0.0
     elif sim_out >= fit.a2:
@@ -292,7 +282,7 @@ def _edges(cfg: RateConfig, fit: SimilarityFit) -> dict[str, float]:
     else:
         edge = inv_similarity(sim_out, fit)
     return {"g_min": inv_similarity(cfg.m_th, fit),
-            "g_bit": gamma_gap(cfg) * (2.0 ** (cfg.mu * r_out) - 1.0),
+            "g_bit": gamma_gap(cfg) * (2.0 ** (cfg.mu * cfg.r_out) - 1.0),
             "sem_outage_edge": edge}
 
 
@@ -301,8 +291,8 @@ def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
 
     g_max, the largest rate crossing, depends only on mu, the SNR gap
     (ber, use_capacity) and the fit; it is the one breakpoint that takes
-    an iterative solve.  For configs that differ only in m_th, r_out or
-    info_per_word, :func:`shift_thresholds` reuses it.
+    an iterative solve.  For configs that differ only in m_th or r_out,
+    :func:`shift_thresholds` reuses it.
     """
     edges = _edges(cfg, fit)
     return RateThresholds(g_max=_solve_rate_crossing(cfg, fit, gamma_gap(cfg)), **edges)
@@ -311,5 +301,5 @@ def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
 def shift_thresholds(thr: RateThresholds, cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
     """``thresholds(cfg, fit)`` without the rate-crossing solve: the closed-form
     edges of cfg with the g_max of ``thr``, which must come from a config that
-    differs from cfg only in m_th, r_out or info_per_word."""
+    differs from cfg only in m_th or r_out."""
     return RateThresholds(g_max=thr.g_max, **_edges(cfg, fit))

@@ -92,7 +92,7 @@ class TestConfigParsing:
         doc = table1_config()
         del doc["network"]["noise_density_dbm_per_hz"]
         doc["network"]["noise_density_w_per_hz"] = 3.5e-21
-        del doc["rate"]["use_capacity"], doc["rate"]["info_per_word"]
+        del doc["rate"]["use_capacity"]
         sc = parse_scenario_config(doc)
         assert sc.scenario.params.noise_density_w_per_hz == 3.5e-21
         assert sc.scenario.cfg == RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.04)
@@ -160,6 +160,22 @@ def test_malformed_config_exits_2(tmp_path, capsys, mutate, argv, where):
     assert main([paths.get(arg, arg) for arg in argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and where in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", [
+    "colour", "network.cell_radius", "similarity_fit.k", "rate.info_per_word", "sweep.step",
+    "outage_counts.low", "util_counts.high", "mc.workers",
+], ids=lambda path: path.split(".")[0] if "." in path else "root")
+def test_unknown_key_exits_2(tmp_path, capsys, path):
+    # a misspelt, retired or field-named key is rejected by its path, not
+    # silently replaced by the default
+    doc = table1_config()
+    *section, key = path.split(".")
+    (doc[section[0]] if section else doc)[key] = 2.5
+    argv = ["run", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {path}: unknown field\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -261,6 +277,16 @@ class TestRunCommand:
         replay = second / "config.manifest.csv"
         original = (first / "config.csv").read_bytes()
         assert replay.read_bytes() == original
+
+    def test_numpy_scalars_write_the_same_csv(self, tmp_path):
+        # a config built in code may carry numpy scalars; each cell is still written as a float
+        sc = parse_scenario_config(table1_config(), label="plain")
+        params = replace(sc.scenario.params, tx_power_w=np.float64(1.0))
+        numpy_sc = replace(sc, label="numpy", grid=tuple(np.asarray(sc.grid)),
+                           scenario=replace(sc.scenario, params=params))
+        plain, _ = run_scenario(sc, tmp_path)
+        numpy_csv, _ = run_scenario(numpy_sc, tmp_path)
+        assert numpy_csv.read_bytes() == plain.read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         doc = table1_config()
@@ -439,35 +465,6 @@ class TestValidateCommand:
         monkeypatch.setattr("semcell.outage.user_outage_bit",
                             lambda thr, params: min(1.0, 1.3 * true_fn(thr, params)))
         assert main(["validate", "--config", str(cfg_path)]) == EXIT_VALIDATION
-
-
-class TestInfoPerWord:
-    def test_info_per_word_moves_breakpoints_closed_forms_and_oracle(self, tmp_path):
-        # info_per_word scales both rates, so every emitted number moves with it
-        from semcell import bit_rate, sem_rate, thresholds
-
-        csv_bytes = {}
-        for info in (1.0, 2.5):
-            doc = table1_config()
-            doc["network"]["num_users"] = 4
-            doc["rate"].update({"outage_rate_threshold": 0.4, "info_per_word": info})
-            doc["sweep"] = {"axis": "radius_m", "grid": [900.0, 1500.0]}
-            doc["mc"] = {"samples": 100_000, "seed": 5}
-            sc = parse_scenario_config(doc, label=f"info{info}")
-            csv_path, _ = run_scenario(sc, tmp_path)
-            csv_bytes[info] = csv_path.read_bytes()
-        assert csv_bytes[1.0] != csv_bytes[2.5]
-
-        cfg, fit = sc.scenario.cfg, sc.scenario.fit
-        thr = thresholds(cfg, fit)
-        assert bit_rate(thr.g_bit, cfg) == pytest.approx(0.4, rel=1e-12)
-        assert sem_rate(thr.g_sem, cfg, fit) == pytest.approx(0.4, rel=1e-12)
-        for row in read_csv(csv_path):
-            for name in ("pi_h", "pi_b", "pi_s", "net_all", "net_any", "s_range",
-                         "pi_g", "util_range"):
-                stderr = float(row[f"mc_{name}_stderr"])
-                assert stderr > 0.0
-                assert abs(float(row[name]) - float(row[f"mc_{name}"])) <= 3.0 * stderr, name
 
 
 class TestDesignCommands:

@@ -24,11 +24,8 @@ class _StubStream:
     def __init__(self, *draws):
         self._draws = list(draws)
 
-    def random(self, size=None):
-        value = self._draws.pop(0)
-        if size is None:
-            return value
-        return np.full(size, value, dtype=float)
+    def random(self, size, out=None):
+        return np.full(size, self._draws.pop(0), dtype=float)
 
 
 @pytest.fixture
@@ -41,7 +38,7 @@ class TestSampleUser:
         # U1 = 1 puts the user on the cell edge; U2 fixes the fading draw
         u2 = 0.5
         stream = _StubStream(1.0, u2)
-        g = sample_user(stream, table1_params)
+        [g] = sample_user(stream, table1_params, size=1)
         gain = -math.log1p(-u2)
         expected = snr_scale(table1_params) * gain * table1_params.cell_radius_m ** (-3.0)
         assert g == pytest.approx(expected, rel=1e-14)
@@ -49,7 +46,7 @@ class TestSampleUser:
     @pytest.mark.parametrize("u2", [0.5, 0.0])
     def test_draw_at_the_origin_is_infinite(self, table1_params, u2):
         # U1 = 0 puts the user at the origin, also when the fading draw is 0
-        assert sample_user(_StubStream(0.0, u2), table1_params) == math.inf
+        assert sample_user(_StubStream(0.0, u2), table1_params, size=1)[0] == math.inf
         g = sample_user(_StubStream(0.0, u2), table1_params, size=(2, 3))
         assert np.all(g == math.inf)
 
@@ -281,9 +278,9 @@ def _reference_user_event_mask(event, g, scenario, gap):
         z = fit.c1 * 10.0 * np.log10(g) + fit.c2
     z = np.where(np.isnan(z), -np.inf, z)
     m = fit.a1 + (fit.a2 - fit.a1) / (1.0 + np.exp(-np.clip(z, -745.0, 745.0)))
-    rate_sem = cfg.info_per_word * m / fit.k
+    rate_sem = m / fit.k
     with np.errstate(invalid="ignore"):
-        rate_bit = cfg.info_per_word * np.log2(1.0 + g / gap) / cfg.mu
+        rate_bit = np.log2(1.0 + g / gap) / cfg.mu
     if isinstance(event, BitOutage):
         return rate_bit <= cfg.r_out
     if isinstance(event, SemOutage):
@@ -339,11 +336,11 @@ def _sweep_events(num_users):
 
 def _domain_scenario(case):
     """Case 0-11 of the documented domain: every rate class, with and without
-    capacity-achieving bit rates, at one and 2.5 information units per word."""
+    capacity-achieving bit rates, two draws of each."""
     rate_class = ("low", "mid", "high")[case % 3]
     params, fit, cfg = draw_scenario(np.random.default_rng(900 + case), max_users=8,
                                      rate_class=rate_class)
-    cfg = replace(cfg, use_capacity=(case // 3) % 2 == 1, info_per_word=(1.0, 2.5)[case // 6])
+    cfg = replace(cfg, use_capacity=(case // 3) % 2 == 1)
     return Scenario(params, fit, cfg)
 
 

@@ -107,13 +107,6 @@ class TestRates:
         assert sem_rate(g_min, table1_cfg, table1_fit) == pytest.approx(0.15, rel=1e-12)
         assert sem_rate(3.2474, table1_cfg, table1_fit) == pytest.approx(0.15, abs=1e-5)
 
-    def test_info_scale_passthrough(self, table1_fit):
-        cfg = RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.04, info_per_word=2.5)
-        base = RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.04)
-        assert bit_rate(5.0, cfg) == pytest.approx(2.5 * bit_rate(5.0, base), rel=1e-14)
-        assert sem_rate(5.0, cfg, table1_fit) == pytest.approx(
-            2.5 * sem_rate(5.0, base, table1_fit), rel=1e-14)
-
 
 class TestThresholds:
     def test_table1_values(self, table1_cfg, table1_fit):
