@@ -35,7 +35,7 @@ from .outage import (NetOutageMode, binom_range_prob, network_outage, outage_rep
                      utilization_window)
 from .presets import PRESETS, expand_preset
 from .ratemodel import (RateConfig, RateThresholds, SimilarityFit, SolverError, gamma_gap,
-                        shift_thresholds, thresholds)
+                        thresholds)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -277,9 +277,9 @@ def load_config(path: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def _point_state(sc: ScenarioConfig, axis_value: float, thr: RateThresholds):
-    """Scenario (params, cfg, thresholds) at one grid point, from the thresholds
-    of the sweep's own config: the same on the radius axes, with the
-    closed-form edges rebuilt and g_max kept on the m_th and r_out axes."""
+    """Scenario (params, cfg, thresholds) at one grid point, given the thresholds
+    ``thr`` of the sweep's own config: kept on the radius axes, the point's
+    own on the m_th and r_out axes."""
     params = sc.scenario.params
     cfg = sc.scenario.cfg
     if sc.sweep_axis == "radius_m":
@@ -291,7 +291,7 @@ def _point_state(sc: ScenarioConfig, axis_value: float, thr: RateThresholds):
         cfg = replace(cfg, m_th=axis_value)
     else:
         cfg = replace(cfg, r_out=axis_value)
-    return params, cfg, shift_thresholds(thr, cfg, sc.scenario.fit)
+    return params, cfg, thresholds(cfg, sc.scenario.fit)
 
 
 _MC_EVENTS = {
@@ -324,18 +324,19 @@ def _analytic_row(sc: ScenarioConfig, axis_value: float, params: NetworkParams,
     }
 
 
-def evaluate_sweep(sc: ScenarioConfig, thr: RateThresholds,
-                   workers: int | None = None) -> list[dict[str, float]]:
+def evaluate_sweep(sc: ScenarioConfig, workers: int | None = None) -> list[dict[str, float]]:
     """Rows for every grid point, in axis order (analytic, plus MC if enabled).
 
-    ``thr`` is ``thresholds(sc.scenario.cfg, sc.scenario.fit)``: the sweep's
-    one rate-crossing solve, since no axis moves g_max.  Per point only the
-    closed-form edges are rebuilt (m_th and r_out axes), the SNR CDF is
-    taken once per distinct breakpoint, and the binomial tails read a
-    log-ratio table built once per count range.  One Monte Carlo call
-    covers the whole grid, so every point reuses the same channel draws.
+    The sweep's thresholds are computed once and serve every point on the
+    radius axes; on the m_th and r_out axes each point takes its own,
+    which rebuilds only the closed-form edges, since no axis moves g_max
+    and its solve is memoized.  The SNR CDF is taken once per distinct
+    breakpoint, and the binomial tails read a log-ratio table built once
+    per count range.  One Monte Carlo call covers the whole grid, so every
+    point reuses the same channel draws.
     """
     fit = sc.scenario.fit
+    thr = thresholds(sc.scenario.cfg, fit)
     states = [_point_state(sc, value, thr) for value in sc.grid]
     rows = [_analytic_row(sc, value, params, point_thr)
             for value, (params, _, point_thr) in zip(sc.grid, states)]
@@ -344,7 +345,6 @@ def evaluate_sweep(sc: ScenarioConfig, thr: RateThresholds,
         events = [_MC_EVENTS[name](sc) for name in _METRICS]
         estimates = estimate_many(events, sc.mc_samples, sc.mc_seed, scenarios, workers=workers)
         for row, point_estimates in zip(rows, estimates):
-            row["mc_low_precision"] = point_estimates[0].low_precision
             for name, est in zip(_METRICS, point_estimates):
                 row[f"mc_{name}"] = est.estimate
                 row[f"mc_{name}_stderr"] = est.std_error
@@ -367,11 +367,11 @@ def write_csv(path: Path, rows: list[dict[str, float]], mc_enabled: bool) -> Non
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def derived_constants(sc: ScenarioConfig, thr: RateThresholds) -> dict:
-    """Derived quantities recorded in the manifest for the nominal config, whose
-    thresholds are ``thr``, with the hybrid outage and utilization events as
-    finite SNR intervals."""
+def derived_constants(sc: ScenarioConfig) -> dict:
+    """Derived quantities recorded in the manifest for the nominal config, with
+    the hybrid outage and utilization events as finite SNR intervals."""
     params, cfg = sc.scenario.params, sc.scenario.cfg
+    thr = thresholds(cfg, sc.scenario.fit)
     bit, sem = thr.hybrid_outage_parts()
     return {
         "snr_scale": snr_scale(params),
@@ -386,13 +386,13 @@ def derived_constants(sc: ScenarioConfig, thr: RateThresholds) -> dict:
     }
 
 
-def write_manifest(path: Path, sc: ScenarioConfig, thr: RateThresholds, preset: str | None) -> None:
+def write_manifest(path: Path, sc: ScenarioConfig, preset: str | None) -> None:
     manifest = {
         "kind": "semcell-manifest",
         "label": sc.label,
         "preset": preset,
         "config": scenario_config_dict(sc),
-        "derived": derived_constants(sc, thr),
+        "derived": derived_constants(sc),
         "versions": {
             "semcell": __version__,
             "numpy": np.__version__,
@@ -405,18 +405,14 @@ def write_manifest(path: Path, sc: ScenarioConfig, thr: RateThresholds, preset: 
 
 def run_scenario(sc: ScenarioConfig, out_dir: str | Path,
                  workers: int | None = None, preset: str | None = None) -> tuple[Path, Path]:
-    """Evaluate one sweep and write its CSV and manifest; returns the paths.
-
-    One thresholds solve serves the rows and the manifest.
-    """
+    """Evaluate one sweep and write its CSV and manifest; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    thr = thresholds(sc.scenario.cfg, sc.scenario.fit)
-    rows = evaluate_sweep(sc, thr, workers=workers)
+    rows = evaluate_sweep(sc, workers=workers)
     csv_path = out / f"{sc.label}.csv"
     manifest_path = out / f"{sc.label}.manifest.json"
     write_csv(csv_path, rows, mc_enabled=sc.mc_samples > 0)
-    write_manifest(manifest_path, sc, thr, preset=preset)
+    write_manifest(manifest_path, sc, preset=preset)
     return csv_path, manifest_path
 
 
@@ -454,12 +450,11 @@ def _cmd_validate(args) -> int:
     samples = sc.mc_samples if sc.mc_samples > 0 else 1_000_000
     # one point, at the configured radius and thresholds, whatever the sweep
     row = evaluate_sweep(replace(sc, mc_samples=samples, sweep_axis="radius_m",
-                                 grid=(sc.scenario.params.cell_radius_m,)),
-                         thresholds(sc.scenario.cfg, sc.scenario.fit))[0]
+                                 grid=(sc.scenario.params.cell_radius_m,)))[0]
     failures = 0
     print(f"closed form vs Monte Carlo at n={samples} (score test, |z| <= {_Z_BOUND:.3f}: "
           f"family-wise alpha {_FAMILY_ALPHA:g} over {len(_METRICS)} metrics)")
-    if row["mc_low_precision"]:
+    if samples < 10_000:
         print("  low precision: fewer than 10^4 samples")
     for name in _METRICS:
         analytic = row[name]

@@ -122,7 +122,6 @@ class McEstimate:
 
     estimate: float
     std_error: float
-    low_precision: bool = False
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -440,7 +439,6 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
             per_worker = [f.result() for f in futures]
     hits = sum(h for h, _ in per_worker)
     hist = sum(h for _, h in per_worker)
-    low = n < 10_000
     results = []
     for p in range(len(scenarios)):
         row = []
@@ -453,8 +451,7 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
                 total = int(hits[p, user_kinds.index(kind)])
             p_hat = total / n
             row.append(McEstimate(
-                estimate=p_hat, std_error=math.sqrt(p_hat * (1.0 - p_hat) / n),
-                low_precision=low))
+                estimate=p_hat, std_error=math.sqrt(p_hat * (1.0 - p_hat) / n)))
         results.append(row)
     return results
 
@@ -464,8 +461,6 @@ def estimate(event: Event, n: int, seed: int, scenario: Scenario,
     """Estimate the probability of ``event`` from n independent samples.
 
     A sample is one user draw for per-user events and one full-cell
-    realization (num_users draws) for the count events.  Estimates with
-    fewer than 10^4 samples are flagged low_precision rather than
-    rejected.
+    realization (num_users draws) for the count events.
     """
     return estimate_many([event], n, seed, [scenario], workers=workers)[0][0]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,40 +181,44 @@ def sem_rate(g, cfg: RateConfig, fit: SimilarityFit):
     return _scalar_like(value, g)
 
 
-def _rate_gap(g: float, cfg: RateConfig, fit: SimilarityFit, gap: float) -> float:
+def _rate_gap(g: float, mu: int, fit: SimilarityFit, gap: float) -> float:
     """Normalized semantic-minus-bit rate; its largest zero is g_max."""
     z = fit.c1 * 10.0 * math.log10(g) + fit.c2
     z = min(745.0, max(-745.0, z))
     m = fit.a1 + (fit.a2 - fit.a1) / (1.0 + math.exp(-z))
-    return m / fit.k - math.log2(1.0 + g / gap) / cfg.mu
+    return m / fit.k - math.log2(1.0 + g / gap) / mu
 
 
-def _rate_gap_deriv(g: float, cfg: RateConfig, fit: SimilarityFit, gap: float) -> float:
+def _rate_gap_deriv(g: float, mu: int, fit: SimilarityFit, gap: float) -> float:
     z = fit.c1 * 10.0 * math.log10(g) + fit.c2
     z = min(700.0, max(-700.0, z))
     sig = 1.0 / (1.0 + math.exp(-z))
     dm = (fit.a2 - fit.a1) * sig * (1.0 - sig) * fit.c1 * 10.0 / (g * math.log(10.0))
-    return dm / fit.k - 1.0 / (cfg.mu * math.log(2.0) * (gap + g))
+    return dm / fit.k - 1.0 / (mu * math.log(2.0) * (gap + g))
 
 
-def _solve_rate_crossing(cfg: RateConfig, fit: SimilarityFit, gap: float) -> float:
+@lru_cache(maxsize=128)
+def _solve_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> float:
     """Largest g with sem_rate(g) = bit_rate(g): g_max.
-
-    It depends only on mu, the SNR gap and the fit, never on m_th or r_out.
 
     The bit rate passes the semantic ceiling a2/k at
     g_hi = gamma (2^(mu a2 / k) - 1), so the largest crossing lies below
     g_hi; scan a log grid downwards for the first sign change, bisect,
     then polish with safeguarded Newton steps to machine residual.
+
+    The memo key is exactly what the crossing reads, so configs that
+    differ only in m_th or r_out share one solve.  It is bounded because
+    design queries each bring a new fit; a failed solve is not stored and
+    raises again on the next call.
     """
     try:
-        g_hi = gap * (2.0 ** (cfg.mu * fit.a2 / fit.k) - 1.0)
+        g_hi = gap * (2.0 ** (mu * fit.a2 / fit.k) - 1.0)
     except OverflowError as exc:
-        raise SolverError(f"rate-crossing bracket overflowed for mu={cfg.mu}, a2={fit.a2}, k={fit.k}") from exc
+        raise SolverError(f"rate-crossing bracket overflowed for mu={mu}, a2={fit.a2}, k={fit.k}") from exc
     if not math.isfinite(g_hi) or g_hi <= 0.0:
         raise SolverError(f"rate-crossing upper bracket is not a positive finite SNR: {g_hi}")
 
-    f = lambda g: _rate_gap(g, cfg, fit, gap)
+    f = lambda g: _rate_gap(g, mu, fit, gap)
     hi, f_hi = g_hi, f(g_hi)
     if f_hi >= 0.0:
         # the similarity value rounds onto the ceiling a2 once the
@@ -253,7 +258,7 @@ def _solve_rate_crossing(cfg: RateConfig, fit: SimilarityFit, gap: float) -> flo
         fg = f(g)
         if fg == 0.0:
             break
-        d = _rate_gap_deriv(g, cfg, fit, gap)
+        d = _rate_gap_deriv(g, mu, fit, gap)
         if d == 0.0:
             break
         step = fg / d
@@ -267,10 +272,16 @@ def _solve_rate_crossing(cfg: RateConfig, fit: SimilarityFit, gap: float) -> flo
     return g
 
 
-def _edges(cfg: RateConfig, fit: SimilarityFit) -> dict[str, float]:
-    """The closed-form breakpoints g_min, g_bit and sem_outage_edge, the ones
-    that m_th and r_out move.  The semantic outage edge is 0, ``g_sem`` or
-    infinity as k r_out lies at most a1, inside (a1, a2) or at least a2."""
+def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
+    """Compute the SNR breakpoints: the closed-form edges and the rate crossing.
+
+    g_max, the largest rate crossing, is the one breakpoint that takes an
+    iterative solve.  It depends only on mu, the SNR gap (ber,
+    use_capacity) and the fit, and the solve is memoized on exactly those,
+    so configs that differ only in m_th or r_out solve it once per
+    process.  The semantic outage edge is 0, ``g_sem`` or infinity as
+    k r_out lies at most a1, inside (a1, a2) or at least a2.
+    """
     if not (fit.a1 < cfg.m_th < fit.a2):
         raise ValueError(
             f"similarity threshold {cfg.m_th} must lie strictly between the fit asymptotes ({fit.a1}, {fit.a2})")
@@ -281,25 +292,8 @@ def _edges(cfg: RateConfig, fit: SimilarityFit) -> dict[str, float]:
         edge = math.inf
     else:
         edge = inv_similarity(sim_out, fit)
-    return {"g_min": inv_similarity(cfg.m_th, fit),
-            "g_bit": gamma_gap(cfg) * (2.0 ** (cfg.mu * cfg.r_out) - 1.0),
-            "sem_outage_edge": edge}
-
-
-def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
-    """Compute the SNR breakpoints: the closed-form edges and the rate crossing.
-
-    g_max, the largest rate crossing, depends only on mu, the SNR gap
-    (ber, use_capacity) and the fit; it is the one breakpoint that takes
-    an iterative solve.  For configs that differ only in m_th or r_out,
-    :func:`shift_thresholds` reuses it.
-    """
-    edges = _edges(cfg, fit)
-    return RateThresholds(g_max=_solve_rate_crossing(cfg, fit, gamma_gap(cfg)), **edges)
-
-
-def shift_thresholds(thr: RateThresholds, cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
-    """``thresholds(cfg, fit)`` without the rate-crossing solve: the closed-form
-    edges of cfg with the g_max of ``thr``, which must come from a config that
-    differs from cfg only in m_th or r_out."""
-    return RateThresholds(g_max=thr.g_max, **_edges(cfg, fit))
+    gap = gamma_gap(cfg)
+    return RateThresholds(g_min=inv_similarity(cfg.m_th, fit),
+                          g_bit=gap * (2.0 ** (cfg.mu * cfg.r_out) - 1.0),
+                          sem_outage_edge=edge,
+                          g_max=_solve_rate_crossing(cfg.mu, fit, gap))

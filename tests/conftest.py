@@ -36,7 +36,9 @@ def draw_scenario(rng: np.random.Generator, *, max_users: int = 50,
     the asymptotes), 'high' (at or above a2, semantic rate saturated), or
     None for a random mix.  Fits whose rate curves cross more than once
     are redrawn so the semantic-preference window stays a single
-    interval.
+    interval; ``tests/test_ratemodel.py::
+    test_utilization_window_on_a_multi_crossing_fit`` shows what goes
+    wrong on one.
     """
     from semcell import NetworkParams, RateConfig, SimilarityFit
 

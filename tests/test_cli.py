@@ -244,11 +244,11 @@ class TestRunCommand:
             doc["rate"]["outage_rate_threshold"] = r_out
             sc = parse_scenario_config(doc, label="events")
             path = tmp_path / f"{r_out}.manifest.json"
-            thr = thresholds(sc.scenario.cfg, sc.scenario.fit)
-            write_manifest(path, sc, thr, preset=None)
+            write_manifest(path, sc, preset=None)
             text = path.read_text()
             assert "Infinity" not in text
             derived = json.loads(text)["derived"]
+            thr = thresholds(sc.scenario.cfg, sc.scenario.fit)
             bit, sem = thr.hybrid_outage_parts()
             window = utilization_window(thr)
             assert derived["hybrid_outage"] == {"bit": [list(i) for i in bit],
@@ -447,6 +447,14 @@ class TestValidateCommand:
         report = outage_report(thresholds(sc.scenario.cfg, sc.scenario.fit), sc.scenario.params)
         for name in ("pi_h", "pi_b", "pi_s", "pi_g"):
             assert f"{name}: analytic={getattr(report, name):.6e} " in out, name
+
+    def test_validate_notes_low_precision(self, tmp_path, capsys):
+        doc = table1_config()
+        del doc["sweep"]
+        cfg_path = write_config(tmp_path, doc)
+        for samples, noted in (("5000", True), ("20000", False)):
+            main(["validate", "--config", str(cfg_path), "--mc-samples", samples, "--seed", "3"])
+            assert ("low precision" in capsys.readouterr().out) == noted, samples
 
     def test_validate_catches_wrong_model(self, tmp_path, monkeypatch):
         # poison one closed form and the oracle must flag it

@@ -145,12 +145,6 @@ class TestDeterminism:
         b = estimate(HybridOutage(), 100_000, 2, table1_scenario, workers=2)
         assert a.estimate != b.estimate
 
-    def test_low_precision_flag(self, table1_scenario):
-        est = estimate(HybridOutage(), 5_000, 3, table1_scenario, workers=1)
-        assert est.low_precision
-        est = estimate(HybridOutage(), 20_000, 3, table1_scenario, workers=1)
-        assert not est.low_precision
-
 
 class TestEventProbabilities:
     def test_zero_probability_event(self, table1_params, table1_fit):

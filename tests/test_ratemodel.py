@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from semcell import (RateConfig, SimilarityFit, bit_rate, gamma_gap, inv_similarity,
-                     sem_rate, similarity, thresholds)
+from semcell import (RateConfig, SimilarityFit, SolverError, bit_rate, gamma_gap,
+                     inv_similarity, sem_rate, similarity, thresholds, utilization_window)
+from semcell.ratemodel import _solve_rate_crossing
 from conftest import draw_scenario
 
 
@@ -192,3 +193,45 @@ class TestThresholds:
         with pytest.raises(ValueError):
             thresholds(cfg, table1_fit)
 
+
+class TestRateCrossingMemo:
+    def test_memo_returns_the_fresh_solve(self, table1_fit):
+        rng = np.random.default_rng(131)
+        keys = [(40, table1_fit, gamma_gap(RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.04,
+                                                      use_capacity=capacity)))
+                for capacity in (False, True)]
+        for _ in range(150):
+            _, fit, cfg = draw_scenario(rng)
+            keys.append((cfg.mu, fit, gamma_gap(cfg)))
+        for key in keys:
+            fresh = _solve_rate_crossing.__wrapped__(*key)
+            assert _solve_rate_crossing(*key) == fresh
+            assert _solve_rate_crossing(*key) == fresh
+        assert _solve_rate_crossing(*keys[0]) == 801.8648348545444
+        assert _solve_rate_crossing(*keys[1]) == 223.6714648798875
+
+    def test_failed_solve_raises_again(self):
+        # 2^(mu a2 / k) overflows the bracket; lru_cache stores no exception
+        fit = SimilarityFit(a1=0.37, a2=0.98, c1=0.2525, c2=-0.7895, k=1)
+        cfg = RateConfig(mu=5000, ber=1e-3, m_th=0.75, r_out=0.04)
+        misses = _solve_rate_crossing.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(SolverError, match="overflowed"):
+                thresholds(cfg, fit)
+        assert _solve_rate_crossing.cache_info().misses == misses + 2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: thresholds() keeps only the largest rate "
+                          "crossing, so the utilization window spans a second one")
+def test_utilization_window_on_a_multi_crossing_fit():
+    # the first fit conftest._single_rate_crossing redraws at rng seed 0: the
+    # rate curves cross near g = 0.237, 1.054 and 9.652, and the bit rate
+    # wins on about (0.806, 1.053) inside the window (0.8051, 9.6530)
+    cfg = RateConfig(mu=20, ber=0.005774492237192097, m_th=0.1927671979065681,
+                     r_out=0.007859145290653742, use_capacity=True)
+    fit = SimilarityFit(a1=0.061746575342689174, a2=0.8905643024285452,
+                        c1=0.43829617225885853, c2=-1.2598412067528215, k=5)
+    lo, hi = utilization_window(thresholds(cfg, fit))
+    grid = np.geomspace(lo, hi, 2001)[1:-1]
+    assert np.all(sem_rate(grid, cfg, fit) >= bit_rate(grid, cfg))

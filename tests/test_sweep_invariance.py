@@ -1,9 +1,10 @@
 """What a sweep computes once must equal what each point would compute alone.
 
-A sweep along m_th or r_out solves the rate crossing g_max once and
-rebuilds only the closed-form edges per point; one outage report takes
-the SNR CDF once per distinct breakpoint.  Both must leave every number
-bit for bit as a fresh per-point evaluation gives it.
+A sweep along m_th or r_out solves the rate crossing g_max once (the
+solve is memoized on mu, the SNR gap and the fit) and rebuilds only the
+closed-form edges per point; one outage report takes the SNR CDF once
+per distinct breakpoint.  Both must leave every number bit for bit as a
+fresh per-point evaluation gives it.
 """
 
 from dataclasses import replace
@@ -17,8 +18,8 @@ from conftest import draw_scenario
 from semcell import (NetOutageMode, Scenario, binom_range_prob, network_outage, outage_report,
                      sem_util_prob, thresholds, user_outage_bit, user_outage_hybrid,
                      user_outage_sem)
-from semcell.cli import ScenarioConfig, evaluate_sweep, run_scenario
-from semcell.ratemodel import shift_thresholds
+from semcell.cli import ScenarioConfig, evaluate_sweep, parse_scenario_config, run_scenario
+from semcell.presets import expand_preset, table1_config
 
 
 def _shifted_configs(cfg, fit, rng, count=4):
@@ -66,9 +67,7 @@ def test_rate_crossing_ignores_m_th_and_r_out():
         _, fit, cfg = draw_scenario(rng)
         thr = thresholds(cfg, fit)
         for shifted in _shifted_configs(cfg, fit, rng):
-            fresh = thresholds(shifted, fit)
-            assert fresh.g_max == thr.g_max
-            assert shift_thresholds(thr, shifted, fit) == fresh
+            assert thresholds(shifted, fit).g_max == thr.g_max
 
 
 @pytest.mark.parametrize("axis", ["m_th", "r_out"])
@@ -82,7 +81,7 @@ def test_threshold_axis_rows_equal_fresh_points(axis):
         else:
             grid = np.linspace(0.2 * fit.a1, 1.5 * fit.a2, 12) / fit.k
         sc = _sweep_config(params, fit, cfg, axis, map(float, grid))
-        rows = evaluate_sweep(sc, thresholds(cfg, fit))
+        rows = evaluate_sweep(sc)
         assert rows == [_fresh_row(sc, value) for value in sc.grid]
 
 
@@ -122,18 +121,30 @@ def test_outage_report_takes_each_cdf_once(monkeypatch):
 
 
 @pytest.mark.parametrize("axis", ["m_th", "r_out", "radius_m"])
-def test_one_rate_crossing_per_run(axis, monkeypatch, table1_params, table1_fit, table1_cfg,
-                                   tmp_path):
-    solves = []
-    true_solve = semcell.ratemodel._solve_rate_crossing
-
-    def counted(*args):
-        solves.append(args)
-        return true_solve(*args)
-
-    monkeypatch.setattr(semcell.ratemodel, "_solve_rate_crossing", counted)
+def test_one_rate_crossing_per_run(axis, table1_params, table1_fit, table1_cfg, tmp_path):
+    # a memo miss is a real solve; a hit is not
+    solve = semcell.ratemodel._solve_rate_crossing
+    solve.cache_clear()
     grid = {"m_th": np.linspace(0.4, 0.95, 8), "r_out": np.linspace(0.01, 0.3, 8),
             "radius_m": np.linspace(100.0, 3000.0, 8)}[axis]
     sc = _sweep_config(table1_params, table1_fit, table1_cfg, axis, map(float, grid))
     run_scenario(sc, tmp_path)
-    assert len(solves) == 1
+    assert solve.cache_info().misses == 1
+
+
+def test_reference_sweeps_share_two_rate_crossings(tmp_path):
+    # every preset variant and both threshold axes use the Table-1 fit and
+    # mu, with the uncoded or the capacity SNR gap: two keys in all
+    solve = semcell.ratemodel._solve_rate_crossing
+    solve.cache_clear()
+    base = table1_config()
+    docs = [doc for preset in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
+            for _, doc in expand_preset(base, preset)]
+    for axis, start, stop in (("m_th", 0.4, 0.96), ("r_out", 0.008, 0.28)):
+        doc = table1_config()
+        doc["sweep"] = {"axis": axis, "grid": [float(v) for v in np.linspace(start, stop, 100)]}
+        docs.append(doc)
+    for i, doc in enumerate(docs):
+        run_scenario(parse_scenario_config(doc, label=f"sweep{i}"), tmp_path)
+    assert len(docs) == 27
+    assert solve.cache_info().misses == 2
