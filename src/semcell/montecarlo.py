@@ -7,18 +7,26 @@ never from the piecewise branch tables or the SNR breakpoints the closed
 forms use -- so an agreement check between the two is a genuine
 cross-validation.
 
-Reproducibility: samples are generated in fixed blocks of 2^16.  Block b
-draws from a PCG64DXSM stream (O'Neill 2014) seeded by the b-th spawned
-child of ``SeedSequence(seed)``, so its contents depend only on (seed, b),
-never on which worker draws them.  Every value of a block sits at a fixed
-position of its stream, one 64-bit output per double, and a PCG stream
-can jump ahead by any number of outputs, so the unit of parallel work is
-a row tile of about 2^16 SNR values: it opens the block's stream at its
-own offset and draws only its rows, exactly the values a sequential draw
-of the block puts there.  Tiles of every block share one pool, so even a
-one-block sweep uses every worker.  Workers merge integer event counts,
-so an estimate is bit-identical for any worker count and any split of
-blocks into tiles.
+Cells: every sample is a cell of ``width`` users, one user for the
+per-user events and ``num_users`` for :class:`ExactCount` and
+:class:`RangeCount`.  Every event is "the cells of one width in which a
+per-user indicator holds for lo to hi users"; a per-user event is the
+range [1, 1] on cells of one user, so at ``num_users = 1`` a count event
+and its per-user event count the same cells.
+
+Reproducibility: samples are generated in fixed blocks of 2^16 cells.
+Block b draws from a PCG64DXSM stream (O'Neill 2014) seeded by the b-th
+spawned child of ``SeedSequence(seed)``, so its contents depend only on
+(seed, b), never on which worker draws them.  The stream holds the U1 of
+all the block's cells, then their U2, whatever the width.  Every value
+sits at a fixed position of its stream, one 64-bit output per double,
+and a PCG stream can jump ahead by any number of outputs, so the unit of
+parallel work is a tile of about 2^16 SNR values: it opens the block's
+stream at its own offset and draws only its cells, exactly the values a
+sequential draw of the block puts there.  Tiles of every block share one
+pool, so even a one-block sweep uses every worker.  Workers merge
+integer cell counts, so an estimate is bit-identical for any worker
+count and any split of blocks into tiles.
 
 Draw sharing: :func:`estimate_many` estimates a whole sweep in one call.
 All grid points reuse one set of channel draws per block -- the draws
@@ -51,9 +59,6 @@ from .ratemodel import RateConfig, SimilarityFit, gamma_gap
 
 BLOCK_SIZE = 1 << 16
 SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT)
-# the full-cell stream of a block is a run of U1 then a run of U2 per chunk
-# of this many realizations; it divides BLOCK_SIZE, so every run is whole
-_CHUNK_ROWS = 4096
 _TILE_VALUES = 1 << 16  # SNR values per unit of parallel work, up to rounding
 
 WORKERS_ENV_VAR = "SEMCELL_THREADS"
@@ -266,119 +271,94 @@ def _indicators(kinds: list[type], m: np.ndarray, rate_sem: np.ndarray,
     return out
 
 
-def _point_indicators(g0: np.ndarray, log_g0: np.ndarray,
-                      points: list[tuple[Scenario, float, float]],
-                      kinds: list[type], work: np.ndarray):
-    """Indicators of ``kinds`` at every point from one set of draws ``g0``.
-
-    Point p sees the SNRs g0 * ratio_p; ``log_g0`` is log10(g0).  ``work``
-    holds three buffers shaped like ``g0``; each yielded list is valid
-    until the next one.
-    """
-    m, rate_sem, rate_bit = work
-    for scenario, ratio, gap in points:
-        _curves(g0, log_g0, scenario, ratio, gap, m, rate_sem, rate_bit)
-        yield _indicators(kinds, m, rate_sem, rate_bit, scenario.cfg)
-
-
 @dataclass(frozen=True)
 class _Tile:
-    """``rows`` rows of one block's per-user or full-cell (``counted``) stream.
+    """``rows`` cells of ``width`` users of one block, from cell ``first`` on.
 
-    A sequential draw lays out a block's per-user stream as BLOCK_SIZE U1
-    then BLOCK_SIZE U2 values, and its full-cell stream as one run of U1
-    then one of U2 per chunk of _CHUNK_ROWS realizations.  The tile's U1
-    values start ``start`` values into that sequence, its U2 values ``run``
-    values after them.
+    A block's stream holds the U1 of its BLOCK_SIZE cells, then their U2,
+    each cell's ``width`` values in a row.  The tile's U1 values start
+    ``width * first`` values into the stream, its U2 values
+    ``width * BLOCK_SIZE`` values after them.
     """
 
     block: int
-    counted: bool
-    start: int
+    width: int
+    first: int
     rows: int
-    run: int
 
 
-def _row_tiles(rows: int, width: int) -> list[tuple[int, int]]:
-    """(first row, row count) of near-equal tiles of about _TILE_VALUES values
-    covering ``rows`` rows of ``width`` values."""
-    pieces = -(-rows * width // _TILE_VALUES)
-    step = -(-rows // pieces)
-    return [(first, min(step, rows - first)) for first in range(0, rows, step)]
-
-
-def _tiles(n: int, num_users: int, per_user: bool, full_cell: bool) -> list[_Tile]:
-    """The tiles covering n samples of the per-user and/or full-cell streams."""
-    layouts = [(False, 1, BLOCK_SIZE)] if per_user else []
-    if full_cell:
-        layouts.append((True, num_users, _CHUNK_ROWS))
+def _tiles(n: int, widths: list[int]) -> list[_Tile]:
+    """Near-equal tiles of about _TILE_VALUES values covering n cells of each width."""
     tiles = []
     for block in range(-(-n // BLOCK_SIZE)):
-        used = min(BLOCK_SIZE, n - block * BLOCK_SIZE)
-        for counted, width, run_rows in layouts:
-            for chunk in range(0, used, run_rows):
-                # the chunk's U1 run starts after 2 * chunk rows of U1 and U2
-                tiles += [_Tile(block, counted, width * (2 * chunk + first), rows,
-                                width * run_rows)
-                          for first, rows in _row_tiles(min(run_rows, used - chunk), width)]
+        rows = min(BLOCK_SIZE, n - block * BLOCK_SIZE)
+        for width in widths:
+            pieces = -(-rows * width // _TILE_VALUES)
+            step = -(-rows // pieces)
+            tiles += [_Tile(block, width, first, min(step, rows - first))
+                      for first in range(0, rows, step)]
     return tiles
 
 
 def _tally_tiles(pending: queue.SimpleQueue, largest: int, seed: int,
                  points: list[tuple[Scenario, float, float]],
-                 user_kinds: list[type], count_kinds: list[type]):
-    """(hits[point, kind], hist[point, kind, c]) over the tiles this worker
-    takes from ``pending``: per-user event hits, and full-cell realizations
-    in which the indicator of a count kind holds for exactly c users.
+                 ranges: dict[int, dict[type, list[tuple[int, int, int]]]]) -> np.ndarray:
+    """tally[point, j]: cells over the tiles this worker takes from ``pending``
+    whose indicator count lies in range j.
 
-    The draw and curve buffers hold ``largest`` values, the largest tile's,
-    and serve every tile the worker takes.  Full-cell tiles are evaluated
-    users-major, so a realization's count is a sum down one column.
+    ``ranges[width][kind]`` lists (j, lo, hi): range j counts the cells of
+    ``width`` users in which the indicator of ``kind`` holds for lo to hi
+    users.  The draw and curve buffers hold ``largest`` values, the largest
+    tile's, and serve every tile the worker takes.  A tile is evaluated
+    users-major, so a cell's count is a sum down one column.
     """
     params = points[0][0].params
-    num_users = params.num_users
-    hits = np.zeros((len(points), len(user_kinds)), dtype=np.int64)
-    hist = np.zeros((len(points), len(count_kinds), num_users + 1), dtype=np.int64)
-    count_type = np.min_scalar_type(num_users)  # holds any count, narrow for a fast sum
+    tally = np.zeros((len(points), sum(len(r) for k in ranges.values() for r in k.values())),
+                     dtype=np.int64)
+    count_type = np.min_scalar_type(params.num_users)  # holds any count, narrow for a fast sum
     draws, users_major, work = np.empty(2 * largest), np.empty(largest), np.empty(3 * largest)
     while True:
         try:
             tile = pending.get_nowait()
         except queue.Empty:
-            return hits, hist
-        shape = (tile.rows, num_users) if tile.counted else (tile.rows,)
-        size = math.prod(shape)
-        g0 = sample_user(user_stream(seed, tile.block, tile.start), params, size=shape,
-                         u2_offset=tile.run, out=draws[:2 * size].reshape((2,) + shape))
-        if tile.counted:
-            transposed = users_major[:size].reshape(num_users, tile.rows)
-            np.copyto(transposed, g0.T)
-            g0 = transposed
+            return tally
+        width, rows = tile.width, tile.rows
+        size = width * rows
+        g0 = sample_user(user_stream(seed, tile.block, width * tile.first), params,
+                         size=(rows, width), u2_offset=width * BLOCK_SIZE,
+                         out=draws[:2 * size].reshape(2, rows, width))
+        cells = users_major[:size].reshape(width, rows)
+        np.copyto(cells, g0.T)
         # the U1 half of the draw buffer is dead once the SNRs are drawn
         with np.errstate(divide="ignore"):
-            log_g0 = np.log10(g0, out=draws[:size].reshape(g0.shape))
-        kinds = count_kinds if tile.counted else user_kinds
-        curves = work[:3 * size].reshape((3,) + g0.shape)
-        for p, flags in enumerate(_point_indicators(g0, log_g0, points, kinds, curves)):
-            for j, flag in enumerate(flags):
-                if tile.counted:
-                    counts = flag.view(np.uint8).sum(axis=0, dtype=count_type)
-                    hist[p, j] += np.bincount(counts, minlength=num_users + 1)
-                else:
-                    hits[p, j] += np.count_nonzero(flag)
+            log_g0 = np.log10(cells, out=draws[:size].reshape(width, rows))
+        m, rate_sem, rate_bit = work[:3 * size].reshape(3, width, rows)
+        kinds = ranges[width]
+        for p, (scenario, ratio, gap) in enumerate(points):
+            _curves(cells, log_g0, scenario, ratio, gap, m, rate_sem, rate_bit)
+            flags = _indicators(list(kinds), m, rate_sem, rate_bit, scenario.cfg)
+            for flag, kind_ranges in zip(flags, kinds.values()):
+                counts = flag.view(np.uint8).sum(axis=0, dtype=count_type)
+                for j, lo, hi in kind_ranges:
+                    tally[p, j] += np.count_nonzero((counts >= lo) & (counts <= hi))
 
 
-def _validate_event(event: Event, num_users: int) -> None:
+def _cell_event(event: Event, num_users: int) -> tuple[int, type, int, int]:
+    """(width, kind, lo, hi): ``event`` holds for a cell of ``width`` users in
+    which the per-user event ``kind`` holds for lo to hi of them."""
+    if isinstance(event, UserEvent):
+        return 1, type(event), 1, 1
     if isinstance(event, ExactCount):
-        if not (0 <= event.count <= num_users):
-            raise ValueError(f"count must lie in [0, {num_users}], got {event.count}")
+        lo = hi = event.count
     elif isinstance(event, RangeCount):
-        if not (0 <= event.count_lo <= event.count_hi <= num_users):
-            raise ValueError(
-                f"need 0 <= count_lo <= count_hi <= {num_users}, "
-                f"got ({event.count_lo}, {event.count_hi})")
-    elif not isinstance(event, (BitOutage, SemOutage, HybridOutage, SemUtilization)):
+        lo, hi = event.count_lo, event.count_hi
+    else:
         raise TypeError(f"unknown event {event!r}")
+    if not 0 <= lo <= hi <= num_users:
+        raise ValueError(f"count range [{lo}, {hi}] must satisfy 0 <= lo <= hi <= {num_users}")
+    if not isinstance(event.indicator, UserEvent):
+        raise TypeError(f"indicator must be a per-user event, got {event.indicator!r}")
+    return num_users, type(event.indicator), lo, hi
 
 
 def _shared(scenario: Scenario) -> tuple:
@@ -390,7 +370,9 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
     """Estimate several events at several grid points from shared draws.
 
     Returns one list per scenario, one estimate per event.  The scenarios
-    must share ``num_users``, ``pathloss_exp`` and ``fit``.  Each event
+    must share ``num_users``, ``pathloss_exp`` and ``fit``.  Events are
+    grouped by cell width, and the events of one width share its draws
+    and one tally per distinct (indicator, count range).  Each event
     at each point sees the samples :func:`estimate` would draw for it
     alone, the SNRs scaled by c_L R^(-a) of that point over c_L R^(-a) of
     the first (see the module docstring); on points with the first
@@ -407,52 +389,39 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
     first = scenarios[0]
     if any(_shared(s) != _shared(first) for s in scenarios[1:]):
         raise ValueError("the scenarios of one sweep must share num_users, pathloss_exp and fit")
-    for event in events:
-        _validate_event(event, first.params.num_users)
+    cell_events = [_cell_event(e, first.params.num_users) for e in events]
     if not events:
         return [[] for _ in scenarios]
-    counted = [isinstance(e, (ExactCount, RangeCount)) for e in events]
-    kinds = [type(e.indicator) if c else type(e) for e, c in zip(events, counted)]
-    user_kinds = list(dict.fromkeys(k for k, c in zip(kinds, counted) if not c))
-    count_kinds = list(dict.fromkeys(k for k, c in zip(kinds, counted) if c))
+    keys = list(dict.fromkeys(cell_events))
+    ranges = {}
+    for j, (width, kind, lo, hi) in enumerate(keys):
+        ranges.setdefault(width, {}).setdefault(kind, []).append((j, lo, hi))
     p0 = first.params
     # (c_L R^(-a)) / (c_L0 R0^(-a)) as two ratios, so that neither scale can underflow
     points = [(s, snr_scale(s.params) / snr_scale(p0)
                * (s.params.cell_radius_m / p0.cell_radius_m) ** (-p0.pathloss_exp),
                gamma_gap(s.cfg)) for s in scenarios]
-    num_users = p0.num_users
-    tiles = _tiles(n, num_users, bool(user_kinds), bool(count_kinds))
-    largest = max(t.rows * (num_users if t.counted else 1) for t in tiles)
+    tiles = _tiles(n, list(ranges))
+    largest = max(t.width * t.rows for t in tiles)
     pending = queue.SimpleQueue()
     for tile in tiles:
         pending.put(tile)
     n_workers = min(resolve_workers(workers), len(tiles))
 
     def tally():
-        return _tally_tiles(pending, largest, seed, points, user_kinds, count_kinds)
+        return _tally_tiles(pending, largest, seed, points, ranges)
 
     if n_workers <= 1:
-        per_worker = [tally()]
+        totals = tally()
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(tally) for _ in range(n_workers)]
-            per_worker = [f.result() for f in futures]
-    hits = sum(h for h, _ in per_worker)
-    hist = sum(h for _, h in per_worker)
+            totals = sum(f.result() for f in futures)
+    columns = [keys.index(c) for c in cell_events]
     results = []
-    for p in range(len(scenarios)):
-        row = []
-        for event, kind, c in zip(events, kinds, counted):
-            if c:
-                lo, hi = ((event.count, event.count) if isinstance(event, ExactCount)
-                          else (event.count_lo, event.count_hi))
-                total = int(hist[p, count_kinds.index(kind), lo:hi + 1].sum())
-            else:
-                total = int(hits[p, user_kinds.index(kind)])
-            p_hat = total / n
-            row.append(McEstimate(
-                estimate=p_hat, std_error=math.sqrt(p_hat * (1.0 - p_hat) / n)))
-        results.append(row)
+    for row in totals:
+        p_hats = [int(row[j]) / n for j in columns]
+        results.append([McEstimate(p, math.sqrt(p * (1.0 - p) / n)) for p in p_hats])
     return results
 
 
@@ -460,7 +429,7 @@ def estimate(event: Event, n: int, seed: int, scenario: Scenario,
              workers: int | None = None) -> McEstimate:
     """Estimate the probability of ``event`` from n independent samples.
 
-    A sample is one user draw for per-user events and one full-cell
-    realization (num_users draws) for the count events.
+    A sample is a cell of one user for per-user events and of num_users
+    users for the count events.
     """
     return estimate_many([event], n, seed, [scenario], workers=workers)[0][0]

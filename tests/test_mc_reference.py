@@ -10,13 +10,20 @@ count shows here.
 Regenerate the pins, only when a change to the estimates is intended::
 
     PYTHONPATH=src python tests/test_mc_reference.py
+
+Before it overwrites a pin, it prints per CSV and per ``mc_*`` column the
+number of cells that change and the largest |z| of the old and of the new
+estimates against the closed form, over the informative cells
+(n min(p, 1 - p) >= 1).
 """
 
+import csv
+import io
 from pathlib import Path
 
 import pytest
 
-from semcell.cli import parse_scenario_config, run_scenario
+from semcell.cli import _score_z, parse_scenario_config, run_scenario
 from semcell.presets import table1_config
 
 DATA = Path(__file__).resolve().parent / "data" / "mc_reference"
@@ -47,6 +54,22 @@ def test_mc_columns_regenerate(workers, tmp_path):
     assert sorted(p.stem for p in DATA.glob("*.csv")) == sorted(_configs())
 
 
+def _largest_z(rows: list[dict[str, str]], column: str, n: int) -> float:
+    """Largest |z| of ``column``'s estimates against the closed form, over informative cells."""
+    analytic = column.removeprefix("mc_")
+    return max((abs(_score_z(float(row[column]), float(row[analytic]), n)) for row in rows
+                if n * min(float(row[analytic]), 1.0 - float(row[analytic])) >= 1.0),
+               default=0.0)
+
+
+def _pin_changes(old_csv: str, new_csv: str, n: int) -> list[tuple[str, int, float, float]]:
+    """(column, cells changed, largest old |z|, largest new |z|) per ``mc_*`` column."""
+    old, new = (list(csv.DictReader(io.StringIO(text))) for text in (old_csv, new_csv))
+    columns = [c for c in new[0] if c.startswith("mc_") and not c.endswith("_stderr")]
+    return [(c, sum(a[c] != b[c] for a, b in zip(old, new)), _largest_z(old, c, n),
+             _largest_z(new, c, n)) for c in columns]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -54,5 +77,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for label, doc in _configs().items():
             csv_path, _ = run_scenario(parse_scenario_config(doc, label=label), tmp)
-            (DATA / csv_path.name).write_bytes(csv_path.read_bytes())
-            print(f"wrote {DATA / csv_path.name}")
+            pin = DATA / csv_path.name
+            if pin.exists():
+                print(f"{pin.name}: column, cells changed, largest |z| old -> new")
+                for column, changed, z_old, z_new in _pin_changes(
+                        pin.read_text(), csv_path.read_text(), doc["mc"]["samples"]):
+                    print(f"  {column:>14} {changed:3d}  {z_old:.3f} -> {z_new:.3f}")
+            pin.write_bytes(csv_path.read_bytes())
+            print(f"wrote {pin}")

@@ -140,6 +140,16 @@ class TestDeterminism:
             batch = estimate_many([event, HybridOutage()], n, 31, [table1_scenario], workers=3)[0][0]
             assert single.estimate == batch.estimate
 
+    def test_one_user_cells_are_shared(self, table1_scenario):
+        # at one user a count event and its per-user event count the same cells
+        params = replace(table1_scenario.params, num_users=1, cell_radius_m=1500.0)
+        scenario = replace(table1_scenario, params=params)
+        events = [RangeCount(1, 1), ExactCount(1), HybridOutage(),
+                  RangeCount(1, 1, indicator=SemUtilization()), SemUtilization()]
+        got = [e.estimate for e in estimate_many(events, 70_001, 5, [scenario], workers=2)[0]]
+        assert got[0] == got[1] == got[2]
+        assert got[3] == got[4]
+
     def test_seed_changes_estimate(self, table1_scenario):
         a = estimate(HybridOutage(), 100_000, 1, table1_scenario, workers=2)
         b = estimate(HybridOutage(), 100_000, 2, table1_scenario, workers=2)
@@ -220,6 +230,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             estimate(HybridOutage(), 0, 1, table1_scenario)
 
+    @pytest.mark.parametrize("event, message", [
+        (RangeCount(1, 30, indicator=BitOutage), "indicator"),
+        (ExactCount(2, indicator="typo"), "indicator"),
+        (BitOutage, "unknown event"),
+    ], ids=["indicator_class", "indicator_string", "event_class"])
+    def test_non_events_rejected(self, table1_scenario, event, message):
+        # an event class in place of an instance, or a misspelt indicator
+        with pytest.raises(TypeError, match=message):
+            estimate(event, 5_000, 1, table1_scenario, workers=1)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, table1_scenario, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -295,7 +315,9 @@ def _reference_count_matches(event, counts):
 
 def _reference_hits(events, n, seed, scenario):
     """Hits of every event at one point: each block draws its own SNRs from
-    the point's parameters, and each event re-evaluates the rate curves."""
+    the point's parameters, in one sequential draw of BLOCK_SIZE users for the
+    per-user events and one of BLOCK_SIZE full cells for the count events,
+    and each event re-evaluates the rate curves."""
     params = scenario.params
     gap = gamma_gap(scenario.cfg)
     hits = [0] * len(events)
@@ -306,18 +328,12 @@ def _reference_hits(events, n, seed, scenario):
             if not isinstance(event, (ExactCount, RangeCount)):
                 mask = _reference_user_event_mask(event, g, scenario, gap)
                 hits[i] += int(np.count_nonzero(mask[:rows_used]))
-        stream = user_stream(seed, block_index)
-        done = 0
-        while done < rows_used:
-            take = min(4096, BLOCK_SIZE - done)
-            g = sample_user(stream, params, size=(take, params.num_users))
-            used = min(take, rows_used - done)
-            for i, event in enumerate(events):
-                if isinstance(event, (ExactCount, RangeCount)):
-                    counts = _reference_user_event_mask(
-                        event.indicator, g, scenario, gap).sum(axis=1)
-                    hits[i] += _reference_count_matches(event, counts[:used])
-            done += take
+        g = sample_user(user_stream(seed, block_index), params,
+                        size=(BLOCK_SIZE, params.num_users))
+        for i, event in enumerate(events):
+            if isinstance(event, (ExactCount, RangeCount)):
+                counts = _reference_user_event_mask(event.indicator, g, scenario, gap).sum(axis=1)
+                hits[i] += _reference_count_matches(event, counts[:rows_used])
     return hits
 
 
@@ -428,12 +444,13 @@ class TestRowTiles:
 
     @pytest.mark.parametrize("n", [5_000, BLOCK_SIZE + 3_000])
     def test_draws_only_the_rows_used(self, table1_scenario, monkeypatch, n):
+        # a per-user sample is a cell of one user: its draws are shaped (rows, 1)
         drawn = {"per_user": 0, "full_cell": 0}
         sample = montecarlo.sample_user
 
         def counting(stream, params, size=None, **kwargs):
-            shape = np.atleast_1d(1 if size is None else size)
-            drawn["full_cell" if len(shape) == 2 else "per_user"] += int(shape[0])
+            rows, width = size
+            drawn["per_user" if width == 1 else "full_cell"] += rows
             return sample(stream, params, size=size, **kwargs)
 
         monkeypatch.setattr(montecarlo, "sample_user", counting)
