@@ -23,10 +23,18 @@ sits at a fixed position of its stream, one 64-bit output per double,
 and a PCG stream can jump ahead by any number of outputs, so the unit of
 parallel work is a tile of about 2^16 SNR values: it opens the block's
 stream at its own offset and draws only its cells, exactly the values a
-sequential draw of the block puts there.  Tiles of every block share one
-pool, so even a one-block sweep uses every worker.  Workers merge
-integer cell counts, so an estimate is bit-identical for any worker
-count and any split of blocks into tiles.
+sequential draw of the block puts there.  The tiles of every block are
+dealt out together, so even a one-block sweep uses every worker.
+
+Workers: each worker is a process forked from the caller and tallies a
+fixed share of the tiles (every n-th one); the caller adds up the
+workers' integer cell counts.  No tile depends on another and integer
+sums do not depend on their order, so an estimate is bit-identical for
+any worker count and any split of blocks into tiles.  The worker count
+is capped by the CPUs this process may run on.  A worker's exception
+reaches the caller, and every worker has exited when
+:func:`estimate_many` returns or raises.  Where ``fork`` is missing
+(Windows), the tiles run in the calling process.
 
 Draw sharing: :func:`estimate_many` estimates a whole sweep in one call.
 All grid points reuse one set of channel draws per block -- the draws
@@ -37,19 +45,19 @@ errors of the points of one sweep are therefore correlated (common
 random numbers): a curve is smoother than its per-point standard errors
 suggest, and its points are not independent checks.
 
-Evaluation: a tile takes log10 of its SNRs once, into the half of its
-draw buffer that held U1, so each point costs one exp, one log2 and one
-divide over the tile (see :func:`_curves`).  tests/data/mc_reference
-pins the Monte Carlo columns of three sweeps byte for byte.
+Evaluation: a tile raises its SNRs to the similarity curve's power
+-10 c1 / ln 10 once, into the half of its draw buffer that held U1 (see
+:func:`_odds`), so each point costs one log2, one divide and
+multiplications over the tile (see :func:`_curves`).
+tests/data/mc_reference pins the Monte Carlo columns of three sweeps
+byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +68,7 @@ from .ratemodel import RateConfig, SimilarityFit, gamma_gap
 BLOCK_SIZE = 1 << 16
 SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT)
 _TILE_VALUES = 1 << 16  # SNR values per unit of parallel work, up to rounding
+_LOG_MAX = math.log(sys.float_info.max)  # e^x is finite for |x| <= _LOG_MAX
 
 WORKERS_ENV_VAR = "SEMCELL_THREADS"
 
@@ -129,9 +138,21 @@ class McEstimate:
     std_error: float
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else SEMCELL_THREADS, else the
-    number of CPUs this process may run on."""
+    """Requested worker count: explicit argument, else SEMCELL_THREADS, else
+    the number of CPUs this process may run on.
+
+    Workers are processes; SEMCELL_THREADS keeps its name from when they
+    were threads.  :func:`estimate_many` starts at most one per usable CPU
+    and per tile, whatever is requested here.
+    """
     if workers is not None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -145,9 +166,7 @@ def resolve_workers(workers: int | None = None) -> int:
         if value < 1:
             raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
         return value
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def user_stream(seed: int, block_index: int, offset: int = 0) -> np.random.Generator:
@@ -202,42 +221,52 @@ def sample_user(stream: np.random.Generator, params: NetworkParams, size,
     return g
 
 
-def _curves(g0: np.ndarray, log_g0: np.ndarray, scenario: Scenario, ratio: float, gap: float,
+def _odds(g: np.ndarray, fit: SimilarityFit, out: np.ndarray | None = None) -> np.ndarray:
+    """e^(-c1 10 log10 g) = g^(-10 c1 / ln 10): the odds against the
+    similarity curve's logistic at SNR g, before its factor e^(-c2).
+
+    Taken once per tile.  Inf at g = 0 and 0 at g = inf, never NaN on
+    the SNRs :func:`sample_user` draws (in [0, inf]); it leaves the float
+    range where |c1 10 log10 g| exceeds about 709, far beyond the
+    logistic's transition.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.power(g, -10.0 * fit.c1 / math.log(10.0), out=out)
+
+
+def _curves(g0: np.ndarray, odds0: np.ndarray, scenario: Scenario, ratio: float, gap: float,
             m: np.ndarray, rate_sem: np.ndarray, rate_bit: np.ndarray) -> None:
     """Similarity, semantic rate and bit rate at SNR g0 * ratio, into the last three arguments.
 
-    ``log_g0`` is log10(g0), taken once per tile, so a point costs one exp,
-    one log2 and one divide.  Operation by operation, in this order:
+    ``odds0`` is :func:`_odds` of g0, so a point costs one log2 and one
+    divide.  Operation by operation, in this order:
 
     * rate_bit = log2(1 + g0 * (ratio / gap)) * (1 / mu);
-    * m = a1 + (a2 - a1) / (1 + e^(log_g0 * (-10 c1) + (-10 c1 log10(ratio) - c2))),
-      the logistic of z = c1 10 log10(g0 ratio) + c2 with the sign folded
-      into the constants;
+    * m = a1 + (a2 - a1) / (1 + odds0 * e^(-10 c1 log10(ratio) - c2)),
+      the logistic of z = c1 10 log10(g0 ratio) + c2, whose odds e^(-z)
+      are odds0 times one scale per point;
     * rate_sem = m * (1 / k).
 
-    The exponent needs no clip: ``g0`` lies in [0, inf] and is never NaN
-    (see :func:`sample_user`) and c1 > 0, so the exponent is never NaN;
-    beyond +-745 exp saturates to inf or 0, which already gives m = a1 or
-    m = a1 + (a2 - a1), the values at the bounds of a clip.  A ``ratio``
-    of 0, inf or NaN (SNR scales beyond the float range) takes the largest
-    finite offset, of the sign of -log10(ratio) and positive at NaN, so m
-    is that of the SNR g0 * ratio, and a1 where that product is NaN,
-    except for g0 = inf at ratio 0 or NaN.
+    The scale is clamped to [e^-709, e^709], inside the float range, so
+    the odds are never NaN: m = a1 at g0 = 0 and m = a1 + (a2 - a1) at
+    g0 = inf, whatever the ratio.  A ``ratio`` of 0 or NaN takes the
+    largest scale and a ``ratio`` of inf the smallest (SNR scales beyond
+    the float range): for every g0 in [10^(-67 / c1), 10^(67 / c1)], m
+    then differs from that of the SNR g0 * ratio, a1 or a1 + (a2 - a1),
+    by at most 2e-17 (a2 - a1) plus rounding.
     """
     fit, cfg = scenario.fit, scenario.cfg
-    slope = -10.0 * fit.c1
     if 0.0 < ratio < math.inf:
-        offset = slope * math.log10(ratio) - fit.c2
+        log_scale = -10.0 * fit.c1 * math.log10(ratio) - fit.c2
     else:
-        offset = -sys.float_info.max if ratio == math.inf else sys.float_info.max
+        log_scale = -_LOG_MAX if ratio == math.inf else _LOG_MAX
+    scale = math.exp(min(max(log_scale, -_LOG_MAX), _LOG_MAX))
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(g0, ratio / gap, out=rate_bit)
         np.add(rate_bit, 1.0, out=rate_bit)
         np.log2(rate_bit, out=rate_bit)
         np.multiply(rate_bit, 1.0 / cfg.mu, out=rate_bit)
-        np.multiply(log_g0, slope, out=m)
-        np.add(m, offset, out=m)
-        np.exp(m, out=m)
+        np.multiply(odds0, scale, out=m)
         np.add(m, 1.0, out=m)
         np.divide(fit.a2 - fit.a1, m, out=m)
         np.add(m, fit.a1, out=m)
@@ -300,28 +329,23 @@ def _tiles(n: int, widths: list[int]) -> list[_Tile]:
     return tiles
 
 
-def _tally_tiles(pending: queue.SimpleQueue, largest: int, seed: int,
-                 points: list[tuple[Scenario, float, float]],
+def _tally_tiles(tiles: list[_Tile], seed: int, points: list[tuple[Scenario, float, float]],
                  ranges: dict[int, dict[type, list[tuple[int, int, int]]]]) -> np.ndarray:
-    """tally[point, j]: cells over the tiles this worker takes from ``pending``
-    whose indicator count lies in range j.
+    """tally[point, j]: cells over ``tiles`` whose indicator count lies in range j.
 
     ``ranges[width][kind]`` lists (j, lo, hi): range j counts the cells of
     ``width`` users in which the indicator of ``kind`` holds for lo to hi
-    users.  The draw and curve buffers hold ``largest`` values, the largest
-    tile's, and serve every tile the worker takes.  A tile is evaluated
-    users-major, so a cell's count is a sum down one column.
+    users.  The draw and curve buffers hold as many values as the largest
+    tile and serve every tile.  A tile is evaluated users-major, so a
+    cell's count is a sum down one column.
     """
-    params = points[0][0].params
+    params, fit = points[0][0].params, points[0][0].fit
     tally = np.zeros((len(points), sum(len(r) for k in ranges.values() for r in k.values())),
                      dtype=np.int64)
     count_type = np.min_scalar_type(params.num_users)  # holds any count, narrow for a fast sum
+    largest = max((t.width * t.rows for t in tiles), default=0)
     draws, users_major, work = np.empty(2 * largest), np.empty(largest), np.empty(3 * largest)
-    while True:
-        try:
-            tile = pending.get_nowait()
-        except queue.Empty:
-            return tally
+    for tile in tiles:
         width, rows = tile.width, tile.rows
         size = width * rows
         g0 = sample_user(user_stream(seed, tile.block, width * tile.first), params,
@@ -330,17 +354,17 @@ def _tally_tiles(pending: queue.SimpleQueue, largest: int, seed: int,
         cells = users_major[:size].reshape(width, rows)
         np.copyto(cells, g0.T)
         # the U1 half of the draw buffer is dead once the SNRs are drawn
-        with np.errstate(divide="ignore"):
-            log_g0 = np.log10(cells, out=draws[:size].reshape(width, rows))
+        odds0 = _odds(cells, fit, out=draws[:size].reshape(width, rows))
         m, rate_sem, rate_bit = work[:3 * size].reshape(3, width, rows)
         kinds = ranges[width]
         for p, (scenario, ratio, gap) in enumerate(points):
-            _curves(cells, log_g0, scenario, ratio, gap, m, rate_sem, rate_bit)
+            _curves(cells, odds0, scenario, ratio, gap, m, rate_sem, rate_bit)
             flags = _indicators(list(kinds), m, rate_sem, rate_bit, scenario.cfg)
             for flag, kind_ranges in zip(flags, kinds.values()):
                 counts = flag.view(np.uint8).sum(axis=0, dtype=count_type)
                 for j, lo, hi in kind_ranges:
                     tally[p, j] += np.count_nonzero((counts >= lo) & (counts <= hi))
+    return tally
 
 
 def _cell_event(event: Event, num_users: int) -> tuple[int, type, int, int]:
@@ -377,7 +401,8 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
     alone, the SNRs scaled by c_L R^(-a) of that point over c_L R^(-a) of
     the first (see the module docstring); on points with the first
     point's network parameters the estimates are exactly those of
-    :func:`estimate`.
+    :func:`estimate`.  ``workers`` (see :func:`resolve_workers`) sets
+    the worker processes, at most one per usable CPU and per tile.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -402,20 +427,18 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
                * (s.params.cell_radius_m / p0.cell_radius_m) ** (-p0.pathloss_exp),
                gamma_gap(s.cfg)) for s in scenarios]
     tiles = _tiles(n, list(ranges))
-    largest = max(t.width * t.rows for t in tiles)
-    pending = queue.SimpleQueue()
-    for tile in tiles:
-        pending.put(tile)
-    n_workers = min(resolve_workers(workers), len(tiles))
-
-    def tally():
-        return _tally_tiles(pending, largest, seed, points, ranges)
-
-    if n_workers <= 1:
-        totals = tally()
+    n_workers = min(resolve_workers(workers), _usable_cpus(), len(tiles))
+    if n_workers <= 1 or not hasattr(os, "fork"):
+        totals = _tally_tiles(tiles, seed, points, ranges)
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(tally) for _ in range(n_workers)]
+        # imported here, so that no command pays for it at start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a worker starts from this process's imports, not a fresh numpy import
+        with ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_tally_tiles, tiles[w::n_workers], seed, points, ranges)
+                       for w in range(n_workers)]
             totals = sum(f.result() for f in futures)
     columns = [keys.index(c) for c in cell_events]
     results = []

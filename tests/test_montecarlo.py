@@ -1,5 +1,5 @@
 import math
-import sys
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +16,10 @@ from semcell import montecarlo
 from semcell.montecarlo import BLOCK_SIZE
 from semcell.presets import table1_config
 from conftest import draw_scenario
+
+
+class _DrawFailed(Exception):
+    """Raised by a patched draw inside a Monte Carlo worker."""
 
 
 class _StubStream:
@@ -444,7 +448,8 @@ class TestRowTiles:
 
     @pytest.mark.parametrize("n", [5_000, BLOCK_SIZE + 3_000])
     def test_draws_only_the_rows_used(self, table1_scenario, monkeypatch, n):
-        # a per-user sample is a cell of one user: its draws are shaped (rows, 1)
+        # a per-user sample is a cell of one user: its draws are shaped (rows, 1);
+        # counted in this process, at one worker: the tile plan is that of any count
         drawn = {"per_user": 0, "full_cell": 0}
         sample = montecarlo.sample_user
 
@@ -454,27 +459,49 @@ class TestRowTiles:
             return sample(stream, params, size=size, **kwargs)
 
         monkeypatch.setattr(montecarlo, "sample_user", counting)
-        estimate_many([HybridOutage(), RangeCount(1, 30)], n, 3, [table1_scenario], workers=2)
+        estimate_many([HybridOutage(), RangeCount(1, 30)], n, 3, [table1_scenario], workers=1)
         assert drawn == {"per_user": n, "full_cell": n}
 
     def test_many_workers_lose_no_tile(self, table1_params, table1_fit, table1_cfg, monkeypatch):
-        # more workers than cores and a short switch interval: every tile is
-        # taken from the shared queue by exactly one worker
+        # more workers requested than there are CPUs: the processes started
+        # tally every tile exactly once between them
         scenario = Scenario(replace(table1_params, num_users=5), table1_fit, table1_cfg)
         events = [HybridOutage(), RangeCount(1, 5)]
         monkeypatch.setattr(montecarlo, "_TILE_VALUES", 256)
         expected = estimate_many(events, 20_003, 12, [scenario], workers=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = estimate_many(events, 20_003, 12, [scenario], workers=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == expected
+        assert estimate_many(events, 20_003, 12, [scenario], workers=8) == expected
+
+    def test_shares_add_up_to_the_whole_tally(self, table1_params, table1_fit, table1_cfg,
+                                              monkeypatch):
+        # the shares of k workers, every k-th tile, tallied in this process:
+        # even and uneven splits, and more workers than tiles
+        params = replace(table1_params, num_users=4)
+        points = [(Scenario(replace(params, cell_radius_m=r), table1_fit, table1_cfg),
+                   (r / 500.0) ** -3.0, gamma_gap(table1_cfg)) for r in (500.0, 1500.0)]
+        ranges = {1: {HybridOutage: [(0, 1, 1)]},
+                  4: {HybridOutage: [(1, 2, 4)], SemUtilization: [(2, 0, 1)]}}
+        monkeypatch.setattr(montecarlo, "_TILE_VALUES", 4_096)
+        tiles = montecarlo._tiles(BLOCK_SIZE + 5_003, [1, 4])
+        assert len(tiles) > 16
+        whole = montecarlo._tally_tiles(tiles, 6, points, ranges)
+        assert whole.sum() > 0
+        for k in (1, 2, 3, 16, len(tiles) + 1):
+            shares = [montecarlo._tally_tiles(tiles[w::k], 6, points, ranges) for w in range(k)]
+            assert np.array_equal(sum(shares), whole)
+
+    def test_worker_failure_reaches_the_caller(self, table1_scenario, monkeypatch):
+        # forked workers inherit the patch; the pool is gone once the error is raised
+        def failing(*args, **kwargs):
+            raise _DrawFailed("draw failed")
+
+        monkeypatch.setattr(montecarlo, "sample_user", failing)
+        with pytest.raises(_DrawFailed):
+            estimate_many([HybridOutage()], 3 * BLOCK_SIZE, 1, [table1_scenario], workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestCurves:
-    """Rate curves from a log-SNR taken once per tile."""
+    """Rate curves from an SNR power taken once per tile."""
 
     @pytest.mark.parametrize("case", range(12))
     def test_saturated_snrs(self, case):
@@ -482,11 +509,10 @@ class TestCurves:
         fit, cfg = scenario.fit, scenario.cfg
         gap = gamma_gap(cfg)
         g0 = np.array([0.0, 5e-324, 1e-300, 1e300, np.inf])
-        with np.errstate(divide="ignore"):
-            log_g0 = np.log10(g0)
+        odds0 = montecarlo._odds(g0, fit)
         for ratio in (1.0, 0.37, 2.9e3):
             work = np.empty((3, g0.size))
-            montecarlo._curves(g0, log_g0, scenario, ratio, gap, *work)
+            montecarlo._curves(g0, odds0, scenario, ratio, gap, *work)
             m, rate_sem, rate_bit = work
             assert not np.isnan(work).any()
             # the closed form's own limits: a1 at zero SNR, a1 + (a2 - a1) at infinity
@@ -499,6 +525,13 @@ class TestCurves:
                             bit_rate(g[finite], cfg)]
             for got, want in zip((m, rate_sem, rate_bit), expected):
                 assert np.all(np.abs(got[finite] - want) <= 4 * np.spacing(np.abs(want)))
+        # SNR scales beyond the float range: the similarity still saturates at g0 = 0 and inf
+        for ratio in (0.0, np.inf, np.nan):
+            work = np.empty((3, g0.size))
+            montecarlo._curves(g0, odds0, scenario, ratio, gap, *work)
+            m = work[0]
+            assert not np.isnan(m).any()
+            assert m[0] == fit.a1 and m[-1] == similarity(np.inf, fit)
 
     @pytest.mark.parametrize("first, second, outage", [
         ({}, dict(cell_radius_m=1e150), 1.0),

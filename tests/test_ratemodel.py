@@ -222,7 +222,7 @@ class TestRateCrossingMemo:
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: thresholds() keeps only the largest rate "
+                   reason="ROADMAP item 8: thresholds() keeps only the largest rate "
                           "crossing, so the utilization window spans a second one")
 def test_utilization_window_on_a_multi_crossing_fit():
     # the first fit conftest._single_rate_crossing redraws at rng seed 0: the
