@@ -7,8 +7,9 @@ h(x) = phi(x) - e^(-x) (see :func:`~semcell.specfun.kummer_pair`).
 
 * The largest radius keeping the probability of ``count_floor`` or more
   users in outage below a target solves the level equation
-  phi(y_th t) = u_th: in closed form via the Lambert W function under
-  free-space path loss, numerically otherwise.
+  F(y_th t) = pi_star for the per-user outage probability F = 1 - phi:
+  in closed form via the Lambert W function under free-space path loss,
+  numerically otherwise.
 * The radius placing the number of semantically served users in a
   desired range with maximum probability is one of the stationary points
   of the range probability: the peak of the per-user utilization
@@ -20,9 +21,14 @@ h(x) = phi(x) - e^(-x) (see :func:`~semcell.specfun.kummer_pair`).
   :func:`~semcell.outage.sem_util_prob` and its radius derivative evaluate.
 
 Every numeric equation is bracketed in closed form and solved by
-:func:`~semcell.specfun.bracketed_root` (safeguarded Newton in ln t);
-each solution records the solver's iteration count and the residual of
-the equation it solved.
+:func:`~semcell.specfun.bracketed_root` (safeguarded Newton in ln t).
+The level equations are solved on a log scale, ln(value) - ln(level),
+where they are nearly linear near their far bracket end, so Newton from
+that end lands close to the root and strict outage caps keep their
+relative precision.  A utilization query evaluates its curve once per
+distinct t, shared by the peak, the level roots and the reported range
+probabilities.  Each solution records the solver's iteration count and
+the residual of the equation it solved.
 """
 
 from __future__ import annotations
@@ -47,20 +53,26 @@ class SolveMethod(enum.Enum):
 class DesignTarget:
     """Outage-count design target.
 
-    ``u_th`` is the Kummer-ratio level the radius equation must hit:
-    one minus the per-user outage probability at which the chance of
-    ``count_floor``-or-more outages equals ``p_th``.
+    ``pi_star`` is the per-user outage probability at which the chance of
+    ``count_floor``-or-more outages equals ``p_th``: the level the radius
+    equation must hit.  It is stored itself, not as 1 - pi_star, which
+    rounds to 1 at strict caps (pi_star below about 1e-16).
     """
 
     p_th: float
     count_floor: int
-    u_th: float
+    pi_star: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.p_th < 1.0):
             raise ValueError(f"p_th must lie in (0, 1), got {self.p_th}")
-        if not (0.0 < self.u_th < 1.0):
-            raise ValueError(f"u_th must lie strictly inside (0, 1), got {self.u_th}")
+        if not (0.0 < self.pi_star < 1.0):
+            raise ValueError(f"pi_star must lie strictly inside (0, 1), got {self.pi_star}")
+
+    @property
+    def u_th(self) -> float:
+        """The Kummer-ratio level 1 - pi_star of the free-space closed form."""
+        return 1.0 - self.pi_star
 
     @classmethod
     def for_outage_cap(cls, p_th: float, count_floor: int, num_users: int) -> "DesignTarget":
@@ -68,7 +80,7 @@ class DesignTarget:
         if not (1 <= count_floor <= num_users):
             raise ValueError(f"need 1 <= count_floor <= num_users, got ({count_floor}, {num_users})")
         pi_star = inv_reg_inc_beta_int(p_th, count_floor, num_users - count_floor + 1)
-        return cls(p_th=p_th, count_floor=count_floor, u_th=1.0 - pi_star)
+        return cls(p_th=p_th, count_floor=count_floor, pi_star=pi_star)
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,7 @@ class UtilizationRadius:
     radius: float
     equation: str        # "level" or "stationary"
     range_prob: float    # probability the served-count lands in range here
-    residual: float      # of the equation solved: pi_g - level, or D(t)
+    residual: float      # of the equation solved: ln pi_g - ln level, or D(t)
     iterations: int
 
 
@@ -130,20 +142,26 @@ def radius_closed_form_a2(y_th: float, u_th: float, params: NetworkParams) -> fl
     return math.sqrt(snr_scale(params) / y_th * x)
 
 
-def _kummer_level_root(s: float, u_th: float) -> tuple[float, int, float]:
-    """(x, iterations, residual) for 1F1(s; s+1; -x) = u_th, x > 0.
+def _kummer_level_root(s: float, pi_star: float) -> tuple[float, int, float]:
+    """(x, iterations, residual) for F(x) = pi_star, x > 0, F = 1 - 1F1(s; s+1; -x).
 
-    The ratio falls strictly from 1 to 0 between the bounds
-    1 - s x / (s+1) <= phi(x) <= Gamma(s+1) x^(-s), which bracket the
-    root in closed form (with a factor-two margin on each side); the
-    derivative in ln x is -s h(x).
+    Solved as ln F - ln pi_star in ln x, whose derivative is s h(x) / F(x).
+    F rises strictly from 0 to 1 between the bounds
+    F(x) <= s x / (s+1) and 1 - F(x) <= Gamma(s+1) x^(-s), which bracket
+    the root in closed form (with a factor-two margin on each side); near
+    the lower end F ~ s x / (s+1), so the equation is nearly linear there.
     """
+    log_target = math.log(pi_star)
+
     def fdf(x: float) -> tuple[float, float]:
         phi, h = kummer_pair(s, x)
-        return phi - u_th, -s * h
+        # F without cancellation below x = s + 1; this formula lives here
+        # only until the re-pin of ROADMAP item 1 moves it into snr_cdf
+        cdf = -math.expm1(-x) - h if x < s + 1.0 else 1.0 - phi
+        return math.log(cdf) - log_target, s * h / cdf
 
-    lo = 0.5 * (1.0 - u_th) * (s + 1.0) / s
-    hi = (2.0 * math.gamma(s + 1.0) / u_th) ** (1.0 / s)
+    lo = 0.5 * pi_star * (s + 1.0) / s
+    hi = (2.0 * math.gamma(s + 1.0) / (1.0 - pi_star)) ** (1.0 / s)
     return bracketed_root(fdf, lo, hi)
 
 
@@ -151,10 +169,12 @@ def radius_for_outage_threshold(target: DesignTarget, thr: RateThresholds,
                                 params: NetworkParams) -> RadiusSolution:
     """Largest radius keeping P[count_floor or more users in outage] <= p_th.
 
-    Solves 1F1(2/a; 1+2/a; -(y_th/c_L) R^a) = u_th where [0, y_th] is the
-    hybrid outage event on the SNR axis (SolverError when it is not one
-    such interval); any smaller radius then satisfies the target strictly
-    (the per-user outage probability F_g(y_th) increases with the radius).
+    Solves F_g(y_th) = pi_star, i.e. 1F1(2/a; 1+2/a; -(y_th/c_L) R^a) = u_th,
+    where [0, y_th] is the hybrid outage event on the SNR axis (SolverError
+    when it is not one such interval); any smaller radius then satisfies
+    the target strictly (the per-user outage probability F_g(y_th)
+    increases with the radius).  The free-space closed form takes u_th;
+    the numeric root takes pi_star itself, so strict caps stay exact.
     """
     y_th = thr.outage_cdf_argument()
     if y_th is None:
@@ -167,7 +187,7 @@ def radius_for_outage_threshold(target: DesignTarget, thr: RateThresholds,
         radius = radius_closed_form_a2(y_th, target.u_th, params)
         method, iterations = SolveMethod.CLOSED_FORM_A2, 0
     else:
-        x, iterations, _ = _kummer_level_root(2.0 / a, target.u_th)
+        x, iterations, _ = _kummer_level_root(2.0 / a, target.pi_star)
         radius = (x * c_l / y_th) ** (1.0 / a)
         method = SolveMethod.NUMERIC
     residual = hyp1f1_ratio(2.0 / a, y_th * radius ** a / c_l) - target.u_th
@@ -214,32 +234,37 @@ def range_count_prob_deriv(num_users: int, count_lo: int, count_hi: int,
     return dpi * L * (pmf(count_lo - 1) - pmf(count_hi))
 
 
-def _utilization_peak(s: float, window: tuple[float, float]) -> tuple[float, int, float]:
+def _utilization_peak(s: float, window: tuple[float, float], curve) -> tuple[float, int, float]:
     """Root of D(t) = 0, where t pi_g'(t) = s D(t) changes sign from + to -.
 
-    h rises on [0, 1] and falls on [X, inf) with X = 8 + 2 ln(1 + 1/s)
-    (for s <= 2, i.e. a >= 1), so D > 0 at g_hi t = 1 and D < 0 at
-    g_lo t = X.
+    ``curve(t)`` is :func:`~semcell.outage._utilization_terms` of the
+    window.  h rises on [0, 1] and falls on [X, inf) with
+    X = 8 + 2 ln(1 + 1/s) (for s <= 2, i.e. a >= 1), so D > 0 at
+    g_hi t = 1 and D < 0 at g_lo t = X.
     """
     def fdf(t: float) -> tuple[float, float]:
-        return _utilization_terms(s, window, t)[1:]
+        return curve(t)[1:]
 
     g_lo, g_hi = window
     x_big = 8.0 + 2.0 * math.log1p(1.0 / s)
     return bracketed_root(fdf, 1.0 / g_hi, x_big / g_lo)
 
 
-def _utilization_level_root(s: float, window: tuple[float, float], level: float,
+def _utilization_level_root(s: float, window: tuple[float, float], curve, level: float,
                             t_peak: float, side: str) -> tuple[float, int, float]:
     """Root of pi_g(t) = level on one side of the peak (the level must not exceed it).
 
+    Solved as ln pi_g - ln level in ln t, whose derivative is s D / pi_g.
     pi_g <= s (g_hi - g_lo) t / (s+1) below the peak and
     pi_g <= phi(g_lo t) <= Gamma(s+1) (g_lo t)^(-s) above it bound the
-    far ends of the two brackets (with a factor-two margin).
+    far ends of the two brackets (with a factor-two margin); the near
+    end is the peak itself.
     """
+    log_level = math.log(level)
+
     def fdf(t: float) -> tuple[float, float]:
-        value, d, _ = _utilization_terms(s, window, t)
-        return value - level, s * d
+        value, d, _ = curve(t)
+        return math.log(value) - log_level, s * d / value
 
     g_lo, g_hi = window
     if side == "below":
@@ -283,23 +308,28 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
     s = 2.0 / a
     c_l = snr_scale(params)
 
-    def solution(t: float, equation: str, iterations: int, residual: float,
-                 pi_g: float | None = None) -> UtilizationRadius:
-        if pi_g is None:
-            pi_g = _utilization_terms(s, window, t)[0]
+    terms: dict[float, tuple[float, float, float]] = {}
+
+    def curve(t: float) -> tuple[float, float, float]:
+        value = terms.get(t)
+        if value is None:
+            value = terms[t] = _utilization_terms(s, window, t)
+        return value
+
+    def solution(t: float, equation: str, iterations: int, residual: float) -> UtilizationRadius:
         return UtilizationRadius(
             radius=(t * c_l) ** (1.0 / a), equation=equation,
-            range_prob=binom_range_prob(pi_g, num_users, count_lo, count_hi),
+            range_prob=binom_range_prob(curve(t)[0], num_users, count_lo, count_hi),
             residual=residual, iterations=iterations)
 
-    t_peak, iterations, residual = _utilization_peak(s, window)
-    pi_peak = _utilization_terms(s, window, t_peak)[0]
-    solutions = [solution(t_peak, "stationary", iterations, residual, pi_peak)]
+    t_peak, iterations, residual = _utilization_peak(s, window, curve)
+    solutions = [solution(t_peak, "stationary", iterations, residual)]
 
-    attainable = level is not None and level <= pi_peak
+    attainable = level is not None and level <= curve(t_peak)[0]
     if attainable:
         for side in ("below", "above"):
-            t_root, iterations, residual = _utilization_level_root(s, window, level, t_peak, side)
+            t_root, iterations, residual = _utilization_level_root(
+                s, window, curve, level, t_peak, side)
             solutions.append(solution(t_root, "level", iterations, residual))
     solutions.sort(key=lambda sol: sol.radius)
     return UtilizationDesign(solutions=tuple(solutions), level_target=level,

@@ -181,14 +181,6 @@ def sem_rate(g, cfg: RateConfig, fit: SimilarityFit):
     return _scalar_like(value, g)
 
 
-def _rate_gap(g: float, mu: int, fit: SimilarityFit, gap: float) -> float:
-    """Normalized semantic-minus-bit rate; its largest zero is g_max."""
-    z = fit.c1 * 10.0 * math.log10(g) + fit.c2
-    z = min(745.0, max(-745.0, z))
-    m = fit.a1 + (fit.a2 - fit.a1) / (1.0 + math.exp(-z))
-    return m / fit.k - math.log2(1.0 + g / gap) / mu
-
-
 def _rate_gap_deriv(g: float, mu: int, fit: SimilarityFit, gap: float) -> float:
     z = fit.c1 * 10.0 * math.log10(g) + fit.c2
     z = min(700.0, max(-700.0, z))
@@ -218,7 +210,14 @@ def _solve_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> float:
     if not math.isfinite(g_hi) or g_hi <= 0.0:
         raise SolverError(f"rate-crossing upper bracket is not a positive finite SNR: {g_hi}")
 
-    f = lambda g: _rate_gap(g, mu, fit, gap)
+    slope, a1, span, c2, k = fit.c1 * 10.0, fit.a1, fit.a2 - fit.a1, fit.c2, fit.k
+    log10, log2, exp = math.log10, math.log2, math.exp
+
+    def f(g: float) -> float:
+        """Normalized semantic-minus-bit rate; its largest zero is g_max."""
+        z = min(745.0, max(-745.0, slope * log10(g) + c2))
+        return (a1 + span / (1.0 + exp(-z))) / k - log2(1.0 + g / gap) / mu
+
     hi, f_hi = g_hi, f(g_hi)
     if f_hi >= 0.0:
         # the similarity value rounds onto the ceiling a2 once the
@@ -232,7 +231,7 @@ def _solve_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> float:
     # the documented search window spans six decades below g_hi; extend
     # further only if no sign change was seen (can happen when a1 ~ 0)
     for _ in range(5):
-        grid = np.geomspace(upper, upper * 1e-6, 121)
+        grid = np.geomspace(upper, upper * 1e-6, 121).tolist()
         for g in grid[1:]:
             if f(g) > 0.0:
                 lo = g

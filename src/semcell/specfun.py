@@ -38,15 +38,15 @@ def _upper_gamma_cf(s: float, x: float) -> float:
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
+        if -tiny < d < tiny:
             d = tiny
         c = b + an / c
-        if abs(c) < tiny:
+        if -tiny < c < tiny:
             c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if -1e-16 < delta - 1.0 < 1e-16:
             return prefactor * h
     raise ArithmeticError(f"incomplete gamma continued fraction did not converge for s={s}, x={x}")
 
@@ -154,8 +154,10 @@ def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:
     I_p is strictly increasing in p, and the union bounds
     1 - C(n, m) (1 - p)^m <= I_p(k, m) <= C(n, k) p^k, n = k + m - 1,
     bracket the root in closed form (with a factor-two margin on each
-    side); :func:`bracketed_root` refines it with Newton steps in ln p,
-    whose derivative is p times the Beta(k, m) density.
+    side).  :func:`bracketed_root` solves ln I_p - ln q in ln p, whose
+    derivative is p times the Beta(k, m) density over I_p; below the root
+    I_p ~ C(n, k) p^k, so the equation is nearly linear there and Newton
+    from the lower end lands close to the root even for tiny q.
     """
     if k < 1 or m < 1:
         raise ValueError(f"inv_reg_inc_beta_int requires integer k, m >= 1, got k={k}, m={m}")
@@ -163,14 +165,18 @@ def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:
         raise ValueError(f"inv_reg_inc_beta_int requires 0 < q < 1 (the boundary solutions are degenerate), got q={q}")
     n = k + m - 1
     log_norm = math.lgamma(k + m) - math.lgamma(k) - math.lgamma(m)
+    log_q = math.log(q)
 
     def fdf(p: float) -> tuple[float, float]:
-        log_pdf = log_norm + (k - 1) * math.log(p)
+        value = binom_range_prob(p, n, k, n)
+        # I_p underflows only at a lower end clamped to 1e-300
+        log_value = math.log(value) if value > 0.0 else -math.inf
+        log_slope = log_norm + k * math.log(p)
         if m > 1:
-            log_pdf += (m - 1) * math.log1p(-p) if p < 1.0 else -math.inf
-        return binom_range_prob(p, n, k, n) - q, p * math.exp(log_pdf)
+            log_slope += (m - 1) * math.log1p(-p) if p < 1.0 else -math.inf
+        return log_value - log_q, math.exp(log_slope - log_value)
 
-    lo = max(0.5 * math.exp((math.log(q) - log_binomial(n, k)) / k), 1e-300)
+    lo = max(0.5 * math.exp((log_q - log_binomial(n, k)) / k), 1e-300)
     hi = 1.0 - 0.5 * math.exp((math.log1p(-q) - log_binomial(n, m)) / m)
     return bracketed_root(fdf, lo, hi)[0]
 
@@ -223,14 +229,18 @@ def bracketed_root(fdf, lo: float, hi: float) -> tuple[float, int, float]:
 
     ``fdf(x)`` returns ``(f(x), x f'(x))``: the residual and its
     derivative in ln x.  f(lo) and f(hi) must differ in sign; a zero at
-    either end is returned as it stands.  Every evaluation shrinks the
-    bracket to the side holding the sign change; the next point is the
-    Newton step in ln x when it lands inside the bracket and is at most
-    half the previous step, else the geometric midpoint (Numerical
-    Recipes' rtsafe, on a log scale).  Iteration stops once the Newton
-    step or the bracket is below 1e-14 relative, or once a Newton step
-    below 1e-6 that follows another one stops halving: this deep in
-    Newton's quadratic basin the residual is then at its rounding floor
+    either end is returned as it stands.  The first point is the Newton
+    step in ln x from whichever end has the smaller step that lands inside
+    the bracket, and the geometric midpoint when neither does: the design
+    equations are solved on a log scale, where they are nearly linear near
+    their far bracket end.  Every evaluation shrinks the bracket to the
+    side holding the sign change; the next point is the Newton step in
+    ln x when it lands inside the bracket and is at most half the
+    previous step, else the geometric midpoint (Numerical Recipes'
+    rtsafe, on a log scale).  Iteration stops once the Newton step or the
+    bracket is below 1e-14 relative, or once a Newton step below 1e-6
+    that follows another one stops halving: this deep in Newton's
+    quadratic basin the residual is then at its rounding floor
     (ill-conditioned roots, such as a level just below the peak it must
     cross).
 
@@ -241,30 +251,37 @@ def bracketed_root(fdf, lo: float, hi: float) -> tuple[float, int, float]:
     """
     if not (0.0 < lo < hi):
         raise ValueError(f"bracketed_root requires 0 < lo < hi, got lo={lo}, hi={hi}")
-    f_lo = fdf(lo)[0]
+    f_lo, df_lo = fdf(lo)
     if f_lo == 0.0:
         return lo, 0, 0.0
-    f_hi = fdf(hi)[0]
+    f_hi, df_hi = fdf(hi)
     if f_hi == 0.0:
         return hi, 0, 0.0
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ArithmeticError(f"no sign change on [{lo}, {hi}]: f = {f_lo}, {f_hi}")
     rising = f_hi > 0.0
+    log_lo, log_hi = math.log(lo), math.log(hi)
     x = math.sqrt(lo) * math.sqrt(hi)
     last_step, newton = math.inf, False
+    for log_end, f, df in ((log_lo, f_lo, df_lo), (log_hi, f_hi, df_hi)):
+        step = f / df if df != 0.0 else math.inf
+        target = log_end - step
+        if log_lo < target < log_hi and abs(step) < last_step:
+            x, last_step, newton = math.exp(target), abs(step), True
     for iteration in range(1, _MAX_ITER + 1):
         f, df = fdf(x)
         if f == 0.0:
             return x, iteration, f
+        log_x = math.log(x)
         if (f > 0.0) == rising:
-            hi = x
+            hi, log_hi = x, log_x
         else:
-            lo = x
+            lo, log_lo = x, log_x
         step = f / df if df != 0.0 else math.inf
         if abs(step) <= _ROOT_RTOL or hi <= lo * (1.0 + _ROOT_RTOL):
             return x, iteration, f
-        target = math.log(x) - step
-        inside = math.log(lo) < target < math.log(hi)
+        target = log_x - step
+        inside = log_lo < target < log_hi
         if inside and abs(step) <= 0.5 * last_step:
             x, last_step, newton = math.exp(target), abs(step), True
         elif inside and newton and abs(step) <= _NOISE_STEP:

@@ -53,7 +53,7 @@ def _moderate_radius(params, fit, cfg, target: float):
     """Radius at which the hybrid outage probability equals target."""
     thr = thresholds(cfg, fit)
     y_th = thr.outage_cdf_argument()
-    x = _kummer_level_root(2.0 / params.pathloss_exp, 1.0 - target)[0]
+    x = _kummer_level_root(2.0 / params.pathloss_exp, target)[0]
     radius = (x * snr_scale(params) / y_th) ** (1.0 / params.pathloss_exp)
     return replace(params, cell_radius_m=radius)
 
@@ -136,7 +136,7 @@ def test_acceptance_3_closed_form_radius_round_trip(table1_params):
         solved = radius_closed_form_a2(y_th, u_th, scaled)
         residual = hyp1f1_ratio(1.0, y_th * solved**2 / snr_scale(scaled)) - u_th
         assert abs(residual) <= 1e-9
-        x_numeric = _kummer_level_root(1.0, u_th)[0]
+        x_numeric = _kummer_level_root(1.0, 1.0 - u_th)[0]
         numeric = math.sqrt(x_numeric * snr_scale(scaled) / y_th)
         assert solved == pytest.approx(numeric, rel=1e-9)
     elapsed = time.perf_counter() - started

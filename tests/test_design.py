@@ -67,7 +67,7 @@ class TestClosedFormRadius:
             scale = float(10 ** rng.uniform(-3, 3))
             scaled = replace(params, tx_power_w=params.tx_power_w * scale)
             closed = radius_closed_form_a2(y_th, u_th, scaled)
-            x = _kummer_level_root(1.0, u_th)[0]
+            x = _kummer_level_root(1.0, 1.0 - u_th)[0]
             numeric = math.sqrt(x * snr_scale(scaled) / y_th)
             assert closed == pytest.approx(numeric, rel=1e-9)
 
@@ -142,9 +142,31 @@ class TestRadiusForOutageThreshold:
 
     def test_degenerate_target_rejected(self):
         with pytest.raises(ValueError):
-            DesignTarget(p_th=1e-3, count_floor=3, u_th=0.0)
+            DesignTarget(p_th=1e-3, count_floor=3, pi_star=1.0 - 0.0)
         with pytest.raises(ValueError):
-            DesignTarget(p_th=1.0, count_floor=3, u_th=0.5)
+            DesignTarget(p_th=1.0, count_floor=3, pi_star=1.0 - 0.5)
+
+    @pytest.mark.parametrize("a", [1.5, 2.5, 3.0, 4.5])
+    def test_strict_caps_keep_relative_precision(self, a, table1_params, table1_cfg, table1_fit):
+        # F at the solved radius meets pi_star to 1e-12 relative down to
+        # p_th = 1e-15, where 1 - pi_star rounds to 1.  The reference F is
+        # the alternating power series sum_n (-1)^(n+1) s x^n / ((s+n) n!)
+        # and pi_star the closed form of P[1 or more of L] = p_th, so
+        # neither shares code with kummer_pair or inv_reg_inc_beta_int.
+        params = replace(table1_params, pathloss_exp=a)
+        thr = thresholds(table1_cfg, table1_fit)
+        y_th, s, L = thr.outage_cdf_argument(), 2.0 / a, params.num_users
+        for exponent in range(3, 16):
+            p_th = 10.0 ** -exponent
+            pi_star = -math.expm1(math.log1p(-p_th) / L)
+            solution = radius_for_outage_threshold(
+                DesignTarget.for_outage_cap(p_th, 1, L), thr, params)
+            x = y_th * solution.radius ** a / snr_scale(params)
+            terms, term = [], 1.0
+            for n in range(1, 40):
+                term *= x / n
+                terms.append((-1) ** (n + 1) * s * term / (s + n))
+            assert math.fsum(terms) == pytest.approx(pi_star, rel=1e-12), p_th
 
     def test_solved_radius_confirmed_by_simulation(self, table1_fit):
         # free-space 1 mW cell, 10 users: at the designed radius the

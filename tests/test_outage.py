@@ -419,6 +419,6 @@ def _radius_for_moderate_outage(params, fit, cfg):
     y_th = thr.outage_cdf_argument()
     from semcell import snr_scale
 
-    x = _kummer_level_root(2.0 / params.pathloss_exp, 1.0 - 0.35)[0]
+    x = _kummer_level_root(2.0 / params.pathloss_exp, 0.35)[0]
     radius = (x * snr_scale(params) / y_th) ** (1.0 / params.pathloss_exp)
     return replace(params, cell_radius_m=radius)

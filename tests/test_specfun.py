@@ -237,6 +237,13 @@ class TestBracketedRoot:
         root, _, _ = bracketed_root(lambda x: (math.exp(-x) - 0.5, -x * math.exp(-x)), 1e-6, 50.0)
         assert root == pytest.approx(math.log(2.0), rel=1e-14)
 
+    def test_starts_from_the_better_end(self):
+        # the Newton step from the lower end lands next to the root, the
+        # one from the upper end is far larger: start from the lower end
+        root, iterations, _ = bracketed_root(lambda x: (x - 2.0, x), 1.9, 100.0)
+        assert root == pytest.approx(2.0, rel=1e-14)
+        assert iterations <= 4
+
     def test_residual_is_f_at_the_root(self):
         f = lambda x: math.log(x) - 1.0
         root, _, residual = bracketed_root(lambda x: (f(x), 1.0), 1.0, 10.0)
