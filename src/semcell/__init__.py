@@ -8,9 +8,9 @@ ships a deterministic Monte Carlo oracle that validates every closed
 form by direct event simulation.
 """
 
-from .design import (DesignTarget, RadiusSolution, SolveMethod, UtilizationDesign,
-                     UtilizationRadius, exact_count_prob, optimal_sem_util_radius,
-                     radius_closed_form_a2, radius_for_outage_threshold, range_count_prob_deriv)
+from .design import (DesignTarget, RadiusSolution, UtilizationDesign, UtilizationRadius,
+                     exact_count_prob, optimal_sem_util_radius, radius_closed_form_a2,
+                     radius_for_outage_threshold, range_count_prob_deriv)
 from .linkmodel import (NetworkParams, SPEED_OF_LIGHT, db_to_linear,
                         dbm_per_hz_to_watts_per_hz, linear_to_db, mean_edge_snr,
                         snr_cdf, snr_scale)
@@ -44,7 +44,7 @@ __all__ = [
     "user_outage_sem", "network_outage", "sem_util_prob",
     "sem_util_prob_deriv", "outage_report", "utilization_window",
     # design
-    "DesignTarget", "RadiusSolution", "SolveMethod", "UtilizationRadius",
+    "DesignTarget", "RadiusSolution", "UtilizationRadius",
     "UtilizationDesign", "radius_for_outage_threshold", "radius_closed_form_a2",
     "optimal_sem_util_radius", "exact_count_prob", "range_count_prob_deriv",
     # montecarlo

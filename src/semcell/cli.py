@@ -494,10 +494,9 @@ def _cmd_design_radius(args) -> int:
     solution = radius_for_outage_threshold(target, thr, params)
     print(json.dumps({
         "radius_m": solution.radius,
-        "method": solution.method.value,
         "residual": solution.residual,
         "iterations": solution.iterations,
-        "u_th": target.u_th,
+        "pi_star": target.pi_star,
         "y_th": thr.outage_cdf_argument(),
     }, indent=2, sort_keys=True))
     return EXIT_OK

@@ -7,9 +7,8 @@ h(x) = phi(x) - e^(-x) (see :func:`~semcell.specfun.kummer_pair`).
 
 * The largest radius keeping the probability of ``count_floor`` or more
   users in outage below a target solves the level equation
-  F(y_th t) = pi_star for the per-user outage probability F = 1 - phi:
-  in closed form via the Lambert W function under free-space path loss,
-  numerically otherwise.
+  F(y_th t) = pi_star for the per-user outage probability F = 1 - phi,
+  for every path-loss exponent by the same numeric root.
 * The radius placing the number of semantically served users in a
   desired range with maximum probability is one of the stationary points
   of the range probability: the peak of the per-user utilization
@@ -33,20 +32,14 @@ the residual of the equation it solved.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from .linkmodel import NetworkParams, snr_scale
 from .outage import _utilization_terms, sem_util_prob, sem_util_prob_deriv, utilization_window
 from .ratemodel import RateThresholds, SolverError
-from .specfun import (binom_range_prob, bracketed_root, hyp1f1_ratio, inv_reg_inc_beta_int,
-                      kummer_pair, lambert_w0, log_binomial)
-
-
-class SolveMethod(enum.Enum):
-    CLOSED_FORM_A2 = "closed_form_a2"
-    NUMERIC = "numeric"
+from .specfun import (binom_range_prob, bracketed_root, inv_reg_inc_beta_int, kummer_pair,
+                      lambert_w0, log_binomial)
 
 
 @dataclass(frozen=True)
@@ -69,11 +62,6 @@ class DesignTarget:
         if not (0.0 < self.pi_star < 1.0):
             raise ValueError(f"pi_star must lie strictly inside (0, 1), got {self.pi_star}")
 
-    @property
-    def u_th(self) -> float:
-        """The Kummer-ratio level 1 - pi_star of the free-space closed form."""
-        return 1.0 - self.pi_star
-
     @classmethod
     def for_outage_cap(cls, p_th: float, count_floor: int, num_users: int) -> "DesignTarget":
         """Target for 'at most probability p_th of count_floor+ users in outage'."""
@@ -86,9 +74,8 @@ class DesignTarget:
 @dataclass(frozen=True)
 class RadiusSolution:
     radius: float
-    method: SolveMethod
-    residual: float
-    iterations: int      # root-finder iterations, 0 for the closed form
+    residual: float      # ln F - ln pi_star at the root
+    iterations: int      # root-finder iterations
 
 
 @dataclass(frozen=True)
@@ -126,9 +113,13 @@ class UtilizationDesign:
 def radius_closed_form_a2(y_th: float, u_th: float, params: NetworkParams) -> float:
     """Radius solving 1F1(1; 2; -(y_th/c_L) R^2) = u_th under free-space loss.
 
-    R = sqrt((c_L / y_th) (1/u_th + W0(-(1/u_th) e^(-1/u_th)))); the W0
-    argument lies in (-1/e, 0) for u_th in (0, 1), so the radicand is a
-    positive root of the scalar equation e^z - 1 = u_th z.
+    The paper's closed form R = sqrt((c_L / y_th) (1/u_th + W0(-(1/u_th) e^(-1/u_th))));
+    the W0 argument lies in (-1/e, 0) for u_th in (0, 1), so the radicand
+    is a positive root of the scalar equation e^z - 1 = u_th z.  Its
+    precision falls as u_th -> 1, where the W0 argument nears the branch
+    point and 1/u_th + W0 cancels, so :func:`radius_for_outage_threshold`
+    solves in pi_star = 1 - u_th instead; this form is the reference it
+    is checked against.
     """
     if params.pathloss_exp != 2.0:
         raise ValueError(
@@ -169,12 +160,14 @@ def radius_for_outage_threshold(target: DesignTarget, thr: RateThresholds,
                                 params: NetworkParams) -> RadiusSolution:
     """Largest radius keeping P[count_floor or more users in outage] <= p_th.
 
-    Solves F_g(y_th) = pi_star, i.e. 1F1(2/a; 1+2/a; -(y_th/c_L) R^a) = u_th,
+    Solves F_g(y_th) = pi_star, i.e. 1 - 1F1(2/a; 1+2/a; -(y_th/c_L) R^a) = pi_star,
     where [0, y_th] is the hybrid outage event on the SNR axis (SolverError
     when it is not one such interval); any smaller radius then satisfies
     the target strictly (the per-user outage probability F_g(y_th)
-    increases with the radius).  The free-space closed form takes u_th;
-    the numeric root takes pi_star itself, so strict caps stay exact.
+    increases with the radius).  Every exponent, free space included,
+    takes the same root of ln F - ln pi_star, and SolverError is raised
+    unless that residual is at most 1e-12, so strict caps stay exact in
+    relative terms.
     """
     y_th = thr.outage_cdf_argument()
     if y_th is None:
@@ -182,19 +175,12 @@ def radius_for_outage_threshold(target: DesignTarget, thr: RateThresholds,
             "the hybrid outage event is not one SNR interval [0, y] (composite corner); "
             "radius design is not defined for this parameter corner")
     a = params.pathloss_exp
-    c_l = snr_scale(params)
-    if a == 2.0:
-        radius = radius_closed_form_a2(y_th, target.u_th, params)
-        method, iterations = SolveMethod.CLOSED_FORM_A2, 0
-    else:
-        x, iterations, _ = _kummer_level_root(2.0 / a, target.pi_star)
-        radius = (x * c_l / y_th) ** (1.0 / a)
-        method = SolveMethod.NUMERIC
-    residual = hyp1f1_ratio(2.0 / a, y_th * radius ** a / c_l) - target.u_th
-    if not (radius > 0.0 and abs(residual) <= 1e-9):
+    x, iterations, residual = _kummer_level_root(2.0 / a, target.pi_star)
+    radius = (x * snr_scale(params) / y_th) ** (1.0 / a)
+    if not (radius > 0.0 and abs(residual) <= 1e-12):
         raise SolverError(
             f"radius solve left residual {residual} at R={radius}; target may be degenerate")
-    return RadiusSolution(radius=radius, method=method, residual=residual, iterations=iterations)
+    return RadiusSolution(radius=radius, residual=residual, iterations=iterations)
 
 
 def exact_count_prob(num_users: int, count: int, thr: RateThresholds,

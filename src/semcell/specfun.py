@@ -17,6 +17,7 @@ on out-of-domain input.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from functools import lru_cache
 from itertools import accumulate
@@ -157,7 +158,11 @@ def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:
     side).  :func:`bracketed_root` solves ln I_p - ln q in ln p, whose
     derivative is p times the Beta(k, m) density over I_p; below the root
     I_p ~ C(n, k) p^k, so the equation is nearly linear there and Newton
-    from the lower end lands close to the root even for tiny q.
+    from the lower end lands close to the root even for tiny q.  The
+    lower end is clamped at the smallest normal double, so every root that
+    is a normal double is bracketed; a q whose root is subnormal raises
+    ArithmeticError ("no sign change on [...]"), which the CLI reports as
+    a solver failure (exit 3).
     """
     if k < 1 or m < 1:
         raise ValueError(f"inv_reg_inc_beta_int requires integer k, m >= 1, got k={k}, m={m}")
@@ -169,14 +174,14 @@ def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:
 
     def fdf(p: float) -> tuple[float, float]:
         value = binom_range_prob(p, n, k, n)
-        # I_p underflows only at a lower end clamped to 1e-300
+        # I_p underflows only at a lower end clamped to the smallest normal double
         log_value = math.log(value) if value > 0.0 else -math.inf
         log_slope = log_norm + k * math.log(p)
         if m > 1:
             log_slope += (m - 1) * math.log1p(-p) if p < 1.0 else -math.inf
         return log_value - log_q, math.exp(log_slope - log_value)
 
-    lo = max(0.5 * math.exp((log_q - log_binomial(n, k)) / k), 1e-300)
+    lo = max(0.5 * math.exp((log_q - log_binomial(n, k)) / k), sys.float_info.min)
     hi = 1.0 - 0.5 * math.exp((math.log1p(-q) - log_binomial(n, m)) / m)
     return bracketed_root(fdf, lo, hi)[0]
 

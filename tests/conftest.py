@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from semcell import (NetworkParams, RateConfig, SimilarityFit,
-                     dbm_per_hz_to_watts_per_hz)
+                     dbm_per_hz_to_watts_per_hz, hyp1f1_ratio)
 
 
 @pytest.fixture
@@ -84,3 +86,20 @@ def _single_rate_crossing(cfg, fit) -> bool:
     signs = np.sign(gap)
     changes = int(np.count_nonzero(np.diff(signs[signs != 0.0]) != 0.0))
     return changes == 1
+
+
+def outage_cdf(s: float, x: float) -> float:
+    """Reference per-user outage probability F = 1 - 1F1(s; s+1; -x).
+
+    Below x = 1 it is the alternating power series
+    sum_n (-1)^(n+1) s x^n / ((s+n) n!), summed with math.fsum, which
+    shares no code with kummer_pair; above it F > 0.2 for every s in
+    [2/4.5, 2/1.5], so 1 - hyp1f1_ratio does not cancel.
+    """
+    if x >= 1.0:
+        return 1.0 - hyp1f1_ratio(s, x)
+    terms, term = [], 1.0
+    for n in range(1, 40):
+        term *= x / n
+        terms.append((-1) ** (n + 1) * s * term / (s + n))
+    return math.fsum(terms)

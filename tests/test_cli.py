@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_scenario
-from semcell import RateConfig, Scenario, outage_report, thresholds, utilization_window
+from semcell import DesignTarget, RateConfig, Scenario, outage_report, thresholds, utilization_window
 from semcell.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, ConfigError, ScenarioConfig,
                          main, parse_scenario_config, run_scenario, scenario_config_dict,
                          write_manifest)
@@ -484,18 +484,18 @@ class TestDesignCommands:
         assert main(["design", "radius", "--config", str(cfg_path),
                      "--pth", "1e-3", "--ll", "3"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["method"] == "closed_form_a2"
-        assert abs(payload["residual"]) <= 1e-9
+        assert payload["pi_star"] == DesignTarget.for_outage_cap(1e-3, 3, 10).pi_star
+        assert abs(payload["residual"]) <= 1e-12
         assert payload["radius_m"] > 0
-        assert payload["iterations"] == 0
+        assert 1 <= payload["iterations"] <= 60
 
     def test_radius_json_numeric_reports_iterations(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, table1_config())
         assert main(["design", "radius", "--config", str(cfg_path),
                      "--pth", "1e-3", "--ll", "3"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["method"] == "numeric"
-        assert abs(payload["residual"]) <= 1e-9
+        assert payload["pi_star"] == DesignTarget.for_outage_cap(1e-3, 3, 30).pi_star
+        assert abs(payload["residual"]) <= 1e-12
         assert 1 <= payload["iterations"] <= 60
 
     def test_radius_rejects_bad_count(self, tmp_path):

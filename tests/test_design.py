@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semcell import (DesignTarget, NetworkParams, RateConfig, SolveMethod,
+from semcell import (DesignTarget, NetworkParams, RateConfig,
                      binom_range_prob, dbm_per_hz_to_watts_per_hz, exact_count_prob,
                      inv_reg_inc_beta_int,
                      optimal_sem_util_radius, radius_closed_form_a2,
                      radius_for_outage_threshold, range_count_prob_deriv,
                      sem_util_prob, snr_scale, thresholds, user_outage_hybrid,
                      utilization_window)
-from conftest import draw_scenario
+from conftest import draw_scenario, outage_cdf
 
 
 def bisect_level_equation(u_th: float) -> float:
@@ -94,18 +94,23 @@ class TestRadiusForOutageThreshold:
         thr = thresholds(cfg, table1_fit)
         target = DesignTarget.for_outage_cap(1e-3, 3, 10)
         solution = radius_for_outage_threshold(target, thr, params)
-        assert solution.method is SolveMethod.CLOSED_FORM_A2
-        assert abs(solution.residual) <= 1e-9
+        assert abs(solution.residual) <= 1e-12
         sized = replace(params, cell_radius_m=solution.radius)
         pi_h = user_outage_hybrid(thr, sized)
         assert binom_range_prob(pi_h, 10, 3, 10) == pytest.approx(1e-3, abs=1e-9)
+        # the paper's Lambert-W closed form names the same radius
+        y_th = thr.outage_cdf_argument()
+        for p_th in (1e-2, 1e-3, 1e-4):
+            target = DesignTarget.for_outage_cap(p_th, 3, 10)
+            radius = radius_for_outage_threshold(target, thr, params).radius
+            closed = radius_closed_form_a2(y_th, 1.0 - target.pi_star, params)
+            assert radius == pytest.approx(closed, rel=1e-9), p_th
 
     def test_numeric_branch_round_trip(self, table1_params, table1_cfg, table1_fit):
         thr = thresholds(table1_cfg, table1_fit)
         target = DesignTarget.for_outage_cap(1e-2, 2, 30)
         solution = radius_for_outage_threshold(target, thr, table1_params)
-        assert solution.method is SolveMethod.NUMERIC
-        assert abs(solution.residual) <= 1e-9
+        assert abs(solution.residual) <= 1e-12
         sized = replace(table1_params, cell_radius_m=solution.radius)
         pi_h = user_outage_hybrid(thr, sized)
         assert binom_range_prob(pi_h, 30, 2, 30) == pytest.approx(1e-2, abs=1e-9)
@@ -133,12 +138,11 @@ class TestRadiusForOutageThreshold:
             target = DesignTarget.for_outage_cap(p_th, count_floor, num_users)
             solution = radius_for_outage_threshold(target, thr, params)
             assert solution.radius > 0.0
-            assert abs(solution.residual) <= 1e-9
+            assert abs(solution.residual) <= 1e-12
 
     def test_u_th_derivation_uses_inverse_tail(self):
         target = DesignTarget.for_outage_cap(1e-3, 3, 10)
-        assert target.u_th == pytest.approx(
-            1.0 - inv_reg_inc_beta_int(1e-3, 3, 8), rel=1e-12)
+        assert target.pi_star == inv_reg_inc_beta_int(1e-3, 3, 8)
 
     def test_degenerate_target_rejected(self):
         with pytest.raises(ValueError):
@@ -146,27 +150,25 @@ class TestRadiusForOutageThreshold:
         with pytest.raises(ValueError):
             DesignTarget(p_th=1.0, count_floor=3, pi_star=1.0 - 0.5)
 
-    @pytest.mark.parametrize("a", [1.5, 2.5, 3.0, 4.5])
+    @pytest.mark.parametrize("a", [1.5, 2.0, 2.5, 3.0, 4.5])
     def test_strict_caps_keep_relative_precision(self, a, table1_params, table1_cfg, table1_fit):
         # F at the solved radius meets pi_star to 1e-12 relative down to
-        # p_th = 1e-15, where 1 - pi_star rounds to 1.  The reference F is
-        # the alternating power series sum_n (-1)^(n+1) s x^n / ((s+n) n!)
-        # and pi_star the closed form of P[1 or more of L] = p_th, so
-        # neither shares code with kummer_pair or inv_reg_inc_beta_int.
+        # p_th = 1e-15, where 1 - pi_star rounds to 1, and on to 1e-300,
+        # free space (a = 2) included.  The reference F is conftest's
+        # alternating power series (x < 1 here) and pi_star the closed form
+        # of P[1 or more of L] = p_th, so neither shares code with
+        # kummer_pair or inv_reg_inc_beta_int.
         params = replace(table1_params, pathloss_exp=a)
         thr = thresholds(table1_cfg, table1_fit)
         y_th, s, L = thr.outage_cdf_argument(), 2.0 / a, params.num_users
-        for exponent in range(3, 16):
+        for exponent in [*range(3, 16), 100, 300]:
             p_th = 10.0 ** -exponent
             pi_star = -math.expm1(math.log1p(-p_th) / L)
             solution = radius_for_outage_threshold(
                 DesignTarget.for_outage_cap(p_th, 1, L), thr, params)
             x = y_th * solution.radius ** a / snr_scale(params)
-            terms, term = [], 1.0
-            for n in range(1, 40):
-                term *= x / n
-                terms.append((-1) ** (n + 1) * s * term / (s + n))
-            assert math.fsum(terms) == pytest.approx(pi_star, rel=1e-12), p_th
+            assert x < 1.0
+            assert outage_cdf(s, x) == pytest.approx(pi_star, rel=1e-12), p_th
 
     def test_solved_radius_confirmed_by_simulation(self, table1_fit):
         # free-space 1 mW cell, 10 users: at the designed radius the

@@ -2,8 +2,9 @@
 
 Scenarios come from ``conftest.draw_scenario`` (path-loss exponent
 1.5-4.5, every rate class, 2-50 users), seeded by hypothesis; the served
-count range and the outage cap are drawn by hypothesis too.  The runs are
-derandomized so the suite stays reproducible.
+count range and the outage cap are drawn by hypothesis too, and part of
+the outage draws move the cell to free space (a = 2 exactly).  The runs
+are derandomized so the suite stays reproducible.
 """
 
 from dataclasses import replace
@@ -12,10 +13,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semcell import (DesignTarget, SolverError, binom_range_prob, hyp1f1_ratio,
-                     optimal_sem_util_radius, radius_for_outage_threshold, sem_util_prob,
-                     snr_scale, thresholds, utilization_window)
-from conftest import draw_scenario
+from semcell import (DesignTarget, SolverError, binom_range_prob, optimal_sem_util_radius,
+                     radius_for_outage_threshold, sem_util_prob, snr_scale, thresholds,
+                     utilization_window)
+from conftest import draw_scenario, outage_cdf
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -64,9 +65,12 @@ def test_utilization_design_solves_every_nonempty_window(scenario, lo_frac, widt
 
 
 @PROPERTY_SETTINGS
-@given(scenario=scenarios, log_p_th=st.floats(-6.0, -0.5), floor_frac=st.floats(0.0, 1.0))
-def test_outage_radius_meets_the_level(scenario, log_p_th, floor_frac):
+@given(scenario=scenarios, log_p_th=st.floats(-15.0, -0.5), floor_frac=st.floats(0.0, 1.0),
+       free_space=st.booleans())
+def test_outage_radius_meets_the_level(scenario, log_p_th, floor_frac, free_space):
     params, fit, cfg = scenario
+    if free_space:
+        params = replace(params, pathloss_exp=2.0)
     thr = thresholds(cfg, fit)
     L = params.num_users
     count_floor = 1 + int(floor_frac * (L - 1))
@@ -82,7 +86,7 @@ def test_outage_radius_meets_the_level(scenario, log_p_th, floor_frac):
     solution = radius_for_outage_threshold(target, thr, params)
     assert solution.radius > 0.0
     assert solution.iterations <= 60
-    assert abs(solution.residual) <= 1e-9
+    assert abs(solution.residual) <= 1e-12
     a = params.pathloss_exp
     x = thr.outage_cdf_argument() * solution.radius ** a / snr_scale(params)
-    assert abs(hyp1f1_ratio(2.0 / a, x) - target.u_th) <= 1e-9
+    assert abs(outage_cdf(2.0 / a, x) - target.pi_star) <= 1e-12 * target.pi_star
