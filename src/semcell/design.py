@@ -22,9 +22,11 @@ h(x) = phi(x) - e^(-x) (see :func:`~semcell.specfun.kummer_pair`).
 Every numeric equation is bracketed in closed form and solved by
 :func:`~semcell.specfun.bracketed_root` (safeguarded Newton in ln t).
 The level equations are solved on a log scale, ln(value) - ln(level),
-where they are nearly linear near their far bracket end, so Newton from
-that end lands close to the root and strict outage caps keep their
-relative precision.  A utilization query evaluates its curve once per
+where they are nearly linear on the far side of the root.  Each starts
+there, at the radius where the closed-form bound behind its far bracket
+end meets the level, so Newton lands close to the root, neither bracket
+end is evaluated unless the iteration collapses onto it, and strict
+outage caps keep their relative precision.  A utilization query evaluates its curve once per
 distinct t, shared by the peak, the level roots and the reported range
 probabilities.  Each solution records the solver's iteration count and
 the residual of the equation it solved.
@@ -139,8 +141,10 @@ def _kummer_level_root(s: float, pi_star: float) -> tuple[float, int, float]:
     Solved as ln F - ln pi_star in ln x, whose derivative is s h(x) / F(x).
     F rises strictly from 0 to 1 between the bounds
     F(x) <= s x / (s+1) and 1 - F(x) <= Gamma(s+1) x^(-s), which bracket
-    the root in closed form (with a factor-two margin on each side); near
-    the lower end F ~ s x / (s+1), so the equation is nearly linear there.
+    the root in closed form (with a factor-two margin on each side).  The
+    solve starts at the first bound's root pi_star (s+1) / s, at or below
+    the root, where F ~ s x / (s+1) keeps the equation nearly linear, and
+    evaluates neither bracket end unless the iteration collapses onto it.
     """
     log_target = math.log(pi_star)
 
@@ -151,9 +155,9 @@ def _kummer_level_root(s: float, pi_star: float) -> tuple[float, int, float]:
         cdf = -math.expm1(-x) - h if x < s + 1.0 else 1.0 - phi
         return math.log(cdf) - log_target, s * h / cdf
 
-    lo = 0.5 * pi_star * (s + 1.0) / s
+    start = pi_star * (s + 1.0) / s
     hi = (2.0 * math.gamma(s + 1.0) / (1.0 - pi_star)) ** (1.0 / s)
-    return bracketed_root(fdf, lo, hi)
+    return bracketed_root(fdf, 0.5 * start, hi, start=start, rising=True)
 
 
 def radius_for_outage_threshold(target: DesignTarget, thr: RateThresholds,
@@ -240,11 +244,14 @@ def _utilization_level_root(s: float, window: tuple[float, float], curve, level:
                             t_peak: float, side: str) -> tuple[float, int, float]:
     """Root of pi_g(t) = level on one side of the peak (the level must not exceed it).
 
-    Solved as ln pi_g - ln level in ln t, whose derivative is s D / pi_g.
+    Solved as ln pi_g - ln level in ln t, whose derivative is s D / pi_g;
+    it rises below the peak and falls above it.  The bounds
     pi_g <= s (g_hi - g_lo) t / (s+1) below the peak and
-    pi_g <= phi(g_lo t) <= Gamma(s+1) (g_lo t)^(-s) above it bound the
-    far ends of the two brackets (with a factor-two margin); the near
-    end is the peak itself.
+    pi_g <= phi(g_lo t) <= Gamma(s+1) (g_lo t)^(-s) above it reach the
+    level at level (s+1) / (s (g_hi - g_lo)) and (Gamma(s+1) / level)^(1/s) / g_lo,
+    on the far side of the root.  The solve starts there (or at the peak,
+    if that lies nearer), and those radii, halved or doubled, are the far
+    ends of the two brackets; the near end is the peak itself.
     """
     log_level = math.log(level)
 
@@ -254,10 +261,12 @@ def _utilization_level_root(s: float, window: tuple[float, float], curve, level:
 
     g_lo, g_hi = window
     if side == "below":
-        t_far = 0.5 * level * (s + 1.0) / (s * (g_hi - g_lo))
-        return bracketed_root(fdf, min(t_far, 0.5 * t_peak), t_peak)
-    t_far = (2.0 * math.gamma(s + 1.0) / level) ** (1.0 / s) / g_lo
-    return bracketed_root(fdf, t_peak, max(t_far, 2.0 * t_peak))
+        start = level * (s + 1.0) / (s * (g_hi - g_lo))
+        return bracketed_root(fdf, min(0.5 * start, 0.5 * t_peak), t_peak, start=start, rising=True)
+    bound = math.gamma(s + 1.0) / level
+    start = bound ** (1.0 / s) / g_lo
+    t_far = (2.0 * bound) ** (1.0 / s) / g_lo
+    return bracketed_root(fdf, t_peak, max(t_far, 2.0 * t_peak), start=start, rising=False)
 
 
 def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,

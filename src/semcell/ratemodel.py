@@ -189,6 +189,23 @@ def _rate_gap_deriv(g: float, mu: int, fit: SimilarityFit, gap: float) -> float:
     return dm / fit.k - 1.0 / (mu * math.log(2.0) * (gap + g))
 
 
+_POLISH_STEPS = 40  # Newton steps the g_max polish may take
+
+
+def _geomspace_grid(start: float, stop: float) -> list[float]:
+    """``np.geomspace(start, stop, 121).tolist()`` for positive start and stop,
+    element for element: the ufunc calls numpy's geomspace, logspace and
+    linspace make, in their order, without the argument handling."""
+    log_start, log_stop = np.log10(start), np.log10(stop)
+    exponents = np.arange(121.0)
+    exponents *= (log_stop - log_start) / 120
+    exponents += log_start
+    exponents[-1] = log_stop
+    grid = np.power(10.0, exponents)
+    grid[0], grid[-1] = start, stop
+    return grid.tolist()
+
+
 @lru_cache(maxsize=128)
 def _solve_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> float:
     """Largest g with sem_rate(g) = bit_rate(g): g_max.
@@ -197,6 +214,15 @@ def _solve_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> float:
     g_hi = gamma (2^(mu a2 / k) - 1), so the largest crossing lies below
     g_hi; scan a log grid downwards for the first sign change, bisect,
     then polish with safeguarded Newton steps to machine residual.
+
+    The returned float is pinned, bit for bit, by the reference CSVs, so
+    the work is cut without moving it.  Each 121-point grid is the one
+    ``np.geomspace(upper, upper * 1e-6, 121)`` returns, built from the same
+    ufunc calls without its Python wrapper (:func:`_geomspace_grid`); the
+    scan reads about two of its points.  The bisection and every exit test
+    are unchanged.  The polish's only state is g, so once an iterate
+    repeats, the loop would cycle to its 40th step without meeting an exit
+    test: it stops there and returns the cycle member that step ends on.
 
     The memo key is exactly what the crossing reads, so configs that
     differ only in m_th or r_out share one solve.  It is bounded because
@@ -231,8 +257,7 @@ def _solve_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> float:
     # the documented search window spans six decades below g_hi; extend
     # further only if no sign change was seen (can happen when a1 ~ 0)
     for _ in range(5):
-        grid = np.geomspace(upper, upper * 1e-6, 121).tolist()
-        for g in grid[1:]:
+        for g in _geomspace_grid(upper, upper * 1e-6)[1:]:
             if f(g) > 0.0:
                 lo = g
                 break
@@ -253,7 +278,8 @@ def _solve_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> float:
         if hi - lo <= 1e-14 * hi:
             break
     g = 0.5 * (lo + hi)
-    for _ in range(40):
+    path = {g: 0}  # iterate -> step at which the polish first stood on it
+    for i in range(1, _POLISH_STEPS + 1):
         fg = f(g)
         if fg == 0.0:
             break
@@ -268,6 +294,11 @@ def _solve_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> float:
             g = nxt
             break
         g = nxt
+        j = path.setdefault(g, i)
+        if j < i:
+            # a cycle of period i - j: the iterate after the last step
+            cycle = list(path)[j:]
+            return cycle[(_POLISH_STEPS - j) % (i - j)]
     return g
 
 

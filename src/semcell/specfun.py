@@ -156,13 +156,14 @@ def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:
     1 - C(n, m) (1 - p)^m <= I_p(k, m) <= C(n, k) p^k, n = k + m - 1,
     bracket the root in closed form (with a factor-two margin on each
     side).  :func:`bracketed_root` solves ln I_p - ln q in ln p, whose
-    derivative is p times the Beta(k, m) density over I_p; below the root
-    I_p ~ C(n, k) p^k, so the equation is nearly linear there and Newton
-    from the lower end lands close to the root even for tiny q.  The
-    lower end is clamped at the smallest normal double, so every root that
-    is a normal double is bracketed; a q whose root is subnormal raises
-    ArithmeticError ("no sign change on [...]"), which the CLI reports as
-    a solver failure (exit 3).
+    derivative is p times the Beta(k, m) density over I_p, starting at
+    the upper bound's root (q / C(n, k))^(1/k), which lies at or below the
+    root: there I_p ~ C(n, k) p^k, so the equation is nearly linear and
+    Newton lands close to the root even for tiny q, without evaluating
+    either bracket end.  The lower end is clamped at the smallest normal
+    double, so every root that is a normal double is bracketed; a q whose
+    root is subnormal raises ArithmeticError ("no sign change on [...]"),
+    which the CLI reports as a solver failure (exit 3).
     """
     if k < 1 or m < 1:
         raise ValueError(f"inv_reg_inc_beta_int requires integer k, m >= 1, got k={k}, m={m}")
@@ -181,9 +182,10 @@ def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:
             log_slope += (m - 1) * math.log1p(-p) if p < 1.0 else -math.inf
         return log_value - log_q, math.exp(log_slope - log_value)
 
-    lo = max(0.5 * math.exp((log_q - log_binomial(n, k)) / k), sys.float_info.min)
+    start = math.exp((log_q - log_binomial(n, k)) / k)
+    lo = max(0.5 * start, sys.float_info.min)
     hi = 1.0 - 0.5 * math.exp((math.log1p(-q) - log_binomial(n, m)) / m)
-    return bracketed_root(fdf, lo, hi)[0]
+    return bracketed_root(fdf, lo, hi, start=start, rising=True)[0]
 
 
 def lambert_w0(x: float) -> float:
@@ -229,68 +231,105 @@ _ROOT_RTOL = 1e-14  # Newton step in ln x below which a root counts as converged
 _NOISE_STEP = 1e-6  # a Newton step this small that stops halving is rounding noise
 
 
-def bracketed_root(fdf, lo: float, hi: float) -> tuple[float, int, float]:
+def bracketed_root(fdf, lo: float, hi: float, *, start: float | None = None,
+                   rising: bool | None = None) -> tuple[float, int, float]:
     """Root of f on the bracket [lo, hi], 0 < lo < hi, by safeguarded Newton in ln x.
 
     ``fdf(x)`` returns ``(f(x), x f'(x))``: the residual and its
-    derivative in ln x.  f(lo) and f(hi) must differ in sign; a zero at
-    either end is returned as it stands.  The first point is the Newton
-    step in ln x from whichever end has the smaller step that lands inside
-    the bracket, and the geometric midpoint when neither does: the design
-    equations are solved on a log scale, where they are nearly linear near
-    their far bracket end.  Every evaluation shrinks the bracket to the
-    side holding the sign change; the next point is the Newton step in
-    ln x when it lands inside the bracket and is at most half the
-    previous step, else the geometric midpoint (Numerical Recipes'
-    rtsafe, on a log scale).  Iteration stops once the Newton step or the
-    bracket is below 1e-14 relative, or once a Newton step below 1e-6
-    that follows another one stops halving: this deep in Newton's
-    quadratic basin the residual is then at its rounding floor
-    (ill-conditioned roots, such as a level just below the peak it must
-    cross).
+    derivative in ln x.  Every evaluation shrinks the bracket to the side
+    holding the sign change; the next point is the Newton step in ln x
+    when it lands inside the bracket and is at most half the previous
+    step, else the geometric midpoint (Numerical Recipes' rtsafe, on a log
+    scale).  Iteration stops once the Newton step or the bracket is below
+    1e-14 relative, or once a Newton step below 1e-6 that follows another
+    one stops halving: this deep in Newton's quadratic basin the residual
+    is then at its rounding floor (ill-conditioned roots, such as a level
+    just below the peak it must cross).
+
+    Without ``start``, both ends are evaluated first: f(lo) and f(hi)
+    must differ in sign, and a zero at either end is returned as it
+    stands.  The first point is the Newton step in ln x from whichever
+    end has the smaller step that lands inside the bracket, and the
+    geometric midpoint when neither does.
+
+    A caller whose f is monotone passes ``start``, its best guess (moved
+    into [lo, hi] if it lies outside), and ``rising``, whether f increases
+    with x.  The iteration then starts there, and the sign of each point
+    says which side of the root it lies on, so an end is evaluated only
+    when the bracket has collapsed onto it with every point on one side:
+    a zero there is returned, a sign opposite to those points means the
+    root lies within 1e-14 relative and the last point is returned, and
+    otherwise the ends hold no sign change.
 
     Returns ``(root, iterations, residual)``: the last point evaluated,
-    the number of evaluations after the two end points, and f there.
-    Raises ArithmeticError when the ends do not bracket a sign change or
-    the iteration does not converge.
+    the number of evaluations (without ``start``, after the two end
+    points), and f there.  Raises ArithmeticError when the ends do not
+    bracket a sign change ("no sign change on [lo, hi]") or the iteration
+    does not converge.
     """
     if not (0.0 < lo < hi):
         raise ValueError(f"bracketed_root requires 0 < lo < hi, got lo={lo}, hi={hi}")
-    f_lo, df_lo = fdf(lo)
-    if f_lo == 0.0:
-        return lo, 0, 0.0
-    f_hi, df_hi = fdf(hi)
-    if f_hi == 0.0:
-        return hi, 0, 0.0
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise ArithmeticError(f"no sign change on [{lo}, {hi}]: f = {f_lo}, {f_hi}")
-    rising = f_hi > 0.0
+    ends = lo, hi
     log_lo, log_hi = math.log(lo), math.log(hi)
-    x = math.sqrt(lo) * math.sqrt(hi)
     last_step, newton = math.inf, False
-    for log_end, f, df in ((log_lo, f_lo, df_lo), (log_hi, f_hi, df_hi)):
-        step = f / df if df != 0.0 else math.inf
-        target = log_end - step
-        if log_lo < target < log_hi and abs(step) < last_step:
-            x, last_step, newton = math.exp(target), abs(step), True
-    for iteration in range(1, _MAX_ITER + 1):
+    if start is None:
+        f_lo, df_lo = fdf(lo)
+        if f_lo == 0.0:
+            return lo, 0, 0.0
+        f_hi, df_hi = fdf(hi)
+        if f_hi == 0.0:
+            return hi, 0, 0.0
+        if (f_lo > 0.0) == (f_hi > 0.0):
+            raise ArithmeticError(f"no sign change on [{lo}, {hi}]: f = {f_lo}, {f_hi}")
+        rising = f_hi > 0.0
+        lo_seen = hi_seen = True
+        x = math.sqrt(lo) * math.sqrt(hi)
+        for log_end, f, df in ((log_lo, f_lo, df_lo), (log_hi, f_hi, df_hi)):
+            step = f / df if df != 0.0 else math.inf
+            target = log_end - step
+            if log_lo < target < log_hi and abs(step) < last_step:
+                x, last_step, newton = math.exp(target), abs(step), True
+    elif rising is None:
+        raise ValueError("bracketed_root needs the direction of f with a start")
+    else:
+        lo_seen = hi_seen = False
+        x = min(max(start, lo), hi)
+    evaluations = 0
+    while evaluations < _MAX_ITER:
         f, df = fdf(x)
+        evaluations += 1
         if f == 0.0:
-            return x, iteration, f
+            return x, evaluations, f
         log_x = math.log(x)
         if (f > 0.0) == rising:
-            hi, log_hi = x, log_x
+            hi, log_hi, hi_seen = x, log_x, True
         else:
-            lo, log_lo = x, log_x
+            lo, log_lo, lo_seen = x, log_x, True
         step = f / df if df != 0.0 else math.inf
-        if abs(step) <= _ROOT_RTOL or hi <= lo * (1.0 + _ROOT_RTOL):
-            return x, iteration, f
+        if abs(step) <= _ROOT_RTOL:
+            return x, evaluations, f
+        if hi <= lo * (1.0 + _ROOT_RTOL):
+            if lo_seen and hi_seen:
+                return x, evaluations, f
+            # every point lies on one side: settle the end the bracket collapsed onto
+            end = hi if lo_seen else lo
+            if end == x:
+                f_end = f
+            else:
+                f_end = fdf(end)[0]
+                evaluations += 1
+            if f_end == 0.0:
+                return end, evaluations, f_end
+            if (f_end > 0.0) == (rising == lo_seen):
+                return x, evaluations, f
+            f_lo, f_hi = fdf(ends[0])[0], fdf(ends[1])[0]
+            raise ArithmeticError(f"no sign change on [{ends[0]}, {ends[1]}]: f = {f_lo}, {f_hi}")
         target = log_x - step
         inside = log_lo < target < log_hi
         if inside and abs(step) <= 0.5 * last_step:
             x, last_step, newton = math.exp(target), abs(step), True
         elif inside and newton and abs(step) <= _NOISE_STEP:
-            return x, iteration, f
+            return x, evaluations, f
         else:
             mid = math.sqrt(lo) * math.sqrt(hi)
             last_step, newton = abs(math.log(mid / x)), False

@@ -5,8 +5,82 @@ import pytest
 
 from semcell import (RateConfig, SimilarityFit, SolverError, bit_rate, gamma_gap,
                      inv_similarity, sem_rate, similarity, thresholds, utilization_window)
-from semcell.ratemodel import _solve_rate_crossing
+from semcell.ratemodel import _geomspace_grid, _solve_rate_crossing
 from conftest import draw_scenario
+
+# the first fit conftest._single_rate_crossing redraws at rng seed 0: the
+# rate curves cross near g = 0.237, 1.054 and 9.652, and the bit rate
+# wins on about (0.806, 1.053) inside the window (0.8051, 9.6530)
+MULTI_CROSSING_CFG = RateConfig(mu=20, ber=0.005774492237192097, m_th=0.1927671979065681,
+                                r_out=0.007859145290653742, use_capacity=True)
+MULTI_CROSSING_FIT = SimilarityFit(a1=0.061746575342689174, a2=0.8905643024285452,
+                                   c1=0.43829617225885853, c2=-1.2598412067528215, k=5)
+
+
+def reference_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> tuple[float, bool]:
+    """The plain form of the g_max solve, the bits the trimmed one must
+    return: 121-point np.geomspace scans, bisection, and a Newton polish
+    that runs up to 40 steps whatever its iterates do.  Returns g_max and
+    whether the polish ran all 40 steps."""
+    g_hi = gap * (2.0 ** (mu * fit.a2 / fit.k) - 1.0)
+    slope, a1, span, c2, k = fit.c1 * 10.0, fit.a1, fit.a2 - fit.a1, fit.c2, fit.k
+    log10, log2, exp = math.log10, math.log2, math.exp
+
+    def f(g: float) -> float:
+        z = min(745.0, max(-745.0, slope * log10(g) + c2))
+        return (a1 + span / (1.0 + exp(-z))) / k - log2(1.0 + g / gap) / mu
+
+    def deriv(g: float) -> float:
+        z = fit.c1 * 10.0 * math.log10(g) + fit.c2
+        z = min(700.0, max(-700.0, z))
+        sig = 1.0 / (1.0 + math.exp(-z))
+        dm = (fit.a2 - fit.a1) * sig * (1.0 - sig) * fit.c1 * 10.0 / (g * math.log(10.0))
+        return dm / fit.k - 1.0 / (mu * math.log(2.0) * (gap + g))
+
+    hi, f_hi = g_hi, f(g_hi)
+    if f_hi >= 0.0:
+        assert f_hi <= 1e-13
+        return g_hi, False
+    lo = None
+    upper = hi
+    for _ in range(5):
+        grid = np.geomspace(upper, upper * 1e-6, 121).tolist()
+        for g in grid[1:]:
+            if f(g) > 0.0:
+                lo = g
+                break
+            upper = g
+        if lo is not None:
+            break
+    assert lo is not None
+    hi = upper
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if f(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * hi:
+            break
+    g = 0.5 * (lo + hi)
+    for _ in range(40):
+        fg = f(g)
+        if fg == 0.0:
+            break
+        d = deriv(g)
+        if d == 0.0:
+            break
+        step = fg / d
+        nxt = g - step
+        if not (lo * (1 - 1e-9) <= nxt <= hi * (1 + 1e-9)):
+            break
+        if abs(step) <= 1e-16 * g:
+            g = nxt
+            break
+        g = nxt
+    else:
+        return g, True
+    return g, False
 
 
 class TestSimilarity:
@@ -210,6 +284,30 @@ class TestRateCrossingMemo:
         assert _solve_rate_crossing(*keys[0]) == 801.8648348545444
         assert _solve_rate_crossing(*keys[1]) == 223.6714648798875
 
+    def test_bit_identical_to_the_reference_solve(self, table1_fit):
+        # the pinned CSVs carry g_max's bits, so the trimmed solve must return
+        # the very float the reference does; about a fifth of the fits cycle
+        # in the polish until its 40th step, which the cycle rule must reproduce
+        rng = np.random.default_rng(43)
+        keys = [(40, table1_fit, gamma_gap(RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.04,
+                                                      use_capacity=capacity)))
+                for capacity in (False, True)]
+        keys.append((MULTI_CROSSING_CFG.mu, MULTI_CROSSING_FIT, gamma_gap(MULTI_CROSSING_CFG)))
+        for _ in range(600):
+            _, fit, cfg = draw_scenario(rng)
+            keys.append((cfg.mu, fit, gamma_gap(cfg)))
+        full_polish = 0
+        for key in keys:
+            expected, ran_all_steps = reference_rate_crossing(*key)
+            assert repr(_solve_rate_crossing.__wrapped__(*key)) == repr(expected), key
+            full_polish += ran_all_steps
+        assert full_polish >= 50
+
+    def test_scan_grid_is_numpys_geomspace(self):
+        rng = np.random.default_rng(47)
+        for upper in map(float, 10.0 ** rng.uniform(-3.0, 30.0, 10_000)):
+            assert _geomspace_grid(upper, upper * 1e-6) == np.geomspace(upper, upper * 1e-6, 121).tolist(), upper
+
     def test_failed_solve_raises_again(self):
         # 2^(mu a2 / k) overflows the bracket; lru_cache stores no exception
         fit = SimilarityFit(a1=0.37, a2=0.98, c1=0.2525, c2=-0.7895, k=1)
@@ -225,13 +323,7 @@ class TestRateCrossingMemo:
                    reason="ROADMAP item 8: thresholds() keeps only the largest rate "
                           "crossing, so the utilization window spans a second one")
 def test_utilization_window_on_a_multi_crossing_fit():
-    # the first fit conftest._single_rate_crossing redraws at rng seed 0: the
-    # rate curves cross near g = 0.237, 1.054 and 9.652, and the bit rate
-    # wins on about (0.806, 1.053) inside the window (0.8051, 9.6530)
-    cfg = RateConfig(mu=20, ber=0.005774492237192097, m_th=0.1927671979065681,
-                     r_out=0.007859145290653742, use_capacity=True)
-    fit = SimilarityFit(a1=0.061746575342689174, a2=0.8905643024285452,
-                        c1=0.43829617225885853, c2=-1.2598412067528215, k=5)
+    cfg, fit = MULTI_CROSSING_CFG, MULTI_CROSSING_FIT
     lo, hi = utilization_window(thresholds(cfg, fit))
     grid = np.geomspace(lo, hi, 2001)[1:-1]
     assert np.all(sem_rate(grid, cfg, fit) >= bit_rate(grid, cfg))

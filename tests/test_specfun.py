@@ -269,6 +269,49 @@ class TestBracketedRoot:
         with pytest.raises(ValueError):
             bracketed_root(lambda x: (x - 1.5, x), 0.0, 2.0)
 
+    def test_start_evaluates_neither_end(self):
+        for fdf, lo, hi, start, rising, expected in (
+                (lambda x: (x**3 - 2.0, 3.0 * x**3), 1e-3, 1e3, 1.0, True, 2.0 ** (1.0 / 3.0)),
+                (lambda x: (math.exp(-x) - 0.5, -x * math.exp(-x)), 1e-6, 50.0, 0.1, False, math.log(2.0))):
+            points = []
+
+            def counted(x, fdf=fdf):
+                points.append(x)
+                return fdf(x)
+
+            root, iterations, residual = bracketed_root(counted, lo, hi, start=start, rising=rising)
+            assert root == pytest.approx(expected, rel=1e-14)
+            assert abs(residual) <= 1e-14
+            assert iterations == len(points) <= 10
+            assert lo not in points and hi not in points
+
+    def test_start_with_the_root_outside_raises_the_same_error(self):
+        # every point lies on one side, so the bracket collapses onto an end;
+        # its sign shows no crossing, as the two-end path would have found
+        for fdf, rising in (((lambda x: (x - 0.5, x)), True), ((lambda x: (0.5 - x, -x)), False)):
+            for lo, hi, start in ((1.0, 10.0, 3.0), (1.0, 10.0, 0.1), (0.01, 0.1, 0.03), (0.01, 0.1, 7.0)):
+                with pytest.raises(ArithmeticError, match="no sign change") as two_ends:
+                    bracketed_root(fdf, lo, hi)
+                with pytest.raises(ArithmeticError, match="no sign change") as lazy:
+                    bracketed_root(fdf, lo, hi, start=start, rising=rising)
+                assert str(lazy.value) == str(two_ends.value)
+        with pytest.raises(ValueError):
+            bracketed_root(lambda x: (x - 1.5, x), 1.0, 2.0, start=1.2)
+
+    def test_start_zero_at_an_end(self):
+        # a zero derivative allows no Newton step: bisection walks onto the end
+        for end in (2.0, 5.0):
+            root, iterations, residual = bracketed_root(lambda x: (x - end, 0.0), 2.0, 5.0,
+                                                        start=3.0, rising=True)
+            assert (root, residual) == (end, 0.0)
+            assert iterations <= 60
+
+    def test_start_falls_back_to_bisection(self):
+        for fdf, rising in (((lambda x: (x - 3.0, -1.0)), True), ((lambda x: (3.0 - x, 1.0)), False)):
+            root, iterations, _ = bracketed_root(fdf, 1.0, 10.0, start=8.0, rising=rising)
+            assert root == pytest.approx(3.0, rel=1e-12)
+            assert iterations <= 60
+
 
 class TestRegIncBetaInt:
     def test_identity_case(self):
@@ -395,6 +438,12 @@ class TestInvRegIncBetaInt:
             inv_reg_inc_beta_int(0.0, 2, 3)
         with pytest.raises(ValueError):
             inv_reg_inc_beta_int(1.0, 2, 3)
+
+    def test_subnormal_root_has_no_bracket(self):
+        # the root of q = 1e-310 at k = 1, n = 30 is about 3.3e-312, below
+        # the smallest normal double the bracket is clamped at
+        with pytest.raises(ArithmeticError, match="no sign change"):
+            inv_reg_inc_beta_int(1e-310, 1, 30)
 
 
 class TestLambertW0:
