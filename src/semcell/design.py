@@ -19,15 +19,15 @@ h(x) = phi(x) - e^(-x) (see :func:`~semcell.specfun.kummer_pair`).
   :func:`~semcell.outage._utilization_terms`, the same curve that
   :func:`~semcell.outage.sem_util_prob` and its radius derivative evaluate.
 
-Every numeric equation is bracketed in closed form and solved by
-:func:`~semcell.specfun.bracketed_root` (safeguarded Newton in ln t).
-The level equations are solved on a log scale, ln(value) - ln(level),
-where they are nearly linear on the far side of the root.  Each starts
-there, at the radius where the closed-form bound behind its far bracket
-end meets the level, so Newton lands close to the root, neither bracket
-end is evaluated unless the iteration collapses onto it, and strict
-outage caps keep their relative precision.  A utilization query evaluates its curve once per
-distinct t, shared by the peak, the level roots and the reported range
+Every numeric equation, the utilization peak included, is bracketed in
+closed form and solved by :func:`~semcell.specfun.bracketed_root`
+(safeguarded Newton in ln t), starting at a closed-form asymptote of its
+root, so Newton lands close to it and neither bracket end is evaluated
+unless the iteration collapses onto it.  The level equations are solved
+on a log scale, ln(value) - ln(level), nearly linear on the far side of
+the root where each starts, so strict outage caps keep their relative
+precision.  A utilization query evaluates its curve once per distinct t,
+shared by the peak, the level roots and the reported range
 probabilities.  Each solution records the solver's iteration count and
 the residual of the equation it solved.
 """
@@ -106,7 +106,8 @@ class UtilizationDesign:
 
     @property
     def best(self) -> UtilizationRadius | None:
-        """The candidate with the largest range probability, or None without a maximizer."""
+        """The candidate with the largest range probability (on a tie, the
+        smaller radius), or None without a maximizer."""
         if not (self.solutions and self.has_maximum):
             return None
         return max(self.solutions, key=lambda s: s.range_prob)
@@ -230,14 +231,18 @@ def _utilization_peak(s: float, window: tuple[float, float], curve) -> tuple[flo
     ``curve(t)`` is :func:`~semcell.outage._utilization_terms` of the
     window.  h rises on [0, 1] and falls on [X, inf) with
     X = 8 + 2 ln(1 + 1/s) (for s <= 2, i.e. a >= 1), so D > 0 at
-    g_hi t = 1 and D < 0 at g_lo t = X.
+    g_hi t = 1 and D < 0 at g_lo t = X, with one sign change between.
+    The solve starts where h ~ x / (s+1) at g_lo t meets h ~ Gamma(s+1) x^(-s)
+    at g_hi t: t = (Gamma(s+2) (g_lo/g_hi)^s)^(1/(s+1)) / g_lo, inside the
+    bracket since g_hi t >= 1 and g_lo t <= Gamma(s+2)^(1/(s+1)) < 2.
     """
     def fdf(t: float) -> tuple[float, float]:
         return curve(t)[1:]
 
     g_lo, g_hi = window
     x_big = 8.0 + 2.0 * math.log1p(1.0 / s)
-    return bracketed_root(fdf, 1.0 / g_hi, x_big / g_lo)
+    start = (math.gamma(s + 2.0) * (g_lo / g_hi) ** s) ** (1.0 / (s + 1.0)) / g_lo
+    return bracketed_root(fdf, 1.0 / g_hi, x_big / g_lo, start=start, rising=False)
 
 
 def _utilization_level_root(s: float, window: tuple[float, float], curve, level: float,
@@ -278,8 +283,9 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
     ranges) the radii where it crosses the binomial level
     1 / (1 + (C(L-1, count_hi) / C(L-1, count_lo - 1))^(1/(count_hi - count_lo + 1))),
     which can hold at up to two radii, one on each side of the peak.
-    Every candidate is tagged with its range probability so callers pick
-    the maximizer (``.best``); when the level exceeds the utilization
+    Every candidate is tagged with its range probability, a level radius
+    with the one at the level itself so that the two tie bit for bit, and
+    ``.best`` picks the maximizer; when the level exceeds the utilization
     peak only the stationary radius is returned, flagged unattainable.
     With count_lo = 0 and count_hi < num_users the range probability
     P[count <= count_hi] falls as pi_g rises: the stationary radius is its
@@ -311,21 +317,23 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
             value = terms[t] = _utilization_terms(s, window, t)
         return value
 
-    def solution(t: float, equation: str, iterations: int, residual: float) -> UtilizationRadius:
+    def solution(t: float, pi_g: float, equation: str, iterations: int,
+                 residual: float) -> UtilizationRadius:
         return UtilizationRadius(
             radius=(t * c_l) ** (1.0 / a), equation=equation,
-            range_prob=binom_range_prob(curve(t)[0], num_users, count_lo, count_hi),
+            range_prob=binom_range_prob(pi_g, num_users, count_lo, count_hi),
             residual=residual, iterations=iterations)
 
     t_peak, iterations, residual = _utilization_peak(s, window, curve)
-    solutions = [solution(t_peak, "stationary", iterations, residual)]
+    pi_peak = curve(t_peak)[0]
+    solutions = [solution(t_peak, pi_peak, "stationary", iterations, residual)]
 
-    attainable = level is not None and level <= curve(t_peak)[0]
+    attainable = level is not None and level <= pi_peak
     if attainable:
         for side in ("below", "above"):
             t_root, iterations, residual = _utilization_level_root(
                 s, window, curve, level, t_peak, side)
-            solutions.append(solution(t_root, "level", iterations, residual))
+            solutions.append(solution(t_root, level, "level", iterations, residual))
     solutions.sort(key=lambda sol: sol.radius)
     return UtilizationDesign(solutions=tuple(solutions), level_target=level,
                              level_attainable=attainable, semantic_possible=True,

@@ -231,69 +231,40 @@ _ROOT_RTOL = 1e-14  # Newton step in ln x below which a root counts as converged
 _NOISE_STEP = 1e-6  # a Newton step this small that stops halving is rounding noise
 
 
-def bracketed_root(fdf, lo: float, hi: float, *, start: float | None = None,
-                   rising: bool | None = None) -> tuple[float, int, float]:
+def bracketed_root(fdf, lo: float, hi: float, start: float, rising: bool) -> tuple[float, int, float]:
     """Root of f on the bracket [lo, hi], 0 < lo < hi, by safeguarded Newton in ln x.
 
     ``fdf(x)`` returns ``(f(x), x f'(x))``: the residual and its
-    derivative in ln x.  Every evaluation shrinks the bracket to the side
-    holding the sign change; the next point is the Newton step in ln x
-    when it lands inside the bracket and is at most half the previous
-    step, else the geometric midpoint (Numerical Recipes' rtsafe, on a log
-    scale).  Iteration stops once the Newton step or the bracket is below
-    1e-14 relative, or once a Newton step below 1e-6 that follows another
-    one stops halving: this deep in Newton's quadratic basin the residual
-    is then at its rounding floor (ill-conditioned roots, such as a level
-    just below the peak it must cross).
-
-    Without ``start``, both ends are evaluated first: f(lo) and f(hi)
-    must differ in sign, and a zero at either end is returned as it
-    stands.  The first point is the Newton step in ln x from whichever
-    end has the smaller step that lands inside the bracket, and the
-    geometric midpoint when neither does.
-
-    A caller whose f is monotone passes ``start``, its best guess (moved
-    into [lo, hi] if it lies outside), and ``rising``, whether f increases
-    with x.  The iteration then starts there, and the sign of each point
-    says which side of the root it lies on, so an end is evaluated only
-    when the bracket has collapsed onto it with every point on one side:
-    a zero there is returned, a sign opposite to those points means the
-    root lies within 1e-14 relative and the last point is returned, and
-    otherwise the ends hold no sign change.
+    derivative in ln x.  f need not be monotone, but it must change sign
+    exactly once on [lo, hi]: from negative to positive when ``rising``,
+    from positive to negative otherwise.  The iteration starts at
+    ``start`` (moved into [lo, hi]), and the sign of each point says
+    which side of the root it lies on.  The next point is the Newton step
+    in ln x when it lands inside the bracket and is at most half the
+    previous step, else the geometric midpoint (Numerical Recipes'
+    rtsafe, on a log scale).  Iteration stops once the Newton step or the
+    bracket is below 1e-14 relative, or once a Newton step below 1e-6
+    that follows another one stops halving: this deep in Newton's
+    quadratic basin the residual is then at its rounding floor
+    (ill-conditioned roots, such as a level just below the peak it must
+    cross).  An end is evaluated only when the bracket has collapsed onto
+    it with every point on one side: a zero there is returned, a sign
+    opposite to those points means the root lies within 1e-14 relative
+    and the last point is returned, and otherwise the ends hold no sign
+    change.
 
     Returns ``(root, iterations, residual)``: the last point evaluated,
-    the number of evaluations (without ``start``, after the two end
-    points), and f there.  Raises ArithmeticError when the ends do not
-    bracket a sign change ("no sign change on [lo, hi]") or the iteration
-    does not converge.
+    the number of evaluations of f, and f there.  Raises ArithmeticError
+    when the ends do not bracket a sign change ("no sign change on
+    [lo, hi]: f = f(lo), f(hi)") or the iteration does not converge.
     """
     if not (0.0 < lo < hi):
         raise ValueError(f"bracketed_root requires 0 < lo < hi, got lo={lo}, hi={hi}")
     ends = lo, hi
     log_lo, log_hi = math.log(lo), math.log(hi)
     last_step, newton = math.inf, False
-    if start is None:
-        f_lo, df_lo = fdf(lo)
-        if f_lo == 0.0:
-            return lo, 0, 0.0
-        f_hi, df_hi = fdf(hi)
-        if f_hi == 0.0:
-            return hi, 0, 0.0
-        if (f_lo > 0.0) == (f_hi > 0.0):
-            raise ArithmeticError(f"no sign change on [{lo}, {hi}]: f = {f_lo}, {f_hi}")
-        rising = f_hi > 0.0
-        lo_seen = hi_seen = True
-        x = math.sqrt(lo) * math.sqrt(hi)
-        for log_end, f, df in ((log_lo, f_lo, df_lo), (log_hi, f_hi, df_hi)):
-            step = f / df if df != 0.0 else math.inf
-            target = log_end - step
-            if log_lo < target < log_hi and abs(step) < last_step:
-                x, last_step, newton = math.exp(target), abs(step), True
-    elif rising is None:
-        raise ValueError("bracketed_root needs the direction of f with a start")
-    else:
-        lo_seen = hi_seen = False
-        x = min(max(start, lo), hi)
+    lo_seen = hi_seen = False
+    x = min(max(start, lo), hi)
     evaluations = 0
     while evaluations < _MAX_ITER:
         f, df = fdf(x)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semcell import (DesignTarget, NetworkParams, RateConfig,
+from semcell import (DesignTarget, NetworkParams, RateConfig, SimilarityFit,
                      binom_range_prob, dbm_per_hz_to_watts_per_hz, exact_count_prob,
                      inv_reg_inc_beta_int,
                      optimal_sem_util_radius, radius_closed_form_a2,
@@ -296,6 +296,56 @@ class TestOptimalUtilizationRadius:
             sized = replace(params, cell_radius_m=k * stationary.radius)
             pi_g = sem_util_prob(thr, sized)
             assert binom_range_prob(pi_g, params.num_users, 0, 0) > stationary.range_prob
+
+    def test_peak_evaluates_neither_bracket_end(self, table1_params, table1_cfg, table1_fit,
+                                                monkeypatch):
+        # the peak solve of `design util --ll 5 --lu 10` at Table-1 starts at
+        # its closed-form asymptote and never needs either end of its bracket
+        from semcell import design as design_module
+        from semcell.outage import _utilization_terms
+
+        thr = thresholds(table1_cfg, table1_fit)
+        window = utilization_window(thr)
+        s = 2.0 / table1_params.pathloss_exp
+        brackets, points = [], []
+        solve = design_module.bracketed_root
+
+        def spy(fdf, lo, hi, *args, **kwargs):
+            brackets.append((lo, hi))
+            return solve(fdf, lo, hi, *args, **kwargs)
+
+        def curve(t):
+            points.append(t)
+            return _utilization_terms(s, window, t)
+
+        monkeypatch.setattr(design_module, "bracketed_root", spy)
+        t_peak, iterations, _ = design_module._utilization_peak(s, window, curve)
+        [(lo, hi)] = brackets
+        assert lo < t_peak < hi
+        assert lo not in points and hi not in points
+        assert iterations == len(points) <= 10
+
+    def test_level_radii_tie_to_the_smaller(self):
+        # a draw whose level radii (580.96 m and 2723.28 m) give range
+        # probabilities that differ in the last ulp when evaluated through
+        # pi_g at each radius; both carry the one at the level itself, so
+        # they tie exactly and the smaller radius is best
+        params = NetworkParams(num_users=7, tx_power_w=0.02341567031989549,
+                               total_bandwidth_hz=9908909.113437131,
+                               carrier_freq_hz=1309652271.4417098,
+                               noise_density_w_per_hz=3.777489582714735e-21,
+                               pathloss_exp=2.70818164058554, cell_radius_m=32.934493074779354)
+        cfg = RateConfig(mu=12, ber=0.0016047378208773448, m_th=0.7745680779259148,
+                         r_out=0.18714356476449656, use_capacity=False)
+        fit = SimilarityFit(a1=0.11123745503296854, a2=0.9121809873525262,
+                            c1=0.15271101970639261, c2=0.6570596447927017, k=3)
+        design = optimal_sem_util_radius(7, 1, 2, thresholds(cfg, fit), params)
+        assert [s.equation for s in design.solutions] == ["level", "stationary", "level"]
+        below, _, above = design.solutions
+        assert below.radius == pytest.approx(580.96, rel=1e-5)
+        assert above.radius == pytest.approx(2723.28, rel=1e-5)
+        assert below.range_prob == above.range_prob == binom_range_prob(design.level_target, 7, 1, 2)
+        assert design.best is below
 
     def test_unattainable_level_is_flagged(self, table1_params, table1_fit):
         # a narrow utilization window caps the per-user probability (peak
