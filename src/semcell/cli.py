@@ -34,8 +34,7 @@ from .montecarlo import (SEED_LIMIT, BitOutage, ExactCount, HybridOutage, RangeC
 from .outage import (NetOutageMode, binom_range_prob, network_outage, outage_report,
                      utilization_window)
 from .presets import PRESETS, expand_preset
-from .ratemodel import (RateConfig, RateThresholds, SimilarityFit, SolverError, gamma_gap,
-                        thresholds)
+from .ratemodel import RateConfig, RateThresholds, SimilarityFit, gamma_gap, thresholds
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -324,8 +323,9 @@ def _analytic_row(sc: ScenarioConfig, axis_value: float, params: NetworkParams,
     }
 
 
-def evaluate_sweep(sc: ScenarioConfig, workers: int | None = None) -> list[dict[str, float]]:
-    """Rows for every grid point, in axis order (analytic, plus MC if enabled).
+def evaluate_sweep(sc: ScenarioConfig) -> list[dict[str, float]]:
+    """Rows for every grid point, in axis order: the CSV columns, analytic
+    and, with Monte Carlo samples, each metric's estimate and standard error.
 
     The sweep's thresholds are computed once and serve every point on the
     radius axes; on the m_th and r_out axes each point takes its own,
@@ -343,7 +343,7 @@ def evaluate_sweep(sc: ScenarioConfig, workers: int | None = None) -> list[dict[
     if sc.mc_samples > 0:
         scenarios = [Scenario(params=params, fit=fit, cfg=cfg) for params, cfg, _ in states]
         events = [_MC_EVENTS[name](sc) for name in _METRICS]
-        estimates = estimate_many(events, sc.mc_samples, sc.mc_seed, scenarios, workers=workers)
+        estimates = estimate_many(events, sc.mc_samples, sc.mc_seed, scenarios)
         for row, point_estimates in zip(rows, estimates):
             for name, est in zip(_METRICS, point_estimates):
                 row[f"mc_{name}"] = est.estimate
@@ -355,12 +355,9 @@ def evaluate_sweep(sc: ScenarioConfig, workers: int | None = None) -> list[dict[
 # output files
 # ---------------------------------------------------------------------------
 
-def write_csv(path: Path, rows: list[dict[str, float]], mc_enabled: bool) -> None:
-    columns = ["axis_value", *_METRICS]
-    if mc_enabled:
-        for name in _METRICS:
-            columns.append(f"mc_{name}")
-            columns.append(f"mc_{name}_stderr")
+def write_csv(path: Path, rows: list[dict[str, float]]) -> None:
+    """One CSV line per row, with the rows' keys as the columns."""
+    columns = list(rows[0])
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(repr(float(row[c])) for c in columns))
@@ -404,14 +401,14 @@ def write_manifest(path: Path, sc: ScenarioConfig, preset: str | None) -> None:
 
 
 def run_scenario(sc: ScenarioConfig, out_dir: str | Path,
-                 workers: int | None = None, preset: str | None = None) -> tuple[Path, Path]:
+                 preset: str | None = None) -> tuple[Path, Path]:
     """Evaluate one sweep and write its CSV and manifest; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = evaluate_sweep(sc, workers=workers)
+    rows = evaluate_sweep(sc)
     csv_path = out / f"{sc.label}.csv"
     manifest_path = out / f"{sc.label}.manifest.json"
-    write_csv(csv_path, rows, mc_enabled=sc.mc_samples > 0)
+    write_csv(csv_path, rows)
     write_manifest(manifest_path, sc, preset=preset)
     return csv_path, manifest_path
 
@@ -567,15 +564,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a value a library check rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # a SolverError, or a float overflow
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

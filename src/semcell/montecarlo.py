@@ -145,18 +145,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Requested worker count: explicit argument, else SEMCELL_THREADS, else
-    the number of CPUs this process may run on.
+def resolve_workers() -> int:
+    """Requested worker count: SEMCELL_THREADS, else the number of CPUs this
+    process may run on.
 
     Workers are processes; SEMCELL_THREADS keeps its name from when they
     were threads.  :func:`estimate_many` starts at most one per usable CPU
     and per tile, whatever is requested here.
     """
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return workers
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
         try:
@@ -389,8 +385,8 @@ def _shared(scenario: Scenario) -> tuple:
     return scenario.params.num_users, scenario.params.pathloss_exp, scenario.fit
 
 
-def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenario],
-                  workers: int | None = None) -> list[list[McEstimate]]:
+def estimate_many(events: list[Event], n: int, seed: int,
+                  scenarios: list[Scenario]) -> list[list[McEstimate]]:
     """Estimate several events at several grid points from shared draws.
 
     Returns one list per scenario, one estimate per event.  The scenarios
@@ -401,7 +397,7 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
     alone, the SNRs scaled by c_L R^(-a) of that point over c_L R^(-a) of
     the first (see the module docstring); on points with the first
     point's network parameters the estimates are exactly those of
-    :func:`estimate`.  ``workers`` (see :func:`resolve_workers`) sets
+    :func:`estimate`.  SEMCELL_THREADS (see :func:`resolve_workers`) sets
     the worker processes, at most one per usable CPU and per tile.
     """
     if n < 1:
@@ -427,7 +423,7 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
                * (s.params.cell_radius_m / p0.cell_radius_m) ** (-p0.pathloss_exp),
                gamma_gap(s.cfg)) for s in scenarios]
     tiles = _tiles(n, list(ranges))
-    n_workers = min(resolve_workers(workers), _usable_cpus(), len(tiles))
+    n_workers = min(resolve_workers(), _usable_cpus(), len(tiles))
     if n_workers <= 1 or not hasattr(os, "fork"):
         totals = _tally_tiles(tiles, seed, points, ranges)
     else:
@@ -448,11 +444,10 @@ def estimate_many(events: list[Event], n: int, seed: int, scenarios: list[Scenar
     return results
 
 
-def estimate(event: Event, n: int, seed: int, scenario: Scenario,
-             workers: int | None = None) -> McEstimate:
+def estimate(event: Event, n: int, seed: int, scenario: Scenario) -> McEstimate:
     """Estimate the probability of ``event`` from n independent samples.
 
     A sample is a cell of one user for per-user events and of num_users
     users for the count events.
     """
-    return estimate_many([event], n, seed, [scenario], workers=workers)[0][0]
+    return estimate_many([event], n, seed, [scenario])[0][0]

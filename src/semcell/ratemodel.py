@@ -32,9 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-
-class SolverError(RuntimeError):
-    """A bracketing or iteration failure in one of the numeric solvers."""
+from .specfun import SolverError
 
 
 @dataclass(frozen=True)

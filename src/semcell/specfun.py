@@ -10,8 +10,9 @@ parameters) and the inverse of that tail, the principal branch of the
 Lambert W function, log-binomial coefficients, and the safeguarded root
 finder behind the inverse tail and the radius design.
 
-All functions are pure, operate on Python floats, and raise ValueError
-on out-of-domain input.
+All functions are pure, operate on Python floats, raise ValueError on
+out-of-domain input and :class:`SolverError` when a series or a root
+does not converge.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from itertools import accumulate
 
 _MAX_ITER = 500
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, lower edge of the W0 domain
+
+
+class SolverError(ArithmeticError):
+    """A bracketing or iteration failure in one of the numeric solvers."""
 
 
 def _upper_gamma_cf(s: float, x: float) -> float:
@@ -49,7 +54,7 @@ def _upper_gamma_cf(s: float, x: float) -> float:
         h *= delta
         if -1e-16 < delta - 1.0 < 1e-16:
             return prefactor * h
-    raise ArithmeticError(f"incomplete gamma continued fraction did not converge for s={s}, x={x}")
+    raise SolverError(f"incomplete gamma continued fraction did not converge for s={s}, x={x}")
 
 
 def kummer_pair(s: float, x: float) -> tuple[float, float]:
@@ -83,7 +88,7 @@ def kummer_pair(s: float, x: float) -> tuple[float, float]:
                 scale = s * math.exp(-x)
                 # guard against <=1 ulp of drift above 1
                 return min(1.0, scale * total), scale * tail
-        raise ArithmeticError(f"Kummer series did not converge for s={s}, x={x}")
+        raise SolverError(f"Kummer series did not converge for s={s}, x={x}")
     gamma = math.gamma(s)
     if x <= 40.0 * (s + 1.0):
         gamma -= _upper_gamma_cf(s, x)
@@ -162,7 +167,7 @@ def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:
     Newton lands close to the root even for tiny q, without evaluating
     either bracket end.  The lower end is clamped at the smallest normal
     double, so every root that is a normal double is bracketed; a q whose
-    root is subnormal raises ArithmeticError ("no sign change on [...]"),
+    root is subnormal raises SolverError ("no sign change on [...]"),
     which the CLI reports as a solver failure (exit 3).
     """
     if k < 1 or m < 1:
@@ -254,7 +259,7 @@ def bracketed_root(fdf, lo: float, hi: float, start: float, rising: bool) -> tup
     change.
 
     Returns ``(root, iterations, residual)``: the last point evaluated,
-    the number of evaluations of f, and f there.  Raises ArithmeticError
+    the number of evaluations of f, and f there.  Raises SolverError
     when the ends do not bracket a sign change ("no sign change on
     [lo, hi]: f = f(lo), f(hi)") or the iteration does not converge.
     """
@@ -294,7 +299,7 @@ def bracketed_root(fdf, lo: float, hi: float, start: float, rising: bool) -> tup
             if (f_end > 0.0) == (rising == lo_seen):
                 return x, evaluations, f
             f_lo, f_hi = fdf(ends[0])[0], fdf(ends[1])[0]
-            raise ArithmeticError(f"no sign change on [{ends[0]}, {ends[1]}]: f = {f_lo}, {f_hi}")
+            raise SolverError(f"no sign change on [{ends[0]}, {ends[1]}]: f = {f_lo}, {f_hi}")
         target = log_x - step
         inside = log_lo < target < log_hi
         if inside and abs(step) <= 0.5 * last_step:
@@ -305,4 +310,4 @@ def bracketed_root(fdf, lo: float, hi: float, start: float, rising: bool) -> tup
             mid = math.sqrt(lo) * math.sqrt(hi)
             last_step, newton = abs(math.log(mid / x)), False
             x = mid
-    raise ArithmeticError(f"bracketed_root did not converge in {_MAX_ITER} iterations on [{lo}, {hi}]")
+    raise SolverError(f"bracketed_root did not converge in {_MAX_ITER} iterations on [{lo}, {hi}]")

@@ -301,6 +301,16 @@ class TestRunCommand:
             outputs.append((out / "config.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("workers", ["0", "two"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setenv("SEMCELL_THREADS", workers)
+        cfg_path = write_config(tmp_path, table1_config())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--mc-samples", "1000"]) == EXIT_CONFIG
+        assert "SEMCELL_THREADS" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_config_without_sweep_runs_at_the_cell_radius(self, tmp_path):
         doc = table1_config()
         del doc["sweep"]

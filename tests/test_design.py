@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semcell import (DesignTarget, NetworkParams, RateConfig, SimilarityFit,
+from semcell import (DesignTarget, NetworkParams, RateConfig, SimilarityFit, SolverError,
                      binom_range_prob, dbm_per_hz_to_watts_per_hz, exact_count_prob,
                      inv_reg_inc_beta_int,
                      optimal_sem_util_radius, radius_closed_form_a2,
@@ -87,6 +87,12 @@ class TestClosedFormRadius:
 
 
 class TestRadiusForOutageThreshold:
+    def test_subnormal_pi_star_raises_solver_error(self):
+        # pi_star of p_th = 1e-310 at L = 30 (about 3.3e-312) is subnormal: the
+        # count-tail inversion has no bracket, and fails with the solvers' one error
+        with pytest.raises(SolverError, match="no sign change"):
+            DesignTarget.for_outage_cap(1e-310, 1, 30)
+
     def test_round_trip_through_count_tail(self, table1_fit):
         # binomial tail at the solved radius returns the target exactly
         params = free_space_params(num_users=10)
@@ -170,7 +176,7 @@ class TestRadiusForOutageThreshold:
             assert x < 1.0
             assert outage_cdf(s, x) == pytest.approx(pi_star, rel=1e-12), p_th
 
-    def test_solved_radius_confirmed_by_simulation(self, table1_fit):
+    def test_solved_radius_confirmed_by_simulation(self, table1_fit, monkeypatch):
         # free-space 1 mW cell, 10 users: at the designed radius the
         # simulated probability of 3+ outages sits on the 1e-3 target
         from semcell import RangeCount, Scenario, estimate
@@ -181,8 +187,8 @@ class TestRadiusForOutageThreshold:
         target = DesignTarget.for_outage_cap(1e-3, 3, 10)
         solution = radius_for_outage_threshold(target, thr, params)
         sized = replace(params, cell_radius_m=solution.radius)
-        est = estimate(RangeCount(3, 10), 1_000_000, 20240404,
-                       Scenario(sized, table1_fit, cfg), workers=4)
+        monkeypatch.setenv("SEMCELL_THREADS", "4")
+        est = estimate(RangeCount(3, 10), 1_000_000, 20240404, Scenario(sized, table1_fit, cfg))
         assert abs(est.estimate - 1e-3) <= 3.0 * est.std_error
 
 
@@ -227,6 +233,14 @@ class TestCountDerivatives:
     def test_full_range_derivative_is_zero(self, table1_params, table1_cfg, table1_fit):
         thr = thresholds(table1_cfg, table1_fit)
         assert range_count_prob_deriv(30, 0, 30, thr, table1_params) == 0.0
+
+    def test_empty_utilization_window_has_zero_derivative(self, table1_params, table1_cfg,
+                                                          table1_fit):
+        # k r_out = 1 >= a2: no SNR serves a user semantically above the outage rate
+        thr = thresholds(replace(table1_cfg, r_out=0.2), table1_fit)
+        assert utilization_window(thr) is None
+        for count_lo, count_hi in ((5, 10), (0, 10), (5, 30)):
+            assert range_count_prob_deriv(30, count_lo, count_hi, thr, table1_params) == 0.0
 
 
 class TestOptimalUtilizationRadius:

@@ -45,11 +45,11 @@ def _configs() -> dict[str, dict]:
     return {"table1": table1, "m_th": m_th, "edge_snr_db": edge}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_mc_columns_regenerate(workers, tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mc_columns_regenerate(workers, tmp_path, monkeypatch):
+    monkeypatch.setenv("SEMCELL_THREADS", workers)
     for label, doc in _configs().items():
-        csv_path, _ = run_scenario(parse_scenario_config(doc, label=label), tmp_path,
-                                   workers=workers)
+        csv_path, _ = run_scenario(parse_scenario_config(doc, label=label), tmp_path)
         assert csv_path.read_bytes() == (DATA / csv_path.name).read_bytes(), label
     assert sorted(p.stem for p in DATA.glob("*.csv")) == sorted(_configs())
 

@@ -22,6 +22,15 @@ class _DrawFailed(Exception):
     """Raised by a patched draw inside a Monte Carlo worker."""
 
 
+def _per_worker_count(monkeypatch, counts, events, n, seed, scenarios):
+    """estimate_many's results with SEMCELL_THREADS set to each of ``counts`` in turn."""
+    runs = []
+    for workers in counts:
+        monkeypatch.setenv("SEMCELL_THREADS", str(workers))
+        runs.append(estimate_many(events, n, seed, scenarios))
+    return runs
+
+
 class _StubStream:
     """Plays back prescribed uniform draws, in call order."""
 
@@ -128,55 +137,60 @@ class TestSampleUser:
 
 
 class TestDeterminism:
-    def test_bit_identical_across_workers(self, table1_scenario):
+    def test_bit_identical_across_workers(self, table1_scenario, monkeypatch):
         events = [HybridOutage(), ExactCount(30), RangeCount(3, 30)]
         n = 150_000
-        runs = [estimate_many(events, n, 777, [table1_scenario], workers=w)[0]
-                for w in (1, 4, 16)]
-        for per_event in zip(*runs):
+        runs = _per_worker_count(monkeypatch, (1, 4, 16), events, n, 777, [table1_scenario])
+        for per_event in zip(*(run[0] for run in runs)):
             assert len({e.estimate for e in per_event}) == 1
             assert len({e.std_error for e in per_event}) == 1
 
-    def test_single_matches_batch(self, table1_scenario):
+    def test_single_matches_batch(self, table1_scenario, monkeypatch):
         n = 140_000
         for event in (BitOutage(), SemUtilization(), RangeCount(1, 30)):
-            single = estimate(event, n, 31, table1_scenario, workers=2)
-            batch = estimate_many([event, HybridOutage()], n, 31, [table1_scenario], workers=3)[0][0]
+            monkeypatch.setenv("SEMCELL_THREADS", "2")
+            single = estimate(event, n, 31, table1_scenario)
+            monkeypatch.setenv("SEMCELL_THREADS", "3")
+            batch = estimate_many([event, HybridOutage()], n, 31, [table1_scenario])[0][0]
             assert single.estimate == batch.estimate
 
-    def test_one_user_cells_are_shared(self, table1_scenario):
+    def test_one_user_cells_are_shared(self, table1_scenario, monkeypatch):
         # at one user a count event and its per-user event count the same cells
+        monkeypatch.setenv("SEMCELL_THREADS", "2")
         params = replace(table1_scenario.params, num_users=1, cell_radius_m=1500.0)
         scenario = replace(table1_scenario, params=params)
         events = [RangeCount(1, 1), ExactCount(1), HybridOutage(),
                   RangeCount(1, 1, indicator=SemUtilization()), SemUtilization()]
-        got = [e.estimate for e in estimate_many(events, 70_001, 5, [scenario], workers=2)[0]]
+        got = [e.estimate for e in estimate_many(events, 70_001, 5, [scenario])[0]]
         assert got[0] == got[1] == got[2]
         assert got[3] == got[4]
 
-    def test_seed_changes_estimate(self, table1_scenario):
-        a = estimate(HybridOutage(), 100_000, 1, table1_scenario, workers=2)
-        b = estimate(HybridOutage(), 100_000, 2, table1_scenario, workers=2)
+    def test_seed_changes_estimate(self, table1_scenario, monkeypatch):
+        monkeypatch.setenv("SEMCELL_THREADS", "2")
+        a = estimate(HybridOutage(), 100_000, 1, table1_scenario)
+        b = estimate(HybridOutage(), 100_000, 2, table1_scenario)
         assert a.estimate != b.estimate
 
 
 class TestEventProbabilities:
-    def test_zero_probability_event(self, table1_params, table1_fit):
+    def test_zero_probability_event(self, table1_params, table1_fit, monkeypatch):
         # QoS threshold at the similarity floor sends the QoS cutoff to
         # zero, so with the rate threshold below the floor a pure
         # semantic user can essentially never be in outage
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.37 + 1e-9, r_out=0.04)
         scenario = Scenario(table1_params, table1_fit, cfg)
-        est = estimate(SemOutage(), 1_000_000, 5, scenario, workers=4)
+        monkeypatch.setenv("SEMCELL_THREADS", "4")
+        est = estimate(SemOutage(), 1_000_000, 5, scenario)
         assert est.estimate == 0.0
 
-    def test_hybrid_outage_against_closed_form(self, table1_scenario):
+    def test_hybrid_outage_against_closed_form(self, table1_scenario, monkeypatch):
         thr = thresholds(table1_scenario.cfg, table1_scenario.fit)
         analytic = user_outage_hybrid(thr, table1_scenario.params)
-        est = estimate(HybridOutage(), 2_000_000, 2024, table1_scenario, workers=4)
+        monkeypatch.setenv("SEMCELL_THREADS", "4")
+        est = estimate(HybridOutage(), 2_000_000, 2024, table1_scenario)
         assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
-    def test_count_range_against_binomial(self, table1_params, table1_fit):
+    def test_count_range_against_binomial(self, table1_params, table1_fit, monkeypatch):
         # free-space 1 mW cell: the outage-count range probability follows
         # the binomial built on the per-user outage probability
         params = replace(table1_params, num_users=10, pathloss_exp=2.0,
@@ -186,40 +200,43 @@ class TestEventProbabilities:
         thr = thresholds(cfg, table1_fit)
         pi_h = user_outage_hybrid(thr, params)
         analytic = binom_range_prob(pi_h, 10, 3, 10)
-        est = estimate(RangeCount(3, 10), 400_000, 99, scenario, workers=4)
+        monkeypatch.setenv("SEMCELL_THREADS", "4")
+        est = estimate(RangeCount(3, 10), 400_000, 99, scenario)
         assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
-    def test_all_outage_count_against_power(self, table1_params, table1_fit):
+    def test_all_outage_count_against_power(self, table1_params, table1_fit, monkeypatch):
         params = replace(table1_params, num_users=3, cell_radius_m=2500.0)
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.04)
         scenario = Scenario(params, table1_fit, cfg)
         thr = thresholds(cfg, table1_fit)
         analytic = network_outage(user_outage_hybrid(thr, params), 3,
                                   NetOutageMode.ALL_IN_OUTAGE)
-        est = estimate(ExactCount(3), 400_000, 4242, scenario, workers=4)
+        monkeypatch.setenv("SEMCELL_THREADS", "4")
+        est = estimate(ExactCount(3), 400_000, 4242, scenario)
         assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
-    def test_utilization_count_event(self, table1_params, table1_fit, table1_cfg):
+    def test_utilization_count_event(self, table1_params, table1_fit, table1_cfg, monkeypatch):
         params = replace(table1_params, num_users=8, cell_radius_m=700.0)
         scenario = Scenario(params, table1_fit, table1_cfg)
         thr = thresholds(table1_cfg, table1_fit)
         pi_g = sem_util_prob(thr, params)
         analytic = binom_range_prob(pi_g, 8, 4, 8)
-        est = estimate(RangeCount(4, 8, indicator=SemUtilization()),
-                       300_000, 77, scenario, workers=4)
+        monkeypatch.setenv("SEMCELL_THREADS", "4")
+        est = estimate(RangeCount(4, 8, indicator=SemUtilization()), 300_000, 77, scenario)
         assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
 
 class TestCoverageCalibration:
-    def test_two_sigma_interval_coverage(self, table1_scenario):
+    def test_two_sigma_interval_coverage(self, table1_scenario, monkeypatch):
         # across 100 seeds the closed-form value should land inside
         # estimate +/- 2 stderr in at least 92 runs (~95.4% nominal)
         thr = thresholds(table1_scenario.cfg, table1_scenario.fit)
         truth = user_outage_hybrid(thr, table1_scenario.params)
         n = 40_000
         hits = 0
+        monkeypatch.setenv("SEMCELL_THREADS", "2")
         for seed in range(100):
-            est = estimate(HybridOutage(), n, seed, table1_scenario, workers=2)
+            est = estimate(HybridOutage(), n, seed, table1_scenario)
             if abs(est.estimate - truth) <= 2.0 * est.std_error:
                 hits += 1
         assert hits >= 92
@@ -239,10 +256,11 @@ class TestValidation:
         (ExactCount(2, indicator="typo"), "indicator"),
         (BitOutage, "unknown event"),
     ], ids=["indicator_class", "indicator_string", "event_class"])
-    def test_non_events_rejected(self, table1_scenario, event, message):
+    def test_non_events_rejected(self, table1_scenario, event, message, monkeypatch):
         # an event class in place of an instance, or a misspelt indicator
+        monkeypatch.setenv("SEMCELL_THREADS", "1")
         with pytest.raises(TypeError, match=message):
-            estimate(event, 5_000, 1, table1_scenario, workers=1)
+            estimate(event, 5_000, 1, table1_scenario)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, table1_scenario, seed):
@@ -259,7 +277,6 @@ class TestValidation:
             resolve_workers()
         monkeypatch.delenv("SEMCELL_THREADS")
         assert resolve_workers() >= 1
-        assert resolve_workers(5) == 5
 
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
         from semcell import resolve_workers
@@ -270,7 +287,8 @@ class TestValidation:
 
 
 class TestOracleAgreementRandomized:
-    def test_user_events_across_scenarios(self):
+    def test_user_events_across_scenarios(self, monkeypatch):
+        monkeypatch.setenv("SEMCELL_THREADS", "4")
         rng = np.random.default_rng(71)
         n = 120_000
         for _ in range(3):
@@ -280,7 +298,7 @@ class TestOracleAgreementRandomized:
             scenario = Scenario(params, fit, cfg)
             events = [HybridOutage(), BitOutage(), SemOutage(), SemUtilization()]
             expected = [report.pi_h, report.pi_b, report.pi_s, report.pi_g]
-            for est, value in zip(estimate_many(events, n, 555, [scenario], workers=4)[0], expected):
+            for est, value in zip(estimate_many(events, n, 555, [scenario])[0], expected):
                 assert abs(est.estimate - value) <= max(3.0 * est.std_error, 1e-4)
 
 
@@ -362,7 +380,8 @@ class TestSweep:
     @pytest.mark.parametrize("case, seed", [pytest.param(None, 7, id="7"),
                                             pytest.param(None, 2024, id="2024")]
                              + [pytest.param(c, 300 + c, id=f"domain{c}") for c in range(12)])
-    def test_radius_sweep_matches_per_point_reference(self, table1_scenario, case, seed):
+    def test_radius_sweep_matches_per_point_reference(self, table1_scenario, case, seed,
+                                                      monkeypatch):
         # the Table-1 radius grid, or five radii around a domain draw's own:
         # every point past the first scales the first point's draws instead
         # of drawing its own
@@ -375,29 +394,32 @@ class TestSweep:
                      for r in grid]
         events = _sweep_events(scenario.params.num_users)
         n = 20_000
-        swept = estimate_many(events, n, seed, scenarios, workers=2)
+        monkeypatch.setenv("SEMCELL_THREADS", "2")
+        swept = estimate_many(events, n, seed, scenarios)
         for scenario, estimates in zip(scenarios, swept):
             hits = _reference_hits(events, n, seed, scenario)
             assert [e.estimate for e in estimates] == [h / n for h in hits]
 
     @pytest.mark.parametrize("seed", [7, 2024])
-    def test_m_th_sweep_matches_per_point_reference(self, table1_scenario, seed):
+    def test_m_th_sweep_matches_per_point_reference(self, table1_scenario, seed, monkeypatch):
         scenarios = [replace(table1_scenario, cfg=replace(table1_scenario.cfg, m_th=m))
                      for m in np.linspace(0.4, 0.95, 6)]
         events = _sweep_events(30)
         n = BLOCK_SIZE + 3000
-        swept = estimate_many(events, n, seed, scenarios, workers=2)
+        monkeypatch.setenv("SEMCELL_THREADS", "2")
+        swept = estimate_many(events, n, seed, scenarios)
         for scenario, estimates in zip(scenarios, swept):
             hits = _reference_hits(events, n, seed, scenario)
             assert [e.estimate for e in estimates] == [h / n for h in hits]
 
-    def test_identical_for_any_worker_count(self, table1_params, table1_fit, table1_cfg):
+    def test_identical_for_any_worker_count(self, table1_params, table1_fit, table1_cfg,
+                                            monkeypatch):
         params = replace(table1_params, num_users=6)
         scenarios = [Scenario(replace(params, cell_radius_m=r), table1_fit, table1_cfg)
                      for r in (300.0, 900.0, 2700.0)]
         events = _sweep_events(6)[:5] + [RangeCount(2, 4, indicator=SemUtilization())]
         n = 3 * BLOCK_SIZE + 100
-        runs = [estimate_many(events, n, 99, scenarios, workers=w) for w in (1, 2, 3)]
+        runs = _per_worker_count(monkeypatch, (1, 2, 3), events, n, 99, scenarios)
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("change", [
@@ -420,7 +442,7 @@ class TestRowTiles:
     @pytest.mark.parametrize("num_users", [1, 7, 13])
     @pytest.mark.parametrize("n", [70_001, 131_075])
     def test_any_worker_count_matches_reference(self, table1_params, table1_fit, table1_cfg,
-                                                num_users, n):
+                                                monkeypatch, num_users, n):
         params = replace(table1_params, num_users=num_users)
         scenarios = [Scenario(replace(params, cell_radius_m=r), table1_fit, table1_cfg)
                      for r in (400.0, 1300.0)]
@@ -428,7 +450,7 @@ class TestRowTiles:
                   ExactCount(num_users), RangeCount(1, num_users),
                   RangeCount(min(3, num_users), num_users),
                   RangeCount(0, min(2, num_users), indicator=SemUtilization())]
-        runs = [estimate_many(events, n, 41, scenarios, workers=w) for w in (1, 2, 3)]
+        runs = _per_worker_count(monkeypatch, (1, 2, 3), events, n, 41, scenarios)
         assert runs[0] == runs[1] == runs[2]
         for scenario, estimates in zip(scenarios, runs[0]):
             hits = _reference_hits(events, n, 41, scenario)
@@ -442,9 +464,10 @@ class TestRowTiles:
                      for r in (300.0, 900.0)]
         events = _sweep_events(13)
         n = BLOCK_SIZE + 4_099
-        expected = estimate_many(events, n, 8, scenarios, workers=2)
+        monkeypatch.setenv("SEMCELL_THREADS", "2")
+        expected = estimate_many(events, n, 8, scenarios)
         monkeypatch.setattr(montecarlo, "_TILE_VALUES", tile_values)
-        assert estimate_many(events, n, 8, scenarios, workers=2) == expected
+        assert estimate_many(events, n, 8, scenarios) == expected
 
     @pytest.mark.parametrize("n", [5_000, BLOCK_SIZE + 3_000])
     def test_draws_only_the_rows_used(self, table1_scenario, monkeypatch, n):
@@ -459,7 +482,8 @@ class TestRowTiles:
             return sample(stream, params, size=size, **kwargs)
 
         monkeypatch.setattr(montecarlo, "sample_user", counting)
-        estimate_many([HybridOutage(), RangeCount(1, 30)], n, 3, [table1_scenario], workers=1)
+        monkeypatch.setenv("SEMCELL_THREADS", "1")
+        estimate_many([HybridOutage(), RangeCount(1, 30)], n, 3, [table1_scenario])
         assert drawn == {"per_user": n, "full_cell": n}
 
     def test_many_workers_lose_no_tile(self, table1_params, table1_fit, table1_cfg, monkeypatch):
@@ -468,8 +492,8 @@ class TestRowTiles:
         scenario = Scenario(replace(table1_params, num_users=5), table1_fit, table1_cfg)
         events = [HybridOutage(), RangeCount(1, 5)]
         monkeypatch.setattr(montecarlo, "_TILE_VALUES", 256)
-        expected = estimate_many(events, 20_003, 12, [scenario], workers=1)
-        assert estimate_many(events, 20_003, 12, [scenario], workers=8) == expected
+        expected, many = _per_worker_count(monkeypatch, (1, 8), events, 20_003, 12, [scenario])
+        assert many == expected
 
     def test_shares_add_up_to_the_whole_tally(self, table1_params, table1_fit, table1_cfg,
                                               monkeypatch):
@@ -495,8 +519,9 @@ class TestRowTiles:
             raise _DrawFailed("draw failed")
 
         monkeypatch.setattr(montecarlo, "sample_user", failing)
+        monkeypatch.setenv("SEMCELL_THREADS", "2")
         with pytest.raises(_DrawFailed):
-            estimate_many([HybridOutage()], 3 * BLOCK_SIZE, 1, [table1_scenario], workers=2)
+            estimate_many([HybridOutage()], 3 * BLOCK_SIZE, 1, [table1_scenario])
         assert multiprocessing.active_children() == []
 
 
@@ -537,7 +562,8 @@ class TestCurves:
         ({}, dict(cell_radius_m=1e150), 1.0),
         (dict(tx_power_w=1e-200), dict(tx_power_w=1e200), 0.0),
     ], ids=["ratio_zero", "ratio_inf"])
-    def test_snr_scales_beyond_the_float_range(self, table1_scenario, first, second, outage):
+    def test_snr_scales_beyond_the_float_range(self, table1_scenario, first, second, outage,
+                                               monkeypatch):
         # the SNR scales of the two points differ by a factor of 0 or inf
         # in floats: the second point sees SNRs of exactly 0 or inf
         params = table1_scenario.params
@@ -545,7 +571,8 @@ class TestCurves:
                      replace(table1_scenario, params=replace(params, **second))]
         events = _sweep_events(params.num_users)
         n = 5_001
-        swept = estimate_many(events, n, 3, scenarios, workers=2)
+        monkeypatch.setenv("SEMCELL_THREADS", "2")
+        swept = estimate_many(events, n, 3, scenarios)
         assert [e.estimate for e in swept[1][:3]] == [outage] * 3
         for point, estimates in zip(scenarios, swept):
             with np.errstate(over="ignore"):

@@ -7,7 +7,7 @@ from scipy import special as sp
 
 from semcell import (binom_range_prob, hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0,
                      log_binomial)
-from semcell.specfun import _binom_log_table, bracketed_root, kummer_pair
+from semcell.specfun import SolverError, _binom_log_table, bracketed_root, kummer_pair
 
 
 def kummer_series(s, x: float) -> float:
@@ -246,7 +246,7 @@ class TestBracketedRoot:
         assert root == pytest.approx(math.e, rel=1e-14)
 
     def test_errors(self):
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(SolverError):
             bracketed_root(lambda x: (x + 1.0, x), 1.0, 2.0, start=1.5, rising=True)
         with pytest.raises(ValueError):
             bracketed_root(lambda x: (x - 1.5, x), 2.0, 1.0, start=1.5, rising=True)
@@ -276,7 +276,7 @@ class TestBracketedRoot:
         # its sign shows no crossing, and the message names both ends' values
         for fdf, rising in (((lambda x: (x - 0.5, x)), True), ((lambda x: (0.5 - x, -x)), False)):
             for lo, hi, start in ((1.0, 10.0, 3.0), (1.0, 10.0, 0.1), (0.01, 0.1, 0.03), (0.01, 0.1, 7.0)):
-                with pytest.raises(ArithmeticError) as raised:
+                with pytest.raises(SolverError) as raised:
                     bracketed_root(fdf, lo, hi, start=start, rising=rising)
                 assert str(raised.value) == f"no sign change on [{lo}, {hi}]: f = {fdf(lo)[0]}, {fdf(hi)[0]}"
 
@@ -287,6 +287,40 @@ class TestBracketedRoot:
                                                         start=3.0, rising=True)
             assert (root, residual) == (end, 0.0)
             assert iterations <= 60
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
+    def test_bisection_collapses_between_points_on_both_sides(self, sign):
+        # a derivative of 1e-300 sends every Newton step out of the bracket:
+        # bisection narrows it around the root to 1e-14 relative, ends unevaluated
+        points = []
+
+        def fdf(x):
+            points.append(x)
+            return sign * (x - 3.0), sign * 1e-300
+
+        root, iterations, residual = bracketed_root(fdf, 1.0, 4.0, start=2.0, rising=sign > 0.0)
+        assert root == pytest.approx(3.0, rel=1e-14)
+        assert residual == sign * (root - 3.0) != 0.0
+        assert iterations == len(points) <= 60
+        assert 1.0 not in points and 4.0 not in points
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
+    def test_bisection_collapses_onto_an_end_past_the_root(self, sign):
+        # the root lies within 1e-14 relative of the upper end, and every point
+        # below it: the end, evaluated last, has the opposite sign and confirms it
+        root_at = 4.0 * (1.0 - 1e-15)
+        points = []
+
+        def fdf(x):
+            points.append(x)
+            return sign * (x - root_at), sign * 1e-300
+
+        root, iterations, residual = bracketed_root(fdf, 1.0, 4.0, start=2.0, rising=sign > 0.0)
+        assert points[-1] == 4.0 and 1.0 not in points
+        assert root == points[-2] < root_at
+        assert root == pytest.approx(root_at, rel=1e-14)
+        assert residual == sign * (root - root_at)
+        assert iterations == len(points) <= 60
 
     def test_start_falls_back_to_bisection(self):
         for fdf, rising in (((lambda x: (x - 3.0, -1.0)), True), ((lambda x: (3.0 - x, 1.0)), False)):
@@ -424,8 +458,17 @@ class TestInvRegIncBetaInt:
     def test_subnormal_root_has_no_bracket(self):
         # the root of q = 1e-310 at k = 1, n = 30 is about 3.3e-312, below
         # the smallest normal double the bracket is clamped at
-        with pytest.raises(ArithmeticError, match="no sign change"):
+        with pytest.raises(SolverError, match="no sign change"):
             inv_reg_inc_beta_int(1e-310, 1, 30)
+
+
+def test_one_solver_error():
+    # every solver failure is one class, an ArithmeticError, under every name it is exported by
+    import semcell
+    from semcell import ratemodel
+
+    assert semcell.SolverError is ratemodel.SolverError is SolverError
+    assert issubclass(SolverError, ArithmeticError)
 
 
 class TestLambertW0:
