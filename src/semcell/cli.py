@@ -35,6 +35,7 @@ from .outage import (NetOutageMode, binom_range_prob, network_outage, outage_rep
                      utilization_window)
 from .presets import PRESETS, expand_preset
 from .ratemodel import RateConfig, RateThresholds, SimilarityFit, gamma_gap, thresholds
+from .specfun import kernel_scope
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,7 +157,13 @@ def _noise_in_watts(sec: dict) -> dict:
     return {**sec, "noise_density_w_per_hz": noise}
 
 
-def _parse_sweep(doc: dict, fit: SimilarityFit) -> tuple[str, tuple[float, ...]]:
+def _edge_radius(params: NetworkParams, snr_db: float) -> float:
+    """Cell radius whose mean edge SNR is ``snr_db``: (c_L / SNR)^(1/a)."""
+    return (snr_scale(params) / db_to_linear(snr_db)) ** (1.0 / params.pathloss_exp)
+
+
+def _parse_sweep(doc: dict, fit: SimilarityFit,
+                 params: NetworkParams) -> tuple[str, tuple[float, ...]]:
     sec = _section(doc, "sweep")
     axis = sec.get("axis")
     if axis not in _SWEEP_AXES:
@@ -180,6 +187,15 @@ def _parse_sweep(doc: dict, fit: SimilarityFit) -> tuple[str, tuple[float, ...]]
     if axis == "m_th" and not (fit.a1 < grid[0] and grid[-1] < fit.a2):
         raise ConfigError(
             f"sweep.grid: similarity thresholds must lie strictly inside ({fit.a1}, {fit.a2})")
+    if axis == "edge_snr_db":
+        for i, value in enumerate(grid):
+            try:
+                radius = _edge_radius(params, value)
+            except ArithmeticError:  # a linear SNR beyond the float range, or 0
+                radius = math.nan
+            if not (math.isfinite(radius) and radius > 0.0):
+                raise ConfigError(f"sweep.grid[{i}]: an edge SNR of {value} dB gives "
+                                  "no finite positive cell radius")
     return axis, tuple(grid)
 
 
@@ -218,7 +234,7 @@ def parse_scenario_config(doc: dict, label: str = "run") -> ScenarioConfig:
             f"rate.similarity_threshold: {cfg.m_th} must lie strictly inside "
             f"the fit asymptotes ({fit.a1}, {fit.a2})")
     if "sweep" in doc:
-        axis, grid = _parse_sweep(doc, fit)
+        axis, grid = _parse_sweep(doc, fit, params)
     else:
         axis, grid = "radius_m", (params.cell_radius_m,)
     outage_lo, outage_hi = _parse_counts(doc, "outage_counts", params.num_users)
@@ -282,10 +298,9 @@ def _point_state(sc: ScenarioConfig, axis_value: float, thr: RateThresholds):
     params = sc.scenario.params
     cfg = sc.scenario.cfg
     if sc.sweep_axis == "radius_m":
-        return replace(params, cell_radius_m=axis_value), cfg, thr
+        return params.with_radius(axis_value), cfg, thr
     if sc.sweep_axis == "edge_snr_db":
-        radius = (snr_scale(params) / db_to_linear(axis_value)) ** (1.0 / params.pathloss_exp)
-        return replace(params, cell_radius_m=radius), cfg, thr
+        return params.with_radius(_edge_radius(params, axis_value)), cfg, thr
     if sc.sweep_axis == "m_th":
         cfg = replace(cfg, m_th=axis_value)
     else:
@@ -563,7 +578,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with kernel_scope():  # the command's sweeps share kernel values; none outlive it
+            return args.func(args)
     except ValueError as exc:  # a ConfigError, or a value a library check rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

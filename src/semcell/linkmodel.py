@@ -33,6 +33,11 @@ def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
+def _check_positive(name: str, value) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Cell-level constants.  All fields are linear-scale SI values."""
@@ -50,11 +55,18 @@ class NetworkParams:
             raise ValueError(f"num_users must be >= 1, got {self.num_users}")
         for name in ("tx_power_w", "total_bandwidth_hz", "carrier_freq_hz",
                      "noise_density_w_per_hz", "cell_radius_m"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be a finite positive number, got {value}")
+            _check_positive(name, getattr(self, name))
         if not (math.isfinite(self.pathloss_exp) and self.pathloss_exp >= 1.0):
             raise ValueError(f"pathloss_exp must be >= 1, got {self.pathloss_exp}")
+
+    def with_radius(self, radius: float) -> NetworkParams:
+        """These params at cell radius ``radius``, which gets the radius check;
+        the other fields were checked when ``self`` was built.  A sweep makes
+        one per point, so this skips ``dataclasses.replace``'s field walk."""
+        _check_positive("cell_radius_m", radius)
+        point = object.__new__(NetworkParams)
+        vars(point).update(vars(self), cell_radius_m=radius)
+        return point
 
 
 def snr_scale(params: NetworkParams) -> float:

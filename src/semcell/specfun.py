@@ -13,6 +13,14 @@ finder behind the inverse tail and the radius design.
 All functions are pure, operate on Python floats, raise ValueError on
 out-of-domain input and :class:`SolverError` when a series or a root
 does not converge.
+
+Inside :func:`kernel_scope`, :func:`kummer_pair` and
+:func:`binom_range_prob` evaluate each distinct argument once and return
+the stored value on every repeat: the variants of one figure share their
+grid, c_L and most breakpoints.  The values are the ones the kernels
+compute, so a scope changes no result.  Each kernel keeps at most the
+4096 most recent arguments, and nothing outlives the scope; outside a
+scope nothing is stored.
 """
 
 from __future__ import annotations
@@ -20,15 +28,43 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 from itertools import accumulate
 
 _MAX_ITER = 500
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, lower edge of the W0 domain
+# arguments each kernel keeps per scope: above the ~1 100 distinct Kummer
+# arguments of the largest preset command (fig4), and about 1 MB at most
+_SCOPE_SIZE = 4096
+# the open scope's (kummer_pair, binom_range_prob) memos, or None outside every scope
+_SCOPE: ContextVar[tuple | None] = ContextVar("semcell_kernel_scope", default=None)
 
 
 class SolverError(ArithmeticError):
     """A bracketing or iteration failure in one of the numeric solvers."""
+
+
+@contextmanager
+def kernel_scope():
+    """Share :func:`kummer_pair` and :func:`binom_range_prob` values within a block.
+
+    Opens one memo per kernel, each an ``lru_cache`` of the kernel's own
+    evaluation holding the 4096 most recent arguments, and drops both on
+    exit, however the block ends.  A scope opened inside another one
+    shares the outer scope's memos.  An argument that raises is not
+    stored, so it raises again on every call.
+    """
+    if _SCOPE.get() is not None:
+        yield
+        return
+    token = _SCOPE.set((lru_cache(maxsize=_SCOPE_SIZE, typed=True)(_kummer_pair),
+                        lru_cache(maxsize=_SCOPE_SIZE, typed=True)(_binom_range_prob)))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
 
 
 def _upper_gamma_cf(s: float, x: float) -> float:
@@ -57,22 +93,8 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     raise SolverError(f"incomplete gamma continued fraction did not converge for s={s}, x={x}")
 
 
-def kummer_pair(s: float, x: float) -> tuple[float, float]:
-    """(phi, h) with phi = 1F1(s; s+1; -x) and h = phi - e^(-x), for s > 0, x >= 0.
-
-    The only evaluation of the Kummer ratio phi = s x^(-s) gamma(s, x),
-    which falls strictly from 1 at x = 0 towards 0.  Below the x = s + 1
-    crossover gamma(s, x) comes from its series under Kummer's
-    transformation (DLMF 8.7, 13.2): phi = s e^(-x) sum_{n>=0} t_n with
-    t_0 = 1/s, t_n = t_{n-1} x / (s+n), and h is the same sum without t_0,
-    a sum of positive terms that keeps full relative precision as x -> 0
-    (h ~ x / (s+1)), where phi - e^(-x) would cancel.  Above it
-    phi = s x^(-s) (Gamma(s) - Gamma(s, x)), with Gamma(s, x) from the
-    continued fraction up to x = 40 (s+1) and dropped beyond, where it is
-    below half an ulp of Gamma(s) (the power law Gamma(s+1) x^(-s)); phi
-    exceeds 2 e^(-x) there, so the plain difference h loses at most one
-    bit.  h' = e^(-x) - s h / x.
-    """
+def _kummer_pair(s: float, x: float) -> tuple[float, float]:
+    """The evaluation behind :func:`kummer_pair`."""
     if not (math.isfinite(s) and math.isfinite(x)) or s <= 0.0 or x < 0.0:
         raise ValueError(f"kummer_pair requires finite s > 0 and x >= 0, got s={s}, x={x}")
     if x == 0.0:
@@ -94,6 +116,26 @@ def kummer_pair(s: float, x: float) -> tuple[float, float]:
         gamma -= _upper_gamma_cf(s, x)
     phi = s * math.exp(-s * math.log(x)) * gamma
     return phi, phi - math.exp(-x)
+
+
+def kummer_pair(s: float, x: float) -> tuple[float, float]:
+    """(phi, h) with phi = 1F1(s; s+1; -x) and h = phi - e^(-x), for s > 0, x >= 0.
+
+    The only evaluation of the Kummer ratio phi = s x^(-s) gamma(s, x),
+    which falls strictly from 1 at x = 0 towards 0.  Below the x = s + 1
+    crossover gamma(s, x) comes from its series under Kummer's
+    transformation (DLMF 8.7, 13.2): phi = s e^(-x) sum_{n>=0} t_n with
+    t_0 = 1/s, t_n = t_{n-1} x / (s+n), and h is the same sum without t_0,
+    a sum of positive terms that keeps full relative precision as x -> 0
+    (h ~ x / (s+1)), where phi - e^(-x) would cancel.  Above it
+    phi = s x^(-s) (Gamma(s) - Gamma(s, x)), with Gamma(s, x) from the
+    continued fraction up to x = 40 (s+1) and dropped beyond, where it is
+    below half an ulp of Gamma(s) (the power law Gamma(s+1) x^(-s)); phi
+    exceeds 2 e^(-x) there, so the plain difference h loses at most one
+    bit.  h' = e^(-x) - s h / x.
+    """
+    scope = _SCOPE.get()
+    return _kummer_pair(s, x) if scope is None else scope[0](s, x)
 
 
 def hyp1f1_ratio(s: float, x: float) -> float:
@@ -123,16 +165,8 @@ def _binom_log_table(num_users: int, count_lo: int, count_hi: int) -> tuple[floa
     return log_binomial(num_users, count_lo), memoryview(ratios).toreadonly()
 
 
-def binom_range_prob(p: float, num_users: int, count_lo: int, count_hi: int) -> float:
-    """P[count_lo <= Binomial(num_users, p) <= count_hi], in log space.
-
-    With count_hi = num_users this equals the regularized incomplete beta
-    I_p(count_lo, num_users - count_lo + 1).  The log terms are
-    ln C(n, lo) + lo ln p + (n - lo) ln(1 - p), then each previous one plus
-    the next log coefficient ratio and ln(p / (1 - p)); the coefficients
-    and ratios come from a table keyed on (n, lo, hi) alone, held for the
-    128 most recent ranges, so a call costs O(hi - lo) whatever n is.
-    """
+def _binom_range_prob(p: float, num_users: int, count_lo: int, count_hi: int) -> float:
+    """The evaluation behind :func:`binom_range_prob`."""
     if not (0 <= count_lo <= count_hi <= num_users):
         raise ValueError(
             f"need 0 <= count_lo <= count_hi <= num_users, got ({count_lo}, {count_hi}, {num_users})")
@@ -151,6 +185,22 @@ def binom_range_prob(p: float, num_users: int, count_lo: int, count_hi: int) -> 
     terms = list(accumulate(map(step.__add__, ratios), initial=log_term))
     top = max(terms)
     return min(1.0, exp(top) * sum(exp(t - top) for t in terms))
+
+
+def binom_range_prob(p: float, num_users: int, count_lo: int, count_hi: int) -> float:
+    """P[count_lo <= Binomial(num_users, p) <= count_hi], in log space.
+
+    With count_hi = num_users this equals the regularized incomplete beta
+    I_p(count_lo, num_users - count_lo + 1).  The log terms are
+    ln C(n, lo) + lo ln p + (n - lo) ln(1 - p), then each previous one plus
+    the next log coefficient ratio and ln(p / (1 - p)); the coefficients
+    and ratios come from a table keyed on (n, lo, hi) alone, held for the
+    128 most recent ranges, so a call costs O(hi - lo) whatever n is.
+    """
+    scope = _SCOPE.get()
+    if scope is None:
+        return _binom_range_prob(p, num_users, count_lo, count_hi)
+    return scope[1](p, num_users, count_lo, count_hi)
 
 
 def inv_reg_inc_beta_int(q: float, k: int, m: int) -> float:

@@ -76,6 +76,17 @@ class TestConfigParsing:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "config error: sweep.points: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_edge_snr_beyond_the_float_range_exits_2(self, tmp_path, capsys, snr_db):
+        # +4000 dB overflows the linear SNR and -4000 dB rounds it to 0; neither is a solver failure
+        doc = table1_config()
+        doc["sweep"] = {"axis": "edge_snr_db", "grid": sorted([0.0, 10.0, snr_db])}
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        index = 0 if snr_db < 0.0 else 2
+        assert f"config error: sweep.grid[{index}]: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_both_noise_keys_rejected(self):
         doc = table1_config()
         doc["network"]["noise_density_w_per_hz"] = 1e-20

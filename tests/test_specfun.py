@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,11 @@ from scipy import special as sp
 
 from semcell import (binom_range_prob, hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0,
                      log_binomial)
-from semcell.specfun import SolverError, _binom_log_table, bracketed_root, kummer_pair
+from semcell import specfun
+from semcell.cli import main
+from semcell.presets import table1_config
+from semcell.specfun import (SolverError, _binom_log_table, bracketed_root, kernel_scope,
+                             kummer_pair)
 
 
 def kummer_series(s, x: float) -> float:
@@ -526,3 +531,101 @@ class TestLogBinomial:
             log_binomial(5, 6)
         with pytest.raises(ValueError):
             log_binomial(5, -1)
+
+
+class TestKernelScope:
+    """Within a kernel scope each distinct argument is evaluated once; outside nothing is kept."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Calls of each kernel's own evaluation, counted while the test runs."""
+        counts = {"kummer": 0, "binom": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(specfun, "_kummer_pair", counted(specfun._kummer_pair, "kummer"))
+        monkeypatch.setattr(specfun, "_binom_range_prob",
+                            counted(specfun._binom_range_prob, "binom"))
+        return counts
+
+    def test_repeated_argument_is_evaluated_once(self, evaluations):
+        with kernel_scope():
+            first = kummer_pair(0.5, 2.0)
+            assert kummer_pair(0.5, 2.0) is first
+            tail = binom_range_prob(0.3, 30, 5, 10)
+            assert binom_range_prob(0.3, 30, 5, 10) == tail
+            assert hyp1f1_ratio(0.5, 2.0) == first[0]
+        assert evaluations == {"kummer": 1, "binom": 1}
+        assert first == specfun._kummer_pair(0.5, 2.0)
+
+    def test_nothing_is_stored_outside_a_scope(self, evaluations):
+        with kernel_scope():
+            kummer_pair(0.5, 2.0)
+        kummer_pair(0.5, 2.0)
+        kummer_pair(0.5, 2.0)
+        binom_range_prob(0.3, 30, 5, 10)
+        binom_range_prob(0.3, 30, 5, 10)
+        assert evaluations == {"kummer": 3, "binom": 2}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["run", "--config", "EDGE", "--out", "OUT"], 2),
+        (["design", "radius", "--config", "TABLE1", "--pth", "1e-310", "--ll", "1"], 3),
+        (["run", "--config", "TABLE1", "--out", "OUT"], 0),
+    ], ids=["config-error", "solver-failure", "ok"])
+    def test_no_scope_outlives_a_command(self, evaluations, tmp_path, capsys, argv, code):
+        doc = table1_config()
+        (tmp_path / "TABLE1").write_text(json.dumps(doc))
+        doc["sweep"] = {"axis": "edge_snr_db", "grid": [0.0, 4000.0]}
+        (tmp_path / "EDGE").write_text(json.dumps(doc))
+        assert main([str(tmp_path / arg) if arg.isupper() else arg for arg in argv]) == code
+        assert specfun._SCOPE.get() is None
+        before = dict(evaluations)
+        kummer_pair(0.5, 2.0)
+        kummer_pair(0.5, 2.0)
+        assert evaluations["kummer"] == before["kummer"] + 2
+
+    def test_a_raising_argument_raises_every_time(self, evaluations):
+        with kernel_scope():
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    kummer_pair(0.5, -1.0)
+                with pytest.raises(ValueError):
+                    binom_range_prob(1.5, 30, 5, 10)
+        assert evaluations == {"kummer": 3, "binom": 3}
+
+    def test_nested_scope_shares_the_outer_one(self, evaluations):
+        with kernel_scope():
+            kummer_pair(0.5, 2.0)
+            with kernel_scope():
+                kummer_pair(0.5, 2.0)
+                kummer_pair(0.5, 3.0)
+            assert specfun._SCOPE.get() is not None
+            kummer_pair(0.5, 3.0)
+        assert specfun._SCOPE.get() is None
+        assert evaluations["kummer"] == 2
+
+    def test_each_kernel_keeps_the_4096_most_recent_arguments(self, evaluations):
+        xs = [1e-3 * (i + 1) for i in range(4097)]
+        with kernel_scope():
+            for x in xs:
+                kummer_pair(0.5, x)
+            kummer_pair(0.5, xs[-1])
+            assert evaluations["kummer"] == 4097
+            kummer_pair(0.5, xs[0])  # the oldest was dropped for the 4097th
+            assert evaluations["kummer"] == 4098
+
+    def test_consecutive_commands_evaluate_the_same(self, evaluations, tmp_path, capsys):
+        config = tmp_path / "table1.json"
+        config.write_text(json.dumps(table1_config()))
+        argv = ["run", "--config", str(config), "--preset", "fig3", "--out", str(tmp_path)]
+        counts = []
+        for _ in range(2):
+            evaluations.update(kummer=0, binom=0)
+            assert main(argv) == 0
+            counts.append(dict(evaluations))
+        assert counts[0] == counts[1]
+        assert counts[0]["kummer"] > 0 and counts[0]["binom"] > 0
