@@ -19,7 +19,7 @@ from .montecarlo import (BitOutage, ExactCount, HybridOutage, McEstimate, RangeC
                          sample_user, user_stream)
 from .outage import (NetOutageMode, OutageReport, network_outage, outage_report,
                      sem_util_prob, sem_util_prob_deriv, user_outage_bit,
-                     user_outage_hybrid, user_outage_sem, utilization_window)
+                     user_outage_hybrid, user_outage_sem)
 from .ratemodel import (RateConfig, RateThresholds, SimilarityFit, SolverError, bit_rate,
                         gamma_gap, inv_similarity, sem_rate, similarity, thresholds)
 from .specfun import (binom_range_prob, hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0,
@@ -42,7 +42,7 @@ __all__ = [
     # outage
     "NetOutageMode", "OutageReport", "user_outage_hybrid", "user_outage_bit",
     "user_outage_sem", "network_outage", "sem_util_prob",
-    "sem_util_prob_deriv", "outage_report", "utilization_window",
+    "sem_util_prob_deriv", "outage_report",
     # design
     "DesignTarget", "RadiusSolution", "UtilizationRadius",
     "UtilizationDesign", "radius_for_outage_threshold", "radius_closed_form_a2",

@@ -19,6 +19,7 @@ import math
 import platform
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 from statistics import NormalDist
 from typing import get_type_hints
@@ -31,8 +32,7 @@ from .linkmodel import (NetworkParams, db_to_linear, dbm_per_hz_to_watts_per_hz,
                         linear_to_db, mean_edge_snr, snr_scale)
 from .montecarlo import (SEED_LIMIT, BitOutage, ExactCount, HybridOutage, RangeCount,
                          Scenario, SemOutage, SemUtilization, estimate_many)
-from .outage import (NetOutageMode, binom_range_prob, network_outage, outage_report,
-                     utilization_window)
+from .outage import NetOutageMode, binom_range_prob, network_outage, outage_report
 from .presets import PRESETS, expand_preset
 from .ratemodel import RateConfig, RateThresholds, SimilarityFit, gamma_gap, thresholds
 from .specfun import kernel_scope
@@ -345,10 +345,9 @@ def evaluate_sweep(sc: ScenarioConfig) -> list[dict[str, float]]:
     The sweep's thresholds are computed once and serve every point on the
     radius axes; on the m_th and r_out axes each point takes its own,
     which rebuilds only the closed-form edges, since no axis moves g_max
-    and its solve is memoized.  The SNR CDF is taken once per distinct
-    breakpoint, and the binomial tails read a log-ratio table built once
-    per count range.  One Monte Carlo call covers the whole grid, so every
-    point reuses the same channel draws.
+    and its solve is memoized.  The binomial tails read a log-ratio table
+    built once per count range.  One Monte Carlo call covers the whole
+    grid, so every point reuses the same channel draws.
     """
     fit = sc.scenario.fit
     thr = thresholds(sc.scenario.cfg, fit)
@@ -393,7 +392,7 @@ def derived_constants(sc: ScenarioConfig) -> dict:
         "g_bit": thr.g_bit,
         "g_sem": thr.g_sem,
         "hybrid_outage": {"bit": bit, "semantic": sem},
-        "utilization_window": utilization_window(thr),
+        "utilization_window": thr.utilization_window(),
         "mean_edge_snr_db": linear_to_db(mean_edge_snr(params)),
     }
 
@@ -417,14 +416,21 @@ def write_manifest(path: Path, sc: ScenarioConfig, preset: str | None) -> None:
 
 def run_scenario(sc: ScenarioConfig, out_dir: str | Path,
                  preset: str | None = None) -> tuple[Path, Path]:
-    """Evaluate one sweep and write its CSV and manifest; returns the paths."""
+    """Evaluate one sweep and write its CSV and manifest; returns the paths.
+    An OSError making ``out_dir`` (before the sweep) or writing into it is a ConfigError."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}") from exc
     rows = evaluate_sweep(sc)
     csv_path = out / f"{sc.label}.csv"
     manifest_path = out / f"{sc.label}.manifest.json"
-    write_csv(csv_path, rows)
-    write_manifest(manifest_path, sc, preset=preset)
+    try:
+        write_csv(csv_path, rows)
+        write_manifest(manifest_path, sc, preset=preset)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}") from exc
     return csv_path, manifest_path
 
 
@@ -538,6 +544,7 @@ def _cmd_design_util(args) -> int:
     return EXIT_OK
 
 
+@cache  # parse_args does not change the parser, so a process builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semcell",
@@ -575,8 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with kernel_scope():  # the command's sweeps share kernel values; none outlive it
             return args.func(args)

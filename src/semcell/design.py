@@ -15,9 +15,10 @@ h(x) = phi(x) - e^(-x) (see :func:`~semcell.specfun.kummer_pair`).
   probability pi_g(t) = phi(g_lo t) - phi(g_hi t), where
   D(t) = h(g_hi t) - h(g_lo t) = 0, and the radii where pi_g crosses the
   binomial level of the telescoping count-derivative identity, one on
-  each side of the peak.  pi_g, D and the Newton slope come from
-  :func:`~semcell.outage._utilization_terms`, the same curve that
-  :func:`~semcell.outage.sem_util_prob` and its radius derivative evaluate.
+  each side of the peak.  pi_g, D and the Newton slope over the window
+  ``thr.utilization_window()`` come from :func:`~semcell.outage._utilization_terms`,
+  the curve :func:`~semcell.outage.sem_util_prob` and its radius
+  derivative evaluate.
 
 Every numeric equation, the utilization peak included, is bracketed in
 closed form and solved by :func:`~semcell.specfun.bracketed_root`
@@ -26,8 +27,8 @@ root, so Newton lands close to it and neither bracket end is evaluated
 unless the iteration collapses onto it.  The level equations are solved
 on a log scale, ln(value) - ln(level), nearly linear on the far side of
 the root where each starts, so strict outage caps keep their relative
-precision.  A utilization query evaluates its curve once per distinct t,
-shared by the peak, the level roots and the reported range
+precision.  A utilization query caches its curve, so each distinct t
+is evaluated once for the peak, the level roots and the reported range
 probabilities.  Each solution records the solver's iteration count and
 the residual of the equation it solved.
 """
@@ -36,9 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .linkmodel import NetworkParams, snr_scale
-from .outage import _utilization_terms, sem_util_prob, sem_util_prob_deriv, utilization_window
+from .outage import _utilization_terms, sem_util_prob, sem_util_prob_deriv
 from .ratemodel import RateThresholds, SolverError
 from .specfun import (binom_range_prob, bracketed_root, inv_reg_inc_beta_int, kummer_pair,
                       lambert_w0, log_binomial)
@@ -294,7 +296,7 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
     if not (0 <= count_lo <= count_hi <= num_users):
         raise ValueError(
             f"need 0 <= count_lo <= count_hi <= num_users, got ({count_lo}, {count_hi}, {num_users})")
-    window = utilization_window(thr)
+    window = thr.utilization_window()
     if window is None:
         return UtilizationDesign(solutions=(), level_target=None,
                                  level_attainable=False, semantic_possible=False)
@@ -309,13 +311,7 @@ def optimal_sem_util_radius(num_users: int, count_lo: int, count_hi: int,
     s = 2.0 / a
     c_l = snr_scale(params)
 
-    terms: dict[float, tuple[float, float, float]] = {}
-
-    def curve(t: float) -> tuple[float, float, float]:
-        value = terms.get(t)
-        if value is None:
-            value = terms[t] = _utilization_terms(s, window, t)
-        return value
+    curve = cache(partial(_utilization_terms, s, window))
 
     def solution(t: float, pi_g: float, equation: str, iterations: int,
                  residual: float) -> UtilizationRadius:

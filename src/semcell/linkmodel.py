@@ -91,12 +91,13 @@ def snr_cdf(y: float, params: NetworkParams) -> float:
     """CDF of the received SNR of a uniformly placed user.
 
     F_g(y) = 1 - 1F1(2/a; 1 + 2/a; -(y / c_L) R^a); depends on the inputs
-    only through the dimensionless group (y / c_L) R^a.
+    only through the dimensionless group (y / c_L) R^a.  It is 0 at y = 0
+    and 1 where the group is infinite (y = inf, or beyond the float range).
     """
-    if not (math.isfinite(y) and y >= 0.0):
+    if not y >= 0.0:
         raise ValueError(f"snr_cdf requires y >= 0, got y={y}")
     if y == 0.0:
         return 0.0
     a = params.pathloss_exp
     x = (y / snr_scale(params)) * params.cell_radius_m ** a
-    return 1.0 - hyp1f1_ratio(2.0 / a, x)
+    return 1.0 if x == math.inf else 1.0 - hyp1f1_ratio(2.0 / a, x)

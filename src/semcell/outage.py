@@ -9,18 +9,15 @@ the radius design's utilization roots, evaluate one curve,
 :func:`_utilization_terms`: pi_g and its derivative terms at the window
 edges x = g t on the Kummer axis, t = R^a / c_L.
 
-Every per-user event is a union of disjoint SNR intervals built by
-:class:`~semcell.ratemodel.RateThresholds` from the four breakpoints,
-and its probability is the sum of F_g(hi) - F_g(lo) over them (F_g the
-SNR CDF).  The hybrid outage event is the bit outage set outside the
-semantic window plus the semantic outage set inside it; the paper's
-branch table covers the cases where the two parts merge into one
-interval [0, y] (checked against the table in the test suite).  The
-manifest records both parts and the utilization window.
-
-:func:`outage_report` takes F_g once per distinct breakpoint of its
-point (F_g(0) = 0 and F_g(inf) = 1 without a call) and shares it between
-the hybrid and semantic outage events.
+This module is the measure only.  Every per-user event is a union of
+disjoint SNR intervals that :class:`~semcell.ratemodel.RateThresholds`
+builds from the four breakpoints, and its probability is the sum of
+F_g(hi) - F_g(lo) over them (F_g the SNR CDF).  The paper's branch table
+covers the cases where the hybrid outage event is one interval [0, y]
+(checked against the table in the test suite).  Nothing here stores a
+value; inside :func:`~semcell.specfun.kernel_scope`, which every
+``semcell`` command opens, each distinct breakpoint's F_g costs one
+kernel evaluation.
 """
 
 from __future__ import annotations
@@ -60,31 +57,10 @@ def user_outage_bit(thr: RateThresholds, params: NetworkParams) -> float:
     return snr_cdf(thr.g_bit, params)
 
 
-def _cdf_memo(params: NetworkParams):
-    """F_g at the params' radius, evaluated once per distinct SNR: F(0) = 0, F(inf) = 1."""
-    values = {0.0: 0.0, math.inf: 1.0}
-
-    def cdf(y: float) -> float:
-        value = values.get(y)
-        if value is None:
-            value = values[y] = snr_cdf(y, params)
-        return value
-
-    return cdf
-
-
-def _cdf_mass(intervals: tuple[Interval, ...], cdf) -> float:
+def _cdf_mass(intervals: tuple[Interval, ...], params: NetworkParams) -> float:
     """SNR probability of a union of disjoint intervals: sum F(hi) - sum F(lo)."""
-    return sum(cdf(hi) for _, hi in intervals) - sum(cdf(lo) for lo, _ in intervals)
-
-
-def _sem_outage(thr: RateThresholds, cdf) -> float:
-    return _cdf_mass(((0.0, max(thr.g_min, thr.sem_outage_edge)),), cdf)
-
-
-def _hybrid_outage(thr: RateThresholds, cdf) -> float:
-    bit, sem = thr.hybrid_outage_parts()
-    return _clamp01(_cdf_mass(bit, cdf) + _cdf_mass(sem, cdf))
+    return (sum(snr_cdf(hi, params) for _, hi in intervals)
+            - sum(snr_cdf(lo, params) for lo, _ in intervals))
 
 
 def user_outage_sem(thr: RateThresholds, params: NetworkParams) -> float:
@@ -94,7 +70,7 @@ def user_outage_sem(thr: RateThresholds, params: NetworkParams) -> float:
     semantic rate is below the threshold (below ``sem_outage_edge``); 1
     identically once k * r_out reaches the similarity ceiling.
     """
-    return _sem_outage(thr, _cdf_memo(params))
+    return _cdf_mass(thr.sem_outage(), params)
 
 
 def user_outage_hybrid(thr: RateThresholds, params: NetworkParams) -> float:
@@ -104,20 +80,16 @@ def user_outage_hybrid(thr: RateThresholds, params: NetworkParams) -> float:
     the semantic window) plus that of the semantic part (semantic rate
     below it inside the window).
     """
-    return _hybrid_outage(thr, _cdf_memo(params))
+    bit, sem = thr.hybrid_outage_parts()
+    return _clamp01(_cdf_mass(bit, params) + _cdf_mass(sem, params))
 
 
 def outage_report(thr: RateThresholds, params: NetworkParams) -> OutageReport:
-    """Evaluate all four per-user probabilities for one scenario.
-
-    pi_h and pi_s share one F per distinct breakpoint; pi_b is
-    :func:`user_outage_bit`, looked up on this module at each call.
-    """
-    cdf = _cdf_memo(params)
+    """Evaluate all four per-user probabilities for one scenario."""
     return OutageReport(
-        pi_h=_hybrid_outage(thr, cdf),
+        pi_h=user_outage_hybrid(thr, params),
         pi_b=user_outage_bit(thr, params),
-        pi_s=_sem_outage(thr, cdf),
+        pi_s=user_outage_sem(thr, params),
         pi_g=sem_util_prob(thr, params))
 
 
@@ -140,14 +112,6 @@ def network_outage(pi: float, num_users: int, mode: NetOutageMode) -> float:
     raise ValueError(f"unknown network outage mode {mode!r}")
 
 
-def utilization_window(thr: RateThresholds) -> Interval | None:
-    """SNR interval on which a user is served semantically above the
-    outage rate, or None when that event is empty: the semantic window
-    [g_min, g_max] above ``sem_outage_edge``."""
-    lo = max(thr.g_min, thr.sem_outage_edge)
-    return (lo, thr.g_max) if lo < thr.g_max else None
-
-
 def _utilization_terms(s: float, window: Interval, t: float) -> tuple[float, float, float]:
     """(pi_g, D, t D') of the utilization window (g_lo, g_hi) at t = R^a / c_L.
 
@@ -166,7 +130,7 @@ def _utilization_terms(s: float, window: Interval, t: float) -> tuple[float, flo
 
 def _utilization_at_radius(thr: RateThresholds, params: NetworkParams) -> tuple[float, float, float]:
     """:func:`_utilization_terms` at the params' radius; zeros when the window is empty."""
-    window = utilization_window(thr)
+    window = thr.utilization_window()
     if window is None:
         return 0.0, 0.0, 0.0
     a = params.pathloss_exp

@@ -134,22 +134,22 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def deep_merge(base: dict, override: dict) -> dict:
-    """Recursively merge override into a deep copy of base."""
-    merged = copy.deepcopy(base)
+def _overlay(base: dict, override: dict) -> dict:
+    """base with override merged in recursively, sharing every value it does not merge."""
+    merged = dict(base)
     for key, value in override.items():
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = deep_merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
+            value = _overlay(merged[key], value)
+        merged[key] = value
     return merged
 
 
 def expand_preset(config: dict, preset: str) -> list[tuple[str, dict]]:
-    """Resolve a preset into (label, config dict) pairs on top of config."""
+    """Resolve a preset into (label, config dict) pairs on top of config;
+    each doc is one deep copy, sharing no object with config or PRESETS."""
     if preset not in PRESETS:
         raise KeyError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     spec = PRESETS[preset]
-    base = deep_merge(config, spec["base"])
-    return [(f"{preset}_{suffix}", deep_merge(base, override))
+    base = _overlay(config, spec["base"])
+    return [(f"{preset}_{suffix}", copy.deepcopy(_overlay(base, override)))
             for suffix, override in spec["variants"]]

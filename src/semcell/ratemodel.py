@@ -18,10 +18,10 @@ Breakpoints:
   ``sem_outage_edge`` is then 0 or infinity).
 
 Every per-user event is a union of disjoint intervals on the SNR axis
-with these breakpoints as ends (:class:`RateThresholds` builds them), so
-its probability is a sum of SNR-CDF differences.  The rows of the
-paper's branch table are the cases where the hybrid outage event is one
-interval [0, y].
+with these breakpoints as ends, and :class:`RateThresholds` alone builds
+them, so :mod:`semcell.outage` only sums SNR-CDF differences.  The rows
+of the paper's branch table are the cases where the hybrid outage event
+is one interval [0, y].
 """
 
 from __future__ import annotations
@@ -113,6 +113,16 @@ class RateThresholds:
             bit += ((g_max, g_bit),)
         edge = min(self.sem_outage_edge, g_max)
         return bit, ((g_min, edge),) if edge > g_min else ()
+
+    def sem_outage(self) -> tuple[Interval, ...]:
+        """The semantic-only outage event: below g_min or ``sem_outage_edge``."""
+        return ((0.0, max(self.g_min, self.sem_outage_edge)),)
+
+    def utilization_window(self) -> Interval | None:
+        """The semantic window [g_min, g_max] above ``sem_outage_edge``, where a
+        user is served semantically above the outage rate; None when empty."""
+        lo = max(self.g_min, self.sem_outage_edge)
+        return (lo, self.g_max) if lo < self.g_max else None
 
     def outage_cdf_argument(self) -> float | None:
         """The y for which the hybrid outage event is [0, y], so that its

@@ -20,8 +20,7 @@ from semcell import (BitOutage, ExactCount, HybridOutage, NetOutageMode,
                      binom_range_prob, estimate_many, exact_count_prob, gamma_gap,
                      hyp1f1_ratio, network_outage, outage_report, radius_closed_form_a2,
                      range_count_prob_deriv, sem_util_prob, sem_util_prob_deriv, bit_rate,
-                     sem_rate, snr_scale, thresholds,
-                     utilization_window)
+                     sem_rate, snr_scale, thresholds)
 from semcell.cli import main, parse_scenario_config, run_scenario
 from semcell.design import _kummer_level_root
 from semcell.presets import expand_preset, table1_config
@@ -189,7 +188,7 @@ def test_acceptance_5_utilization_derivatives():
     while checked < 200:
         params, fit, cfg = draw_scenario(rng)
         thr = thresholds(cfg, fit)
-        if utilization_window(thr) is None:
+        if thr.utilization_window() is None:
             continue
         radius = params.cell_radius_m * float(10 ** rng.uniform(-0.5, 0.5))
         at = replace(params, cell_radius_m=radius)
@@ -208,7 +207,7 @@ def test_acceptance_5_utilization_derivatives():
     while checked < 60:
         params, fit, cfg = draw_scenario(rng, max_users=40)
         thr = thresholds(cfg, fit)
-        if utilization_window(thr) is None:
+        if thr.utilization_window() is None:
             continue
         num_users = params.num_users
         count = int(rng.integers(0, num_users + 1))

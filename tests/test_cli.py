@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import subprocess
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_scenario
-from semcell import DesignTarget, RateConfig, Scenario, outage_report, thresholds, utilization_window
+from semcell import DesignTarget, RateConfig, Scenario, outage_report, thresholds
 from semcell.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, ConfigError, ScenarioConfig,
-                         main, parse_scenario_config, run_scenario, scenario_config_dict,
-                         write_manifest)
+                         build_parser, main, parse_scenario_config, run_scenario,
+                         scenario_config_dict, write_manifest)
 from semcell.presets import PRESETS, expand_preset, table1_config
 
 
@@ -261,7 +262,7 @@ class TestRunCommand:
             derived = json.loads(text)["derived"]
             thr = thresholds(sc.scenario.cfg, sc.scenario.fit)
             bit, sem = thr.hybrid_outage_parts()
-            window = utilization_window(thr)
+            window = thr.utilization_window()
             assert derived["hybrid_outage"] == {"bit": [list(i) for i in bit],
                                                 "semantic": [list(i) for i in sem]}
             assert derived["utilization_window"] == (None if window is None else list(window))
@@ -335,6 +336,31 @@ class TestRunCommand:
         replay = tmp_path / "b" / "config.manifest.csv"
         assert replay.read_bytes() == (tmp_path / "a" / "config.csv").read_bytes()
 
+    def test_bit_cutoff_beyond_the_kernel_range_runs(self, tmp_path):
+        # g_bit is about 3.8e301, whose Kummer argument overflows: F there is 1
+        doc = table1_config()
+        doc["rate"]["outage_rate_threshold"] = 25.0
+        doc["network"].update(pathloss_exp=4.5, cell_radius_m=1e4)
+        del doc["sweep"]
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+        [row] = read_csv(tmp_path / "config.csv")
+        assert float(row["pi_b"]) == float(row["pi_h"]) == 1.0
+
+    @pytest.mark.parametrize("where", ["existing_file", "under_a_file", "csv_is_a_directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        doc = table1_config()
+        doc["sweep"] = {"axis": "radius_m", "grid": [500.0]}
+        cfg_path = write_config(tmp_path, doc)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = {"existing_file": blocker, "under_a_file": blocker / "out",
+               "csv_is_a_directory": tmp_path / "out"}[where]
+        (tmp_path / "out" / "config.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: --out {out}: ")
+        assert blocker.read_text() == "kept"
+
     def test_preset_expansion_runs(self, tmp_path):
         cfg_path = write_config(tmp_path, table1_config())
         out = tmp_path / "figs"
@@ -401,6 +427,41 @@ class TestPresetDefinitions:
         ranges = {(parse_scenario_config(doc).util_lo, parse_scenario_config(doc).util_hi)
                   for doc in fig7.values()}
         assert ranges == {(5, 10), (10, 20)}
+
+    def test_expansions_equal_a_merge_into_fresh_copies(self):
+        def merged(base, override):
+            out = copy.deepcopy(base)
+            for key, value in override.items():
+                if isinstance(value, dict) and isinstance(out.get(key), dict):
+                    out[key] = merged(out[key], value)
+                else:
+                    out[key] = copy.deepcopy(value)
+            return out
+
+        base = table1_config()
+        for name, spec in PRESETS.items():
+            common = merged(base, spec["base"])
+            assert expand_preset(base, name) == [
+                (f"{name}_{suffix}", merged(common, override))
+                for suffix, override in spec["variants"]]
+
+    def test_expanded_docs_share_no_object(self):
+        pristine = copy.deepcopy(PRESETS)
+        for name in PRESETS:
+            config = table1_config()
+            docs = expand_preset(config, name)
+            expected = copy.deepcopy(docs)
+            config["network"]["num_users"] = 0
+            config["util_counts"]["lo"] = 99
+            config["sweep"]["grid"].append(1e9)
+            assert docs == expected, name
+            for _, doc in docs:
+                doc["sweep"]["grid"][0] = -1.0
+                doc["sweep"]["grid"].append(1e9)
+                doc["network"]["pathloss_exp"] = 9.0
+                doc["util_counts"]["hi"] = -1
+            assert PRESETS == pristine, name
+            assert expand_preset(table1_config(), name) == expected, name
 
     def test_all_presets_parse(self):
         base = table1_config()
@@ -561,6 +622,26 @@ class TestSolverFailureExit:
         cfg_path = write_config(tmp_path, table1_config())
         assert main(["design", "radius", "--config", str(cfg_path),
                      "--pth", "1e-3", "--ll", "3"]) == 3
+
+
+def test_one_parser_serves_consecutive_commands(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    doc = table1_config()
+    doc["sweep"] = {"axis": "radius_m", "grid": [250.0, 500.0]}
+    cfg_path = write_config(tmp_path, doc)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as usage:
+            main(["run"])
+        assert usage.value.code == 2
+        assert main(["run", "--config", str(cfg_path), "--preset", "fig3",
+                     "--out", str(tmp_path / "preset")]) == EXIT_OK
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "plain")]) == EXIT_OK
+        assert main(["design", "radius", "--config", str(cfg_path),
+                     "--pth", "2", "--ll", "3"]) == EXIT_CONFIG
+        assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert [p.name for p in (tmp_path / "plain").glob("*.csv")] == ["config.csv"]
+    assert len(list((tmp_path / "preset").glob("*.csv"))) == 3
 
 
 class TestModuleEntryPoint:

@@ -9,8 +9,7 @@ from semcell import (DesignTarget, NetworkParams, RateConfig, SimilarityFit, Sol
                      inv_reg_inc_beta_int,
                      optimal_sem_util_radius, radius_closed_form_a2,
                      radius_for_outage_threshold, range_count_prob_deriv,
-                     sem_util_prob, snr_scale, thresholds, user_outage_hybrid,
-                     utilization_window)
+                     sem_util_prob, snr_scale, thresholds, user_outage_hybrid)
 from conftest import draw_scenario, outage_cdf
 
 
@@ -199,7 +198,7 @@ class TestCountDerivatives:
         while checked < 40:
             params, fit, cfg = draw_scenario(rng, max_users=40)
             thr = thresholds(cfg, fit)
-            if utilization_window(thr) is None:
+            if thr.utilization_window() is None:
                 continue
             num_users = params.num_users
             count = int(rng.integers(0, num_users + 1))
@@ -219,7 +218,7 @@ class TestCountDerivatives:
         while checked < 30:
             params, fit, cfg = draw_scenario(rng, max_users=30)
             thr = thresholds(cfg, fit)
-            if utilization_window(thr) is None:
+            if thr.utilization_window() is None:
                 continue
             num_users = params.num_users
             lo = int(rng.integers(0, num_users + 1))
@@ -238,7 +237,7 @@ class TestCountDerivatives:
                                                           table1_fit):
         # k r_out = 1 >= a2: no SNR serves a user semantically above the outage rate
         thr = thresholds(replace(table1_cfg, r_out=0.2), table1_fit)
-        assert utilization_window(thr) is None
+        assert thr.utilization_window() is None
         for count_lo, count_hi in ((5, 10), (0, 10), (5, 30)):
             assert range_count_prob_deriv(30, count_lo, count_hi, thr, table1_params) == 0.0
 
@@ -319,7 +318,7 @@ class TestOptimalUtilizationRadius:
         from semcell.outage import _utilization_terms
 
         thr = thresholds(table1_cfg, table1_fit)
-        window = utilization_window(thr)
+        window = thr.utilization_window()
         s = 2.0 / table1_params.pathloss_exp
         brackets, points = [], []
         solve = design_module.bracketed_root
@@ -338,6 +337,33 @@ class TestOptimalUtilizationRadius:
         assert lo < t_peak < hi
         assert lo not in points and hi not in points
         assert iterations == len(points) <= 10
+
+    def test_each_t_takes_one_curve_evaluation(self, monkeypatch):
+        # the peak, the level roots and the reported range probabilities
+        # share one evaluation of the utilization curve per distinct t
+        from semcell import design as design_module
+        from semcell.outage import _utilization_terms
+
+        points = []
+
+        def counted(s, window, t):
+            points.append(t)
+            return _utilization_terms(s, window, t)
+
+        monkeypatch.setattr(design_module, "_utilization_terms", counted)
+        rng = np.random.default_rng(137)
+        level_roots = 0
+        for _ in range(100):
+            params, fit, cfg = draw_scenario(rng)
+            num_users = params.num_users
+            count_lo = int(rng.integers(1, num_users))
+            count_hi = int(rng.integers(count_lo, num_users))
+            points.clear()
+            design = optimal_sem_util_radius(num_users, count_lo, count_hi,
+                                             thresholds(cfg, fit), params)
+            assert len(points) == len(set(points))
+            level_roots += design.level_attainable
+        assert level_roots > 10
 
     def test_level_radii_tie_to_the_smaller(self):
         # a draw whose level radii (580.96 m and 2723.28 m) give range

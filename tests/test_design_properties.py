@@ -14,8 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from semcell import (DesignTarget, SolverError, binom_range_prob, optimal_sem_util_radius,
-                     radius_for_outage_threshold, sem_util_prob, snr_scale, thresholds,
-                     utilization_window)
+                     radius_for_outage_threshold, sem_util_prob, snr_scale, thresholds)
 from conftest import draw_scenario, outage_cdf
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -40,7 +39,7 @@ def test_utilization_design_solves_every_nonempty_window(scenario, lo_frac, widt
     count_lo = int(round(lo_frac * L))
     count_hi = count_lo + int(round(width_frac * (L - count_lo)))
     design = optimal_sem_util_radius(L, count_lo, count_hi, thr, params)
-    if utilization_window(thr) is None:
+    if thr.utilization_window() is None:
         assert not design.semantic_possible and design.best is None
         return
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import semcell.linkmodel
 from semcell import (NetworkParams, dbm_per_hz_to_watts_per_hz, linear_to_db,
                      mean_edge_snr, snr_cdf, snr_scale)
 
@@ -94,9 +95,17 @@ class TestSnrCdf:
                              * factor ** (-1.0 / a))
             assert snr_cdf(y * factor, shrunk) == pytest.approx(base, rel=1e-13)
 
+    def test_at_infinity(self, table1_params, monkeypatch):
+        # the upper end of an unbounded SNR interval, and a finite SNR whose
+        # group (y / c_L) R^a overflows, take no kernel call
+        monkeypatch.setattr(semcell.linkmodel, "hyp1f1_ratio", None)
+        assert snr_cdf(math.inf, table1_params) == 1.0
+        assert snr_cdf(1e308, replace(table1_params, cell_radius_m=1e4)) == 1.0
+
     def test_domain_error(self, table1_params):
-        with pytest.raises(ValueError):
-            snr_cdf(-1.0, table1_params)
+        for y in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                snr_cdf(y, table1_params)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

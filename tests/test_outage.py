@@ -9,7 +9,7 @@ from semcell import (HybridOutage, NetOutageMode, RateConfig, RateThresholds,
                      Scenario, SemOutage, SemUtilization, BitOutage, binom_range_prob, bit_rate,
                      estimate_many, network_outage, outage_report, sem_rate, sem_util_prob,
                      sem_util_prob_deriv, similarity, snr_cdf, thresholds, user_outage_bit,
-                     user_outage_hybrid, user_outage_sem, utilization_window)
+                     user_outage_hybrid, user_outage_sem)
 from semcell.cli import _point_state, parse_scenario_config
 from semcell.presets import PRESETS, expand_preset, table1_config
 from conftest import draw_scenario
@@ -173,10 +173,10 @@ class TestIntervalEvents:
             probes = ([1e-3 * breaks[0]] + [math.sqrt(a * b) for a, b in zip(breaks, breaks[1:])]
                       + [1e3 * breaks[-1]])
             bit_part, sem_part = thr.hybrid_outage_parts()
-            window = utilization_window(thr)
+            window = thr.utilization_window()
             events = {
                 "bit": ((0.0, thr.g_bit),),
-                "sem": ((0.0, max(thr.g_min, thr.sem_outage_edge)),),
+                "sem": thr.sem_outage(),
                 "hybrid": bit_part + sem_part,
                 "util": (window,) if window is not None else (),
             }
@@ -320,7 +320,7 @@ class TestSemUtilization:
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.2)
         thr = thresholds(cfg, table1_fit)
         assert sem_util_prob(thr, table1_params) == 0.0
-        assert utilization_window(thr) is None
+        assert thr.utilization_window() is None
 
     def test_tiny_cell_limit(self, table1_cfg, table1_fit, table1_params):
         thr = thresholds(table1_cfg, table1_fit)
@@ -347,7 +347,7 @@ class TestSemUtilization:
         from semcell import snr_scale
 
         thr = thresholds(table1_cfg, table1_fit)
-        g_lo, g_hi = utilization_window(thr)
+        g_lo, g_hi = thr.utilization_window()
         params = replace(table1_params, pathloss_exp=4.0)
         a, s = 4.0, 0.5
         r_char = (snr_scale(params) / g_hi) ** (1.0 / a)
@@ -366,7 +366,7 @@ class TestSemUtilization:
         while checked < 60:
             params, fit, cfg = draw_scenario(rng)
             thr = thresholds(cfg, fit)
-            if utilization_window(thr) is None:
+            if thr.utilization_window() is None:
                 continue
             radius = params.cell_radius_m
             h = 1e-4 * radius

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semcell import (RateConfig, SimilarityFit, SolverError, bit_rate, gamma_gap,
-                     inv_similarity, sem_rate, similarity, thresholds, utilization_window)
+                     inv_similarity, sem_rate, similarity, thresholds)
 from semcell.ratemodel import _geomspace_grid, _solve_rate_crossing
 from conftest import draw_scenario
 
@@ -262,6 +262,19 @@ class TestThresholds:
             assert thr.sem_outage_edge == edge
             assert thr.g_sem is None
 
+    def test_events_are_their_breakpoint_expressions(self):
+        # the semantic outage set and the utilization window, float for float
+        rng = np.random.default_rng(11)
+        empty = 0
+        for _ in range(300):
+            _, fit, cfg = draw_scenario(rng)
+            thr = thresholds(cfg, fit)
+            lo = max(thr.g_min, thr.sem_outage_edge)
+            assert thr.sem_outage() == ((0.0, lo),)
+            assert thr.utilization_window() == ((lo, thr.g_max) if lo < thr.g_max else None)
+            empty += thr.utilization_window() is None
+        assert 0 < empty < 300
+
     def test_m_th_outside_fit_rejected(self, table1_fit):
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.2, r_out=0.04)
         with pytest.raises(ValueError):
@@ -324,6 +337,6 @@ class TestRateCrossingMemo:
                           "crossing, so the utilization window spans a second one")
 def test_utilization_window_on_a_multi_crossing_fit():
     cfg, fit = MULTI_CROSSING_CFG, MULTI_CROSSING_FIT
-    lo, hi = utilization_window(thresholds(cfg, fit))
+    lo, hi = thresholds(cfg, fit).utilization_window()
     grid = np.geomspace(lo, hi, 2001)[1:-1]
     assert np.all(sem_rate(grid, cfg, fit) >= bit_rate(grid, cfg))

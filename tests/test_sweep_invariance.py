@@ -2,24 +2,26 @@
 
 A sweep along m_th or r_out solves the rate crossing g_max once (the
 solve is memoized on mu, the SNR gap and the fit) and rebuilds only the
-closed-form edges per point; one outage report takes the SNR CDF once
-per distinct breakpoint.  Both must leave every number bit for bit as a
-fresh per-point evaluation gives it.
+closed-form edges per point; inside a kernel scope one outage report
+evaluates the Kummer kernel once per distinct breakpoint.  Both must
+leave every number bit for bit as a fresh per-point evaluation gives it.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import semcell.outage
 import semcell.ratemodel
+import semcell.specfun
 from conftest import draw_scenario
 from semcell import (NetOutageMode, Scenario, binom_range_prob, network_outage, outage_report,
                      sem_util_prob, thresholds, user_outage_bit, user_outage_hybrid,
                      user_outage_sem)
 from semcell.cli import ScenarioConfig, evaluate_sweep, parse_scenario_config, run_scenario
 from semcell.presets import expand_preset, table1_config
+from semcell.specfun import kernel_scope
 
 
 def _shifted_configs(cfg, fit, rng, count=4):
@@ -99,25 +101,37 @@ def test_outage_report_equals_standalone_closed_forms():
             assert report.pi_g == sem_util_prob(thr, at)
 
 
-def test_outage_report_takes_each_cdf_once(monkeypatch):
-    # pi_h and pi_s share F; only pi_b, which goes through the module
-    # attribute user_outage_bit, may take F at g_bit a second time
+def test_outage_report_in_a_scope_takes_each_kummer_value_once(monkeypatch):
+    # one report takes F at every finite nonzero end of its events and the
+    # utilization curve at both window edges; inside a scope each distinct
+    # one costs at most one kernel evaluation, though pi_h and pi_s ask
+    # for F at shared breakpoints
     calls = []
-    true_cdf = semcell.outage.snr_cdf
+    true_pair = semcell.specfun._kummer_pair
 
-    def counted(y, params):
-        calls.append(y)
-        return true_cdf(y, params)
+    def counted(s, x):
+        calls.append(x)
+        return true_pair(s, x)
 
-    monkeypatch.setattr(semcell.outage, "snr_cdf", counted)
+    monkeypatch.setattr(semcell.specfun, "_kummer_pair", counted)
     rng = np.random.default_rng(113)
+    unscoped = scoped = 0
     for _ in range(200):
         params, fit, cfg = draw_scenario(rng)
         thr = thresholds(cfg, fit)
+        ends = {y for part in (*thr.hybrid_outage_parts(), thr.sem_outage(), ((0.0, thr.g_bit),))
+                for interval in part for y in interval}
+        bound = (len({y for y in ends if 0.0 < y < math.inf})
+                 + len(set(thr.utilization_window() or ())))
         calls.clear()
-        outage_report(thr, params)
-        assert 0.0 not in calls
-        assert len(calls) - len(set(calls)) <= 1
+        report = outage_report(thr, params)
+        unscoped += len(calls)
+        calls.clear()
+        with kernel_scope():
+            assert outage_report(thr, params) == report
+        assert len(calls) <= bound
+        scoped += len(calls)
+    assert scoped < unscoped
 
 
 @pytest.mark.parametrize("axis", ["m_th", "r_out", "radius_m"])
