@@ -15,7 +15,7 @@ from .linkmodel import (NetworkParams, SPEED_OF_LIGHT, db_to_linear,
                         dbm_per_hz_to_watts_per_hz, linear_to_db, mean_edge_snr,
                         snr_cdf, snr_scale)
 from .montecarlo import (BitOutage, ExactCount, HybridOutage, McEstimate, RangeCount,
-                         Scenario, SemOutage, SemUtilization, estimate, estimate_many, resolve_workers,
+                         Scenario, SemOutage, SemUtilization, estimate_many, resolve_workers,
                          sample_user, user_stream)
 from .outage import (NetOutageMode, OutageReport, network_outage, outage_report,
                      sem_util_prob, sem_util_prob_deriv, user_outage_bit,
@@ -49,6 +49,6 @@ __all__ = [
     "optimal_sem_util_radius", "exact_count_prob", "range_count_prob_deriv",
     # montecarlo
     "Scenario", "McEstimate", "BitOutage", "SemOutage", "HybridOutage",
-    "SemUtilization", "ExactCount", "RangeCount", "estimate", "estimate_many", "sample_user",
+    "SemUtilization", "ExactCount", "RangeCount", "estimate_many", "sample_user",
     "user_stream", "resolve_workers",
 ]

@@ -345,15 +345,18 @@ def evaluate_sweep(sc: ScenarioConfig) -> list[dict[str, float]]:
     The sweep's thresholds are computed once and serve every point on the
     radius axes; on the m_th and r_out axes each point takes its own,
     which rebuilds only the closed-form edges, since no axis moves g_max
-    and its solve is memoized.  The binomial tails read a log-ratio table
-    built once per count range.  One Monte Carlo call covers the whole
-    grid, so every point reuses the same channel draws.
+    and its solve is memoized.  The points share one kernel scope, so
+    each distinct Kummer and binomial-tail argument is evaluated once per
+    sweep, or once per caller's scope when one is open (``semcell run``
+    opens one around a preset's variants).  One Monte Carlo call covers
+    the whole grid, so every point reuses the same channel draws.
     """
     fit = sc.scenario.fit
     thr = thresholds(sc.scenario.cfg, fit)
     states = [_point_state(sc, value, thr) for value in sc.grid]
-    rows = [_analytic_row(sc, value, params, point_thr)
-            for value, (params, _, point_thr) in zip(sc.grid, states)]
+    with kernel_scope():
+        rows = [_analytic_row(sc, value, params, point_thr)
+                for value, (params, _, point_thr) in zip(sc.grid, states)]
     if sc.mc_samples > 0:
         scenarios = [Scenario(params=params, fit=fit, cfg=cfg) for params, cfg, _ in states]
         events = [_MC_EVENTS[name](sc) for name in _METRICS]
@@ -455,10 +458,11 @@ def _cmd_run(args) -> int:
         labelled = expand_preset(doc, args.preset)
     else:
         labelled = [(Path(args.config).stem, doc)]
-    for label, variant_doc in labelled:
-        sc = replace(parse_scenario_config(variant_doc, label=label), **overrides)
-        csv_path, manifest_path = run_scenario(sc, args.out, preset=args.preset)
-        print(f"wrote {csv_path} and {manifest_path}")
+    with kernel_scope():  # a preset's variants share its grid, c_L and most breakpoints
+        for label, variant_doc in labelled:
+            sc = replace(parse_scenario_config(variant_doc, label=label), **overrides)
+            csv_path, manifest_path = run_scenario(sc, args.out, preset=args.preset)
+            print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
 
 
@@ -584,8 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with kernel_scope():  # the command's sweeps share kernel values; none outlive it
-            return args.func(args)
+        return args.func(args)
     except ValueError as exc:  # a ConfigError, or a value a library check rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -393,12 +393,14 @@ def estimate_many(events: list[Event], n: int, seed: int,
     must share ``num_users``, ``pathloss_exp`` and ``fit``.  Events are
     grouped by cell width, and the events of one width share its draws
     and one tally per distinct (indicator, count range).  Each event
-    at each point sees the samples :func:`estimate` would draw for it
-    alone, the SNRs scaled by c_L R^(-a) of that point over c_L R^(-a) of
-    the first (see the module docstring); on points with the first
-    point's network parameters the estimates are exactly those of
-    :func:`estimate`.  SEMCELL_THREADS (see :func:`resolve_workers`) sets
-    the worker processes, at most one per usable CPU and per tile.
+    at each point sees the samples a one-event, one-point call would draw
+    for it, the SNRs scaled by c_L R^(-a) of that point over c_L R^(-a)
+    of the first (see the module docstring); on points with the first
+    point's network parameters the estimates are exactly that call's.
+    A sample is a cell of one user for per-user events and of num_users
+    users for the count events.  SEMCELL_THREADS (see
+    :func:`resolve_workers`) sets the worker processes, at most one per
+    usable CPU and per tile.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -443,11 +445,3 @@ def estimate_many(events: list[Event], n: int, seed: int,
         results.append([McEstimate(p, math.sqrt(p * (1.0 - p) / n)) for p in p_hats])
     return results
 
-
-def estimate(event: Event, n: int, seed: int, scenario: Scenario) -> McEstimate:
-    """Estimate the probability of ``event`` from n independent samples.
-
-    A sample is a cell of one user for per-user events and of num_users
-    users for the count events.
-    """
-    return estimate_many([event], n, seed, [scenario])[0][0]

@@ -15,9 +15,8 @@ builds from the four breakpoints, and its probability is the sum of
 F_g(hi) - F_g(lo) over them (F_g the SNR CDF).  The paper's branch table
 covers the cases where the hybrid outage event is one interval [0, y]
 (checked against the table in the test suite).  Nothing here stores a
-value; inside :func:`~semcell.specfun.kernel_scope`, which every
-``semcell`` command opens, each distinct breakpoint's F_g costs one
-kernel evaluation.
+value; inside :func:`~semcell.specfun.kernel_scope`, which every sweep
+opens, each distinct breakpoint's F_g costs one kernel evaluation.
 """
 
 from __future__ import annotations

@@ -185,8 +185,7 @@ def sem_rate(g, cfg: RateConfig, fit: SimilarityFit):
 
     Bounded between a1/k and a2/k; strictly increasing.
     """
-    value = np.asarray(similarity(g, fit)) / fit.k
-    return _scalar_like(value, g)
+    return similarity(g, fit) / fit.k
 
 
 def _rate_gap_deriv(g: float, mu: int, fit: SimilarityFit, gap: float) -> float:

@@ -154,6 +154,26 @@ def _mc_list(doc):
     return doc
 
 
+def _set(path, value):
+    """A mutation that sets one dotted config path, a whole section if undotted."""
+    def mutate(doc):
+        *section, key = path.split(".")
+        (doc[section[0]] if section else doc)[key] = value
+        return doc
+    return mutate
+
+
+def _not_json(doc):
+    return "{" + json.dumps(doc)
+
+
+def _unchanged(doc):
+    return doc
+
+
+_RUN = ["run", "--config", "CONFIG", "--out", "OUT"]
+
+
 @pytest.mark.parametrize("mutate, argv, where", [
     (_root_list, ["run", "--config", "CONFIG", "--out", "OUT", "--preset", "fig2"], "config root"),
     (_root_list, ["validate", "--config", "CONFIG"], "config root"),
@@ -164,11 +184,23 @@ def _mc_list(doc):
     (_network_list_no_sweep, ["design", "util", "--config", "CONFIG", "--ll", "5",
                               "--lu", "10"], "network"),
     (_mc_list, ["run", "--config", "CONFIG", "--out", "OUT", "--seed", "3"], "mc"),
+    (_set("sweep.grid", []), _RUN, "sweep.grid"),
+    (_set("sweep", {"axis": "radius_m", "grid": [0.0, 500.0]}), _RUN, "sweep.grid"),
+    (_set("outage_counts", [1, 30]), _RUN, "outage_counts"),
+    (_set("rate.similarity_threshold", 0.2), _RUN, "rate.similarity_threshold"),
+    (_set("mc", {"samples": -1}), _RUN, "mc.samples"),
+    (_not_json, ["validate", "--config", "CONFIG"], "not valid JSON"),
+    (_unchanged, _RUN + ["--mc-samples", "-1"], "--mc-samples"),
+    (_unchanged, ["design", "util", "--config", "CONFIG", "--ll", "5", "--lu", "3"], "--ll"),
 ], ids=["root-run-preset", "root-validate", "root-run-seed", "network-validate",
-        "network-design-radius", "network-design-util", "mc-run-seed"])
+        "network-design-radius", "network-design-util", "mc-run-seed", "empty-grid",
+        "radius-not-positive", "counts-not-object", "m_th-outside-fit", "negative-mc-samples",
+        "not-json", "negative-mc-samples-flag", "design-util-ll-above-lu"])
 def test_malformed_config_exits_2(tmp_path, capsys, mutate, argv, where):
-    paths = {"CONFIG": str(write_config(tmp_path, mutate(table1_config()))),
-             "OUT": str(tmp_path / "out")}
+    doc = mutate(table1_config())
+    config = tmp_path / "config.json"
+    config.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    paths = {"CONFIG": str(config), "OUT": str(tmp_path / "out")}
     assert main([paths.get(arg, arg) for arg in argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and where in err
@@ -182,9 +214,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, mutate, argv, where):
 def test_unknown_key_exits_2(tmp_path, capsys, path):
     # a misspelt, retired or field-named key is rejected by its path, not
     # silently replaced by the default
-    doc = table1_config()
-    *section, key = path.split(".")
-    (doc[section[0]] if section else doc)[key] = 2.5
+    doc = _set(path, 2.5)(table1_config())
     argv = ["run", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {path}: unknown field\n"
@@ -336,6 +366,16 @@ class TestRunCommand:
         replay = tmp_path / "b" / "config.manifest.csv"
         assert replay.read_bytes() == (tmp_path / "a" / "config.csv").read_bytes()
 
+    def test_config_without_count_ranges_runs_from_one_to_num_users(self, tmp_path):
+        doc = table1_config()
+        del doc["outage_counts"], doc["util_counts"]
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "config.manifest.json").read_text(encoding="utf-8"))
+        users = doc["network"]["num_users"]
+        for key in ("outage_counts", "util_counts"):
+            assert manifest["config"][key] == {"lo": 1, "hi": users}
+
     def test_bit_cutoff_beyond_the_kernel_range_runs(self, tmp_path):
         # g_bit is about 3.8e301, whose Kummer argument overflows: F there is 1
         doc = table1_config()
@@ -462,6 +502,10 @@ class TestPresetDefinitions:
                 doc["util_counts"]["hi"] = -1
             assert PRESETS == pristine, name
             assert expand_preset(table1_config(), name) == expected, name
+
+    def test_unknown_preset_raises_key_error(self):
+        with pytest.raises(KeyError, match="fig9"):
+            expand_preset(table1_config(), "fig9")
 
     def test_all_presets_parse(self):
         base = table1_config()

@@ -178,7 +178,7 @@ class TestRadiusForOutageThreshold:
     def test_solved_radius_confirmed_by_simulation(self, table1_fit, monkeypatch):
         # free-space 1 mW cell, 10 users: at the designed radius the
         # simulated probability of 3+ outages sits on the 1e-3 target
-        from semcell import RangeCount, Scenario, estimate
+        from semcell import RangeCount, Scenario, estimate_many
 
         params = free_space_params(num_users=10)
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.75, r_out=0.12)
@@ -187,7 +187,8 @@ class TestRadiusForOutageThreshold:
         solution = radius_for_outage_threshold(target, thr, params)
         sized = replace(params, cell_radius_m=solution.radius)
         monkeypatch.setenv("SEMCELL_THREADS", "4")
-        est = estimate(RangeCount(3, 10), 1_000_000, 20240404, Scenario(sized, table1_fit, cfg))
+        est = estimate_many([RangeCount(3, 10)], 1_000_000, 20240404,
+                            [Scenario(sized, table1_fit, cfg)])[0][0]
         assert abs(est.estimate - 1e-3) <= 3.0 * est.std_error
 
 
@@ -404,3 +405,20 @@ class TestOptimalUtilizationRadius:
         assert not design.semantic_possible
         assert design.solutions == ()
         assert design.best is None
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda thr, params: DesignTarget.for_outage_cap(1e-3, 0, 30), "count_floor"),
+    (lambda thr, params: DesignTarget.for_outage_cap(1e-3, 31, 30), "count_floor"),
+    (lambda thr, params: radius_closed_form_a2(3.0, 0.0, free_space_params()), "u_th"),
+    (lambda thr, params: radius_closed_form_a2(3.0, 1.0, free_space_params()), "u_th"),
+    (lambda thr, params: radius_closed_form_a2(0.0, 0.5, free_space_params()), "y_th"),
+    (lambda thr, params: range_count_prob_deriv(30, 10, 5, thr, params), "count_lo"),
+    (lambda thr, params: range_count_prob_deriv(30, 5, 31, thr, params), "count_lo"),
+    (lambda thr, params: optimal_sem_util_radius(30, 10, 5, thr, params), "count_lo"),
+    (lambda thr, params: optimal_sem_util_radius(30, -1, 5, thr, params), "count_lo"),
+], ids=["floor-0", "floor-above-L", "u_th-0", "u_th-1", "y_th-0", "deriv-lo-above-hi",
+        "deriv-hi-above-L", "util-lo-above-hi", "util-lo-negative"])
+def test_out_of_range_design_inputs_raise(table1_params, table1_cfg, table1_fit, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(thresholds(table1_cfg, table1_fit), table1_params)

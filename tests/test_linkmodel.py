@@ -107,6 +107,10 @@ class TestSnrCdf:
             with pytest.raises(ValueError):
                 snr_cdf(y, table1_params)
 
+    def test_linear_to_db_needs_a_positive_value(self):
+        with pytest.raises(ValueError, match="positive"):
+            linear_to_db(0.0)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             NetworkParams(num_users=0, tx_power_w=1.0, total_bandwidth_hz=1e7,

@@ -8,7 +8,7 @@ from scipy import special as sp
 
 from semcell import (BitOutage, ExactCount, HybridOutage, RangeCount, RateConfig,
                      Scenario, SemOutage, SemUtilization, SimilarityFit, binom_range_prob,
-                     bit_rate, estimate, estimate_many, gamma_gap, network_outage,
+                     bit_rate, estimate_many, gamma_gap, network_outage,
                      NetOutageMode, outage_report, sample_user, sem_rate, sem_util_prob,
                      similarity, snr_cdf, snr_scale, thresholds, user_outage_hybrid,
                      user_stream)
@@ -149,7 +149,7 @@ class TestDeterminism:
         n = 140_000
         for event in (BitOutage(), SemUtilization(), RangeCount(1, 30)):
             monkeypatch.setenv("SEMCELL_THREADS", "2")
-            single = estimate(event, n, 31, table1_scenario)
+            single = estimate_many([event], n, 31, [table1_scenario])[0][0]
             monkeypatch.setenv("SEMCELL_THREADS", "3")
             batch = estimate_many([event, HybridOutage()], n, 31, [table1_scenario])[0][0]
             assert single.estimate == batch.estimate
@@ -167,8 +167,8 @@ class TestDeterminism:
 
     def test_seed_changes_estimate(self, table1_scenario, monkeypatch):
         monkeypatch.setenv("SEMCELL_THREADS", "2")
-        a = estimate(HybridOutage(), 100_000, 1, table1_scenario)
-        b = estimate(HybridOutage(), 100_000, 2, table1_scenario)
+        a = estimate_many([HybridOutage()], 100_000, 1, [table1_scenario])[0][0]
+        b = estimate_many([HybridOutage()], 100_000, 2, [table1_scenario])[0][0]
         assert a.estimate != b.estimate
 
 
@@ -180,14 +180,14 @@ class TestEventProbabilities:
         cfg = RateConfig(mu=40, ber=1e-3, m_th=0.37 + 1e-9, r_out=0.04)
         scenario = Scenario(table1_params, table1_fit, cfg)
         monkeypatch.setenv("SEMCELL_THREADS", "4")
-        est = estimate(SemOutage(), 1_000_000, 5, scenario)
+        est = estimate_many([SemOutage()], 1_000_000, 5, [scenario])[0][0]
         assert est.estimate == 0.0
 
     def test_hybrid_outage_against_closed_form(self, table1_scenario, monkeypatch):
         thr = thresholds(table1_scenario.cfg, table1_scenario.fit)
         analytic = user_outage_hybrid(thr, table1_scenario.params)
         monkeypatch.setenv("SEMCELL_THREADS", "4")
-        est = estimate(HybridOutage(), 2_000_000, 2024, table1_scenario)
+        est = estimate_many([HybridOutage()], 2_000_000, 2024, [table1_scenario])[0][0]
         assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
     def test_count_range_against_binomial(self, table1_params, table1_fit, monkeypatch):
@@ -201,7 +201,7 @@ class TestEventProbabilities:
         pi_h = user_outage_hybrid(thr, params)
         analytic = binom_range_prob(pi_h, 10, 3, 10)
         monkeypatch.setenv("SEMCELL_THREADS", "4")
-        est = estimate(RangeCount(3, 10), 400_000, 99, scenario)
+        est = estimate_many([RangeCount(3, 10)], 400_000, 99, [scenario])[0][0]
         assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
     def test_all_outage_count_against_power(self, table1_params, table1_fit, monkeypatch):
@@ -212,7 +212,7 @@ class TestEventProbabilities:
         analytic = network_outage(user_outage_hybrid(thr, params), 3,
                                   NetOutageMode.ALL_IN_OUTAGE)
         monkeypatch.setenv("SEMCELL_THREADS", "4")
-        est = estimate(ExactCount(3), 400_000, 4242, scenario)
+        est = estimate_many([ExactCount(3)], 400_000, 4242, [scenario])[0][0]
         assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
     def test_utilization_count_event(self, table1_params, table1_fit, table1_cfg, monkeypatch):
@@ -222,7 +222,8 @@ class TestEventProbabilities:
         pi_g = sem_util_prob(thr, params)
         analytic = binom_range_prob(pi_g, 8, 4, 8)
         monkeypatch.setenv("SEMCELL_THREADS", "4")
-        est = estimate(RangeCount(4, 8, indicator=SemUtilization()), 300_000, 77, scenario)
+        est = estimate_many([RangeCount(4, 8, indicator=SemUtilization())], 300_000, 77,
+                            [scenario])[0][0]
         assert abs(est.estimate - analytic) <= 3.0 * est.std_error
 
 
@@ -236,7 +237,7 @@ class TestCoverageCalibration:
         hits = 0
         monkeypatch.setenv("SEMCELL_THREADS", "2")
         for seed in range(100):
-            est = estimate(HybridOutage(), n, seed, table1_scenario)
+            est = estimate_many([HybridOutage()], n, seed, [table1_scenario])[0][0]
             if abs(est.estimate - truth) <= 2.0 * est.std_error:
                 hits += 1
         assert hits >= 92
@@ -245,11 +246,11 @@ class TestCoverageCalibration:
 class TestValidation:
     def test_bad_counts_rejected(self, table1_scenario):
         with pytest.raises(ValueError):
-            estimate(ExactCount(31), 10_000, 1, table1_scenario)
+            estimate_many([ExactCount(31)], 10_000, 1, [table1_scenario])
         with pytest.raises(ValueError):
-            estimate(RangeCount(5, 3), 10_000, 1, table1_scenario)
+            estimate_many([RangeCount(5, 3)], 10_000, 1, [table1_scenario])
         with pytest.raises(ValueError):
-            estimate(HybridOutage(), 0, 1, table1_scenario)
+            estimate_many([HybridOutage()], 0, 1, [table1_scenario])
 
     @pytest.mark.parametrize("event, message", [
         (RangeCount(1, 30, indicator=BitOutage), "indicator"),
@@ -260,7 +261,7 @@ class TestValidation:
         # an event class in place of an instance, or a misspelt indicator
         monkeypatch.setenv("SEMCELL_THREADS", "1")
         with pytest.raises(TypeError, match=message):
-            estimate(event, 5_000, 1, table1_scenario)
+            estimate_many([event], 5_000, 1, [table1_scenario])
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, table1_scenario, seed):

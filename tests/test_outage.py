@@ -273,6 +273,8 @@ class TestNetworkOutage:
             network_outage(-0.1, 5, NetOutageMode.AT_LEAST_ONE)
         with pytest.raises(ValueError):
             network_outage(0.5, 0, NetOutageMode.AT_LEAST_ONE)
+        with pytest.raises(ValueError, match="mode"):
+            network_outage(0.5, 5, "all_in_outage")  # the mode's value, not the mode
 
 
 class TestBinomRangeProb:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,25 @@ class TestGammaGap:
             RateConfig(mu=40, ber=0.2, m_th=0.75, r_out=0.04)
         with pytest.raises(ValueError):
             RateConfig(mu=40, ber=0.0, m_th=0.75, r_out=0.04)
+
+
+_CFG = {"mu": 40, "ber": 1e-3, "m_th": 0.75, "r_out": 0.04}
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda fit: replace(fit, a1=fit.a2, a2=fit.a1), "asymptotes"),
+    (lambda fit: replace(fit, c1=0.0), "slope c1"),
+    (lambda fit: replace(fit, c2=math.nan), "offset c2"),
+    (lambda fit: replace(fit, k=0), "symbols per word k"),
+    (lambda fit: RateConfig(**{**_CFG, "mu": 0}), "bit symbols per word mu"),
+    (lambda fit: RateConfig(**{**_CFG, "m_th": 1.0}), "similarity threshold"),
+    (lambda fit: RateConfig(**{**_CFG, "r_out": 0.0}), "outage rate threshold"),
+    (lambda fit: bit_rate(-1.0, RateConfig(**_CFG)), "nonnegative SNR"),
+], ids=["fit-asymptotes", "fit-slope", "fit-offset", "fit-k", "cfg-mu", "cfg-m_th",
+        "cfg-r_out", "bit-rate-negative-snr"])
+def test_out_of_range_values_raise(table1_fit, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(table1_fit)
 
 
 class TestRates:

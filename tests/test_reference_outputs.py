@@ -6,8 +6,8 @@ utilization-range sweeps), and one Table-1 sweep along each threshold axis
 (``m_th`` and ``r_out``, which no preset sweeps), are pinned by the SHA-256
 digest of every CSV in tests/data/reference_digests.json.
 
-Each pin is checked twice: through ``run_scenario``, one sweep at a time
-outside any kernel scope, and through one ``semcell run`` command
+Each pin is checked twice: through ``run_scenario``, one sweep at a time,
+each in its own kernel scope, and through one ``semcell run`` command
 (``cli.main``), whose sweeps share the kernel values of its scope.
 
 Regenerate the digests, only when a change to the closed forms is intended::

@@ -9,7 +9,7 @@ from scipy import special as sp
 from semcell import (binom_range_prob, hyp1f1_ratio, inv_reg_inc_beta_int, lambert_w0,
                      log_binomial)
 from semcell import specfun
-from semcell.cli import main
+from semcell.cli import evaluate_sweep, main, parse_scenario_config
 from semcell.presets import table1_config
 from semcell.specfun import (SolverError, _binom_log_table, bracketed_root, kernel_scope,
                              kummer_pair)
@@ -459,6 +459,9 @@ class TestInvRegIncBetaInt:
             inv_reg_inc_beta_int(0.0, 2, 3)
         with pytest.raises(ValueError):
             inv_reg_inc_beta_int(1.0, 2, 3)
+        for k, m in ((0, 3), (2, 0)):
+            with pytest.raises(ValueError, match="k, m >= 1"):
+                inv_reg_inc_beta_int(0.5, k, m)
 
     def test_subnormal_root_has_no_bracket(self):
         # the root of q = 1e-310 at k = 1, n = 30 is about 3.3e-312, below
@@ -508,6 +511,8 @@ class TestLambertW0:
         assert lambert_w0(branch - 1e-16) == -1.0
         with pytest.raises(ValueError):
             lambert_w0(branch - 1e-6)
+        with pytest.raises(ValueError, match="finite"):
+            lambert_w0(math.nan)
 
 
 class TestLogBinomial:
@@ -587,6 +592,30 @@ class TestKernelScope:
         kummer_pair(0.5, 2.0)
         kummer_pair(0.5, 2.0)
         assert evaluations["kummer"] == before["kummer"] + 2
+
+    @pytest.mark.parametrize("via", ["library", "cli"])
+    def test_a_sweep_evaluates_each_distinct_argument_once(self, via, monkeypatch, tmp_path,
+                                                           capsys):
+        # evaluate_sweep opens its own scope, so a library caller shares values
+        # without opening one; semcell run shares them across a preset's variants
+        seen = {"_kummer_pair": [], "_binom_range_prob": []}
+        for name, args_seen in seen.items():
+            def recorded(*args, _kernel=getattr(specfun, name), _seen=args_seen):
+                _seen.append(args)
+                return _kernel(*args)
+            monkeypatch.setattr(specfun, name, recorded)
+        if via == "library":
+            doc = table1_config()
+            doc["sweep"] = {"axis": "r_out", "start": 0.005, "stop": 0.3, "points": 40}
+            evaluate_sweep(parse_scenario_config(doc))
+        else:
+            config = tmp_path / "table1.json"
+            config.write_text(json.dumps(table1_config()))
+            assert main(["run", "--config", str(config), "--preset", "fig3",
+                         "--out", str(tmp_path)]) == 0
+        assert specfun._SCOPE.get() is None
+        for args_seen in seen.values():
+            assert args_seen and len(args_seen) == len(set(args_seen))
 
     def test_a_raising_argument_raises_every_time(self, evaluations):
         with kernel_scope():
