@@ -162,8 +162,7 @@ def _edge_radius(params: NetworkParams, snr_db: float) -> float:
     return (snr_scale(params) / db_to_linear(snr_db)) ** (1.0 / params.pathloss_exp)
 
 
-def _parse_sweep(doc: dict, fit: SimilarityFit,
-                 params: NetworkParams) -> tuple[str, tuple[float, ...]]:
+def _parse_sweep(doc: dict) -> tuple[str, tuple[float, ...]]:
     sec = _section(doc, "sweep")
     axis = sec.get("axis")
     if axis not in _SWEEP_AXES:
@@ -182,20 +181,6 @@ def _parse_sweep(doc: dict, fit: SimilarityFit,
         grid = [float(v) for v in np.linspace(start, stop, points)]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep.grid: values must be strictly increasing")
-    if axis in ("radius_m", "r_out") and grid[0] <= 0.0:
-        raise ConfigError(f"sweep.grid: {axis} values must be positive")
-    if axis == "m_th" and not (fit.a1 < grid[0] and grid[-1] < fit.a2):
-        raise ConfigError(
-            f"sweep.grid: similarity thresholds must lie strictly inside ({fit.a1}, {fit.a2})")
-    if axis == "edge_snr_db":
-        for i, value in enumerate(grid):
-            try:
-                radius = _edge_radius(params, value)
-            except ArithmeticError:  # a linear SNR beyond the float range, or 0
-                radius = math.nan
-            if not (math.isfinite(radius) and radius > 0.0):
-                raise ConfigError(f"sweep.grid[{i}]: an edge SNR of {value} dB gives "
-                                  "no finite positive cell radius")
     return axis, tuple(grid)
 
 
@@ -222,6 +207,9 @@ def parse_scenario_config(doc: dict, label: str = "run") -> ScenarioConfig:
     """Validate a config dict into a resolved ScenarioConfig.
 
     A config without ``sweep`` is the one point at ``network.cell_radius_m``.
+    The grid is checked by building its first and last points with
+    ``_point_state``; a value that builds no point is a ConfigError naming
+    ``sweep.grid[i]``, and a failed ``g_max`` solve stays a SolverError.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
@@ -234,7 +222,7 @@ def parse_scenario_config(doc: dict, label: str = "run") -> ScenarioConfig:
             f"rate.similarity_threshold: {cfg.m_th} must lie strictly inside "
             f"the fit asymptotes ({fit.a1}, {fit.a2})")
     if "sweep" in doc:
-        axis, grid = _parse_sweep(doc, fit, params)
+        axis, grid = _parse_sweep(doc)
     else:
         axis, grid = "radius_m", (params.cell_radius_m,)
     outage_lo, outage_hi = _parse_counts(doc, "outage_counts", params.num_users)
@@ -246,12 +234,20 @@ def parse_scenario_config(doc: dict, label: str = "run") -> ScenarioConfig:
     if samples < 0:
         raise ConfigError(f"mc.samples: must be >= 0, got {samples}")
     seed = _check_seed(_get(mc, "mc", "seed", int, 0), "mc.seed")
-    return ScenarioConfig(
+    sc = ScenarioConfig(
         scenario=Scenario(params=params, fit=fit, cfg=cfg),
         sweep_axis=axis, grid=grid,
         outage_lo=outage_lo, outage_hi=outage_hi,
         util_lo=util_lo, util_hi=util_hi,
         mc_samples=samples, mc_seed=seed, label=label)
+    # every check a point passes is monotone along its axis, so the ends cover the grid
+    for i in sorted({0, len(grid) - 1}):
+        try:
+            _point_state(sc, grid[i], None)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:  # not a SolverError
+            raise ConfigError(
+                f"sweep.grid[{i}]: {axis} = {grid[i]!r} gives no point: {exc}") from exc
+    return sc
 
 
 def _json_fields(obj) -> dict:
@@ -271,8 +267,10 @@ def scenario_config_dict(sc: ScenarioConfig) -> dict:
     }
 
 
-def load_config(path: str | Path) -> dict:
-    """Load a config document; a manifest is unwrapped to its config."""
+def load_config(path: str | Path) -> tuple[dict, str, str | None]:
+    """Load a config document with the label and preset a run of it takes:
+    a manifest is unwrapped to its config and keeps its own label and preset,
+    any other config takes its file stem and no preset."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -280,31 +278,36 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    label, preset = Path(path).stem, None
     if isinstance(doc, dict) and doc.get("kind") == "semcell-manifest" and "config" in doc:
-        doc = doc["config"]
+        doc, label, preset = doc["config"], doc.get("label"), doc.get("preset")
+        if not (isinstance(label, str) and Path(label).name == label):
+            raise ConfigError(f"label of manifest {path}: expected a file name, got {label!r}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config root of {path}: expected a JSON object")
-    return doc
+    return doc, label, preset
 
 
 # ---------------------------------------------------------------------------
 # sweep evaluation
 # ---------------------------------------------------------------------------
 
-def _point_state(sc: ScenarioConfig, axis_value: float, thr: RateThresholds):
+def _point_state(sc: ScenarioConfig, axis_value: float, thr: RateThresholds | None):
     """Scenario (params, cfg, thresholds) at one grid point, given the thresholds
     ``thr`` of the sweep's own config: kept on the radius axes, the point's
-    own on the m_th and r_out axes."""
+    own on the ``m_th`` and ``r_out`` axes, which are ``RateConfig`` fields.
+
+    The only code that knows the sweep axes.  A value that builds no point
+    raises ValueError, OverflowError or ZeroDivisionError;
+    ``parse_scenario_config`` builds the grid's two ends with ``thr=None``
+    and reports such a value as a config error naming ``sweep.grid[i]``.
+    """
     params = sc.scenario.params
-    cfg = sc.scenario.cfg
     if sc.sweep_axis == "radius_m":
-        return params.with_radius(axis_value), cfg, thr
+        return params.with_radius(axis_value), sc.scenario.cfg, thr
     if sc.sweep_axis == "edge_snr_db":
-        return params.with_radius(_edge_radius(params, axis_value)), cfg, thr
-    if sc.sweep_axis == "m_th":
-        cfg = replace(cfg, m_th=axis_value)
-    else:
-        cfg = replace(cfg, r_out=axis_value)
+        return params.with_radius(_edge_radius(params, axis_value)), sc.scenario.cfg, thr
+    cfg = replace(sc.scenario.cfg, **{sc.sweep_axis: axis_value})
     return params, cfg, thresholds(cfg, sc.scenario.fit)
 
 
@@ -342,7 +345,9 @@ def evaluate_sweep(sc: ScenarioConfig) -> list[dict[str, float]]:
     """Rows for every grid point, in axis order: the CSV columns, analytic
     and, with Monte Carlo samples, each metric's estimate and standard error.
 
-    The sweep's thresholds are computed once and serve every point on the
+    ``_point_state`` builds every point; ``parse_scenario_config`` built
+    the grid's two ends with it, so no point of a parsed config fails to
+    build.  The sweep's thresholds are computed once and serve every point on the
     radius axes; on the m_th and r_out axes each point takes its own,
     which rebuilds only the closed-form edges, since no axis moves g_max
     and its solve is memoized.  The points share one kernel scope, so
@@ -452,27 +457,31 @@ def _mc_overrides(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    doc = load_config(args.config)
+    doc, label, preset = load_config(args.config)
     overrides = _mc_overrides(args)
     if args.preset:
-        labelled = expand_preset(doc, args.preset)
+        preset = args.preset
+        labelled = expand_preset(doc, preset)
     else:
-        labelled = [(Path(args.config).stem, doc)]
+        labelled = [(label, doc)]
     with kernel_scope():  # a preset's variants share its grid, c_L and most breakpoints
         for label, variant_doc in labelled:
             sc = replace(parse_scenario_config(variant_doc, label=label), **overrides)
-            csv_path, manifest_path = run_scenario(sc, args.out, preset=args.preset)
+            csv_path, manifest_path = run_scenario(sc, args.out, preset=preset)
             print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
 
 
+def _configured_point(args, label: str) -> ScenarioConfig:
+    """The config's one point at its radius and thresholds; its sweep is not read."""
+    doc, _, _ = load_config(args.config)
+    return parse_scenario_config({key: doc[key] for key in doc if key != "sweep"}, label=label)
+
+
 def _cmd_validate(args) -> int:
-    sc = replace(parse_scenario_config(load_config(args.config), label="validate"),
-                 **_mc_overrides(args))
+    sc = replace(_configured_point(args, "validate"), **_mc_overrides(args))
     samples = sc.mc_samples if sc.mc_samples > 0 else 1_000_000
-    # one point, at the configured radius and thresholds, whatever the sweep
-    row = evaluate_sweep(replace(sc, mc_samples=samples, sweep_axis="radius_m",
-                                 grid=(sc.scenario.params.cell_radius_m,)))[0]
+    row = evaluate_sweep(replace(sc, mc_samples=samples))[0]
     failures = 0
     print(f"closed form vs Monte Carlo at n={samples} (score test, |z| <= {_Z_BOUND:.3f}: "
           f"family-wise alpha {_FAMILY_ALPHA:g} over {len(_METRICS)} metrics)")
@@ -505,7 +514,7 @@ def _score_z(p_hat: float, p: float, n: int) -> float:
 
 
 def _cmd_design_radius(args) -> int:
-    sc = parse_scenario_config(load_config(args.config), label="design")
+    sc = _configured_point(args, "design")
     params, fit, cfg = sc.scenario.params, sc.scenario.fit, sc.scenario.cfg
     if not (0.0 < args.pth < 1.0):
         raise ConfigError(f"--pth must lie in (0, 1), got {args.pth}")
@@ -525,7 +534,7 @@ def _cmd_design_radius(args) -> int:
 
 
 def _cmd_design_util(args) -> int:
-    sc = parse_scenario_config(load_config(args.config), label="design")
+    sc = _configured_point(args, "design")
     params, fit, cfg = sc.scenario.params, sc.scenario.fit, sc.scenario.cfg
     if not (0 <= args.ll <= args.lu <= params.num_users):
         raise ConfigError(

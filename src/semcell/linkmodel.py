@@ -38,6 +38,18 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value}")
 
 
+def _check_radius(radius, pathloss_exp: float) -> None:
+    """A cell radius R whose path-loss powers R^a and R^-a are finite positive floats."""
+    _check_positive("cell_radius_m", radius)
+    try:
+        powers = (radius ** pathloss_exp, radius ** -pathloss_exp)
+    except OverflowError:
+        powers = (math.inf,)
+    if not all(0.0 < power < math.inf for power in powers):
+        raise ValueError(f"cell_radius_m {radius} at pathloss_exp {pathloss_exp} has R^a "
+                         "or R^-a beyond the float range")
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Cell-level constants.  All fields are linear-scale SI values."""
@@ -54,16 +66,17 @@ class NetworkParams:
         if self.num_users < 1:
             raise ValueError(f"num_users must be >= 1, got {self.num_users}")
         for name in ("tx_power_w", "total_bandwidth_hz", "carrier_freq_hz",
-                     "noise_density_w_per_hz", "cell_radius_m"):
+                     "noise_density_w_per_hz"):
             _check_positive(name, getattr(self, name))
         if not (math.isfinite(self.pathloss_exp) and self.pathloss_exp >= 1.0):
             raise ValueError(f"pathloss_exp must be >= 1, got {self.pathloss_exp}")
+        _check_radius(self.cell_radius_m, self.pathloss_exp)
 
     def with_radius(self, radius: float) -> NetworkParams:
         """These params at cell radius ``radius``, which gets the radius check;
         the other fields were checked when ``self`` was built.  A sweep makes
         one per point, so this skips ``dataclasses.replace``'s field walk."""
-        _check_positive("cell_radius_m", radius)
+        _check_radius(radius, self.pathloss_exp)
         point = object.__new__(NetworkParams)
         vars(point).update(vars(self), cell_radius_m=radius)
         return point

@@ -75,6 +75,14 @@ class RateConfig:
             raise ValueError(f"similarity threshold must lie in (0, 1), got {self.m_th}")
         if not (math.isfinite(self.r_out) and self.r_out > 0.0):
             raise ValueError(f"outage rate threshold must be positive, got {self.r_out}")
+        try:
+            g_bit = _bit_outage_edge(self)
+        except OverflowError:
+            g_bit = math.inf
+        if not math.isfinite(g_bit):
+            raise ValueError(f"outage rate threshold {self.r_out} puts the bit outage edge "
+                             "g_bit = gamma (2^(mu r_out) - 1) "
+                             f"beyond the float range at mu={self.mu}")
 
 
 Interval = tuple[float, float]
@@ -166,6 +174,11 @@ def gamma_gap(cfg: RateConfig) -> float:
     if cfg.use_capacity:
         return 1.0
     return max(1.0, -math.log(5.0 * cfg.ber) / 1.5)
+
+
+def _bit_outage_edge(cfg: RateConfig) -> float:
+    """g_bit = gamma (2^(mu r_out) - 1), where the bit rate equals r_out."""
+    return gamma_gap(cfg) * (2.0 ** (cfg.mu * cfg.r_out) - 1.0)
 
 
 def bit_rate(g, cfg: RateConfig):
@@ -329,8 +342,7 @@ def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
         edge = math.inf
     else:
         edge = inv_similarity(sim_out, fit)
-    gap = gamma_gap(cfg)
     return RateThresholds(g_min=inv_similarity(cfg.m_th, fit),
-                          g_bit=gap * (2.0 ** (cfg.mu * cfg.r_out) - 1.0),
+                          g_bit=_bit_outage_edge(cfg),
                           sem_outage_edge=edge,
-                          g_max=_solve_rate_crossing(cfg.mu, fit, gap))
+                          g_max=_solve_rate_crossing(cfg.mu, fit, gamma_gap(cfg)))

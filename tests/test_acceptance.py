@@ -313,7 +313,7 @@ def test_acceptance_8_run_determinism(tmp_path, monkeypatch):
         for repeat in ("a", "b"):
             out = tmp_path / f"w{workers}{repeat}"
             assert main(["run", "--config", str(manifest), "--out", str(out)]) == 0
-            blobs.append((out / "det.manifest.csv").read_bytes())
+            blobs.append((out / "det.csv").read_bytes())
     assert all(blob == blobs[0] for blob in blobs[1:])
     assert blobs[0] == (out_first / "det.csv").read_bytes()
     elapsed = time.perf_counter() - started

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import draw_scenario
 from semcell import DesignTarget, RateConfig, Scenario, outage_report, thresholds
-from semcell.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, ConfigError, ScenarioConfig,
-                         build_parser, main, parse_scenario_config, run_scenario,
-                         scenario_config_dict, write_manifest)
+from semcell.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, ConfigError,
+                         ScenarioConfig, _point_state, build_parser, main,
+                         parse_scenario_config, run_scenario, scenario_config_dict,
+                         write_manifest)
 from semcell.presets import PRESETS, expand_preset, table1_config
+
+OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -28,6 +32,13 @@ def write_config(tmp_path, doc, name="config.json"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _without_versions(manifest_path):
+    """A manifest outside its versions block, which names the machine that wrote it."""
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    del manifest["versions"]
+    return manifest
 
 
 class TestConfigParsing:
@@ -88,6 +99,25 @@ class TestConfigParsing:
         assert f"config error: sweep.grid[{index}]: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("axis, grid, index", [
+        ("radius_m", [0.0, 500.0], 0),
+        ("radius_m", [500.0, 1e150], 1),  # R^3 beyond the float range
+        ("m_th", [0.2, 0.75], 0),
+        ("m_th", [0.75, 0.99], 1),
+        ("r_out", [0.0, 0.04], 0),
+        ("r_out", [0.04, 30.0], 1),  # 2^(mu r_out) beyond the float range
+    ])
+    def test_grid_invalid_at_one_end_exits_2(self, tmp_path, capsys, axis, grid, index):
+        # edge_snr_db's ends: test_edge_snr_beyond_the_float_range_exits_2
+        doc = table1_config()
+        doc["sweep"] = {"axis": axis, "grid": grid}
+        cfg_path = write_config(tmp_path, doc)
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sweep.grid[{index}]: {axis} = {grid[index]!r} ")
+        assert not (tmp_path / "out").exists()
+
     def test_both_noise_keys_rejected(self):
         doc = table1_config()
         doc["network"]["noise_density_w_per_hz"] = 1e-20
@@ -137,6 +167,47 @@ def test_schema_round_trip(seed, rate_class, use_capacity, axis, data):
         label="round-trip")
     doc = json.loads(json.dumps(scenario_config_dict(sc)))
     assert parse_scenario_config(doc, sc.label) == sc
+
+
+def _powers_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# grid values on each axis, reaching past the float range on both sides
+_WIDE_VALUES = {
+    "radius_m": st.one_of(_powers_of_ten(-350.0, 308.0), st.floats(-10.0, 0.0)),
+    "edge_snr_db": st.floats(-5000.0, 5000.0),
+    "m_th": st.floats(-0.5, 1.5),
+    "r_out": st.one_of(_powers_of_ten(-330.0, 3.0), st.floats(-1.0, 0.0)),
+}
+
+
+def _builds_every_point(sc):
+    try:
+        for value in sc.grid:
+            _point_state(sc, value, None)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), axis=st.sampled_from(sorted(_WIDE_VALUES)),
+       data=st.data())
+def test_grid_is_accepted_exactly_when_every_point_builds(seed, axis, data):
+    # the parse builds only the two end points; no value between them may fail later
+    params, fit, cfg = draw_scenario(np.random.default_rng(seed))
+    grid = tuple(sorted(data.draw(st.lists(_WIDE_VALUES[axis], min_size=1, max_size=6,
+                                           unique=True))))
+    sc = ScenarioConfig(scenario=Scenario(params=params, fit=fit, cfg=cfg), sweep_axis=axis,
+                        grid=grid, outage_lo=1, outage_hi=params.num_users, util_lo=1,
+                        util_hi=params.num_users, mc_samples=0, mc_seed=0, label="wide")
+    doc = json.loads(json.dumps(scenario_config_dict(sc)))
+    if _builds_every_point(sc):
+        assert parse_scenario_config(doc, sc.label) == sc
+    else:
+        with pytest.raises(ConfigError, match=r"^sweep\.grid\[\d+\]: "):
+            parse_scenario_config(doc, sc.label)
 
 
 def _root_list(doc):
@@ -316,9 +387,29 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(first)]) == EXIT_OK
         manifest = first / "config.manifest.json"
         assert main(["run", "--config", str(manifest), "--out", str(second)]) == EXIT_OK
-        replay = second / "config.manifest.csv"
-        original = (first / "config.csv").read_bytes()
-        assert replay.read_bytes() == original
+        # the replay takes the manifest's label, so it writes the same file names
+        assert (second / "config.csv").read_bytes() == (first / "config.csv").read_bytes()
+        assert _without_versions(second / "config.manifest.json") == _without_versions(manifest)
+
+    @pytest.mark.parametrize("manifest", sorted(OUTPUT.glob("fig*/*.manifest.json")),
+                             ids=lambda path: path.name.removesuffix(".manifest.json"))
+    def test_committed_manifest_replays_under_its_own_names(self, tmp_path, manifest):
+        # a replay without --preset takes the manifest's label and preset
+        assert main(["run", "--config", str(manifest), "--out", str(tmp_path)]) == EXIT_OK
+        csv_name = manifest.name.replace(".manifest.json", ".csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [csv_name, manifest.name]
+        assert (tmp_path / csv_name).read_bytes() == (manifest.parent / csv_name).read_bytes()
+        assert _without_versions(tmp_path / manifest.name) == _without_versions(manifest)
+
+    @pytest.mark.parametrize("label", ["../escaped", "/absolute", 7, None])
+    def test_manifest_label_must_be_a_file_name(self, tmp_path, capsys, label):
+        doc = table1_config()
+        manifest = {"kind": "semcell-manifest", "label": label, "preset": None, "config": doc}
+        cfg_path = write_config(tmp_path, manifest, name="m.manifest.json")
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: label of manifest ")
+        assert not (tmp_path / "out").exists()
 
     def test_numpy_scalars_write_the_same_csv(self, tmp_path):
         # a config built in code may carry numpy scalars; each cell is still written as a float
@@ -363,7 +454,7 @@ class TestRunCommand:
         assert [float(row["axis_value"]) for row in rows] == [750.0]
         manifest = tmp_path / "a" / "config.manifest.json"
         assert main(["run", "--config", str(manifest), "--out", str(tmp_path / "b")]) == EXIT_OK
-        replay = tmp_path / "b" / "config.manifest.csv"
+        replay = tmp_path / "b" / "config.csv"
         assert replay.read_bytes() == (tmp_path / "a" / "config.csv").read_bytes()
 
     def test_config_without_count_ranges_runs_from_one_to_num_users(self, tmp_path):
@@ -601,6 +692,23 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(cfg_path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("sweep", [
+    {"axis": "r_out", "grid": [0.04, 30.0]},
+    {"axis": "radius_m", "grid": [0.0, 500.0]},
+    {"axis": "twist", "step": 2},
+], ids=["r_out-beyond-float-range", "radius-not-positive", "unknown-axis-and-key"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "--mc-samples", "20000", "--seed", "1"],
+    ["design", "radius", "--pth", "1e-3", "--ll", "3"],
+], ids=["validate", "design-radius"])
+def test_one_point_commands_do_not_read_the_sweep(tmp_path, capsys, sweep, argv):
+    doc = table1_config()
+    doc["sweep"] = sweep
+    cfg_path = write_config(tmp_path, doc)
+    assert main(argv + ["--config", str(cfg_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 class TestDesignCommands:
     def test_radius_json(self, tmp_path, capsys):
         doc = table1_config()
@@ -666,6 +774,25 @@ class TestSolverFailureExit:
         cfg_path = write_config(tmp_path, table1_config())
         assert main(["design", "radius", "--config", str(cfg_path),
                      "--pth", "1e-3", "--ll", "3"]) == 3
+
+    @pytest.mark.parametrize("axis, grid", [("m_th", [0.6, 0.9]), ("r_out", [0.04, 0.2])])
+    def test_failed_rate_crossing_on_a_threshold_sweep_exits_3(self, tmp_path, capsys,
+                                                                 monkeypatch, axis, grid):
+        # the parse builds the sweep's end points, whose thresholds solve g_max:
+        # a failed solve there is a solver failure, not a config error
+        import semcell.ratemodel as ratemodel_module
+        from semcell import SolverError
+
+        def boom(*args):
+            raise SolverError("no rate crossing")
+
+        monkeypatch.setattr(ratemodel_module, "_solve_rate_crossing", boom)
+        doc = table1_config()
+        doc["sweep"] = {"axis": axis, "grid": grid}
+        cfg_path = write_config(tmp_path, doc)
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_SOLVER
+        assert capsys.readouterr().err == "solver failure: no rate crossing\n"
 
 
 def test_one_parser_serves_consecutive_commands(tmp_path, capsys):

@@ -560,7 +560,7 @@ class TestCurves:
             assert m[0] == fit.a1 and m[-1] == similarity(np.inf, fit)
 
     @pytest.mark.parametrize("first, second, outage", [
-        ({}, dict(cell_radius_m=1e150), 1.0),
+        (dict(tx_power_w=1e200), dict(tx_power_w=1e-200), 1.0),
         (dict(tx_power_w=1e-200), dict(tx_power_w=1e200), 0.0),
     ], ids=["ratio_zero", "ratio_inf"])
     def test_snr_scales_beyond_the_float_range(self, table1_scenario, first, second, outage,
