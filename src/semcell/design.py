@@ -7,8 +7,8 @@ h(x) = phi(x) - e^(-x) (see :func:`~semcell.specfun.kummer_pair`).
 
 * The largest radius keeping the probability of ``count_floor`` or more
   users in outage below a target solves the level equation
-  F(y_th t) = pi_star for the per-user outage probability F = 1 - phi,
-  for every path-loss exponent by the same numeric root.
+  F(y_th t) = pi_star at the hybrid outage edge y_th, which every fit
+  has (F = 1 - phi), for every path-loss exponent by one numeric root.
 * The radius placing the number of semantically served users in a
   desired range with maximum probability is one of the stationary points
   of the range probability: the peak of the per-user utilization
@@ -168,19 +168,15 @@ def radius_for_outage_threshold(target: DesignTarget, thr: RateThresholds,
     """Largest radius keeping P[count_floor or more users in outage] <= p_th.
 
     Solves F_g(y_th) = pi_star, i.e. 1 - 1F1(2/a; 1+2/a; -(y_th/c_L) R^a) = pi_star,
-    where [0, y_th] is the hybrid outage event on the SNR axis (SolverError
-    when it is not one such interval); any smaller radius then satisfies
-    the target strictly (the per-user outage probability F_g(y_th)
-    increases with the radius).  Every exponent, free space included,
-    takes the same root of ln F - ln pi_star, and SolverError is raised
-    unless that residual is at most 1e-12, so strict caps stay exact in
-    relative terms.
+    where [0, y_th] is the hybrid outage event on the SNR axis, one interval
+    on every fit (:meth:`~semcell.ratemodel.RateThresholds.outage_cdf_argument`);
+    any smaller radius then satisfies the target strictly (the per-user
+    outage probability F_g(y_th) increases with the radius).  Every
+    exponent, free space included, takes the same root of
+    ln F - ln pi_star, and SolverError is raised unless that residual is
+    at most 1e-12, so strict caps stay exact in relative terms.
     """
     y_th = thr.outage_cdf_argument()
-    if y_th is None:
-        raise SolverError(
-            "the hybrid outage event is not one SNR interval [0, y] (composite corner); "
-            "radius design is not defined for this parameter corner")
     a = params.pathloss_exp
     x, iterations, residual = _kummer_level_root(2.0 / a, target.pi_star)
     radius = (x * snr_scale(params) / y_th) ** (1.0 / a)

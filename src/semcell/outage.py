@@ -12,11 +12,12 @@ edges x = g t on the Kummer axis, t = R^a / c_L.
 This module is the measure only.  Every per-user event is a union of
 disjoint SNR intervals that :class:`~semcell.ratemodel.RateThresholds`
 builds from the four breakpoints, and its probability is the sum of
-F_g(hi) - F_g(lo) over them (F_g the SNR CDF).  The paper's branch table
-covers the cases where the hybrid outage event is one interval [0, y]
-(checked against the table in the test suite).  Nothing here stores a
-value; inside :func:`~semcell.specfun.kernel_scope`, which every sweep
-opens, each distinct breakpoint's F_g costs one kernel evaluation.
+F_g(hi) - F_g(lo) over them (F_g the SNR CDF).  The hybrid outage event
+is one interval [0, y] on every fit, the paper's branch table its
+single-crossing cases (checked in the test suite); :func:`user_outage_hybrid`
+sums the pinned two-part split until ROADMAP item 16's re-pin.  Nothing
+here stores a value; inside :func:`~semcell.specfun.kernel_scope`, which
+every sweep opens, each distinct breakpoint's F_g costs one kernel evaluation.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ Breakpoints:
 
 Every per-user event is a union of disjoint intervals on the SNR axis
 with these breakpoints as ends, and :class:`RateThresholds` alone builds
-them, so :mod:`semcell.outage` only sums SNR-CDF differences.  The rows
-of the paper's branch table are the cases where the hybrid outage event
-is one interval [0, y].
+them, so :mod:`semcell.outage` only sums SNR-CDF differences.  The hybrid
+outage event is [0, min(g_bit, max(g_min, sem_outage_edge))] on every fit;
+the rows of the paper's branch table are its single-crossing cases.
 """
 
 from __future__ import annotations
@@ -109,9 +109,11 @@ class RateThresholds:
         return edge if 0.0 < edge < math.inf else None
 
     def hybrid_outage_parts(self) -> tuple[tuple[Interval, ...], tuple[Interval, ...]]:
-        """The hybrid outage event as disjoint SNR intervals: (bit part, semantic
-        part), the bit outage set [0, g_bit] outside the semantic window
-        [g_min, g_max] and the semantic outage set [0, sem_outage_edge] inside it.
+        """The hybrid outage event split at the semantic window [g_min, g_max]:
+        (bit part, semantic part), [0, g_bit] outside it and [0, sem_outage_edge]
+        inside it.  The pinned pi_h column and ``derived.hybrid_outage`` read
+        it; on a multi-crossing fit, whose window spans a second crossing, it
+        can differ from [0, outage_cdf_argument()] (ROADMAP item 16).
         """
         g_min, g_max, g_bit = self.g_min, self.g_max, self.g_bit
         if g_max <= g_min:
@@ -132,16 +134,12 @@ class RateThresholds:
         lo = max(self.g_min, self.sem_outage_edge)
         return (lo, self.g_max) if lo < self.g_max else None
 
-    def outage_cdf_argument(self) -> float | None:
+    def outage_cdf_argument(self) -> float:
         """The y for which the hybrid outage event is [0, y], so that its
-        probability is F_g(y); None when the event is not one interval."""
-        bit, sem = self.hybrid_outage_parts()
-        y = 0.0
-        for lo, hi in sorted(bit + sem):
-            if lo > y:
-                return None
-            y = max(y, hi)
-        return y
+        probability is F_g(y), on every fit: a hybrid user gets the bit rate
+        below g_min and the larger of the two rates above it, both increasing
+        in g, so the hybrid rate never decreases, and g_max plays no part."""
+        return min(self.g_bit, max(self.g_min, self.sem_outage_edge))
 
 
 def _scalar_like(value, template):

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semcell import (DesignTarget, SolverError, binom_range_prob, optimal_sem_util_radius,
+from semcell import (DesignTarget, binom_range_prob, optimal_sem_util_radius,
                      radius_for_outage_threshold, sem_util_prob, snr_scale, thresholds)
 from conftest import draw_scenario, outage_cdf
 
@@ -79,14 +79,6 @@ def test_outage_radius_meets_the_level(scenario, log_p_th, floor_frac, free_spac
     L = params.num_users
     count_floor = 1 + int(floor_frac * (L - 1))
     target = DesignTarget.for_outage_cap(10.0 ** log_p_th, count_floor, L)
-    if thr.outage_cdf_argument() is None:
-        # no single CDF argument: the documented solver failure
-        try:
-            radius_for_outage_threshold(target, thr, params)
-        except SolverError:
-            return
-        raise AssertionError("composite outage corner must raise SolverError")
-
     solution = radius_for_outage_threshold(target, thr, params)
     assert solution.radius > 0.0
     assert solution.iterations <= 60

@@ -132,11 +132,14 @@ def _member(g, intervals) -> bool:
 
 class TestIntervalEvents:
     def test_cdf_argument_matches_branch_table_on_draws(self):
+        # and F(y_h) = min(pi_b, pi_s) exactly, ROADMAP item 16's identity
         rng = np.random.default_rng(71)
         for _ in range(2000):
-            _, fit, cfg = draw_scenario(rng)
+            params, fit, cfg = draw_scenario(rng)
             thr = thresholds(cfg, fit)
             assert thr.outage_cdf_argument() == _table_cdf_argument(thr)
+            assert snr_cdf(thr.outage_cdf_argument(), params) == min(
+                user_outage_bit(thr, params), user_outage_sem(thr, params))
 
     def test_cdf_argument_matches_branch_table_on_preset_grids(self):
         points = 0
@@ -150,13 +153,12 @@ class TestIntervalEvents:
                     points += 1
         assert points > 1000
 
-    def test_composite_corner_has_no_cdf_argument(self, table1_params):
-        # a bit cutoff above the crossing with no semantic-rate outage (only
-        # reachable with multi-crossing rate curves): the outage event is
-        # [0, g_min] plus [g_max, g_bit], two intervals with a gap
+    def test_composite_corner_split_has_no_branch_row(self, table1_params):
+        # a bit cutoff above the crossing with no semantic-rate outage: the
+        # two-part split is [0, g_min] plus [g_max, g_bit], with a gap, and
+        # no row of the branch table matches
         thr = RateThresholds(g_min=1.0, g_max=2.0, g_bit=3.0, sem_outage_edge=0.0)
         assert thr.hybrid_outage_parts() == (((0.0, 1.0), (2.0, 3.0)), ())
-        assert thr.outage_cdf_argument() is None
         assert _table_cdf_argument(thr) is None
         cdf = [snr_cdf(g, table1_params) for g in (1.0, 2.0, 3.0)]
         assert user_outage_hybrid(thr, table1_params) == cdf[0] + cdf[2] - cdf[1]
