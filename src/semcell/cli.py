@@ -34,7 +34,8 @@ from .montecarlo import (SEED_LIMIT, BitOutage, ExactCount, HybridOutage, RangeC
                          Scenario, SemOutage, SemUtilization, estimate_many)
 from .outage import NetOutageMode, binom_range_prob, network_outage, outage_report
 from .presets import PRESETS, expand_preset
-from .ratemodel import RateConfig, RateThresholds, SimilarityFit, gamma_gap, thresholds
+from .ratemodel import (RateConfig, RateThresholds, SimilarityFit, gamma_gap,
+                        rate_crossing_bracket, semantic_edges, thresholds)
 from .specfun import kernel_scope
 
 EXIT_OK = 0
@@ -221,6 +222,17 @@ def parse_scenario_config(doc: dict, label: str = "run") -> ScenarioConfig:
         raise ConfigError(
             f"rate.similarity_threshold: {cfg.m_th} must lie strictly inside "
             f"the fit asymptotes ({fit.a1}, {fit.a2})")
+    # g_min, the semantic outage edge and the rate-crossing bracket read two sections, so
+    # no section's own check covers them; on the m_th and r_out axes the grid's ends, built
+    # below, check the first two
+    try:
+        semantic_edges(cfg, fit)
+    except ValueError as exc:
+        raise ConfigError(f"similarity_fit: {exc}") from exc
+    try:
+        rate_crossing_bracket(cfg.mu, fit, gamma_gap(cfg))
+    except ValueError as exc:
+        raise ConfigError(f"rate: {exc}") from exc
     if "sweep" in doc:
         axis, grid = _parse_sweep(doc)
     else:
@@ -387,11 +399,10 @@ def write_csv(path: Path, rows: list[dict[str, float]]) -> None:
 
 
 def derived_constants(sc: ScenarioConfig) -> dict:
-    """Derived quantities recorded in the manifest for the nominal config, with
-    the hybrid outage and utilization events as finite SNR intervals."""
+    """Derived quantities recorded in the manifest for the nominal config: the
+    edge y of the hybrid outage event [0, y] and the utilization window, both finite."""
     params, cfg = sc.scenario.params, sc.scenario.cfg
     thr = thresholds(cfg, sc.scenario.fit)
-    bit, sem = thr.hybrid_outage_parts()
     return {
         "snr_scale": snr_scale(params),
         "snr_gap": gamma_gap(cfg),
@@ -399,7 +410,7 @@ def derived_constants(sc: ScenarioConfig) -> dict:
         "g_max": thr.g_max,
         "g_bit": thr.g_bit,
         "g_sem": thr.g_sem,
-        "hybrid_outage": {"bit": bit, "semantic": sem},
+        "hybrid_outage_edge": thr.outage_cdf_argument(),
         "utilization_window": thr.utilization_window(),
         "mean_edge_snr_db": linear_to_db(mean_edge_snr(params)),
     }

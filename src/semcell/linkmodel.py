@@ -71,6 +71,13 @@ class NetworkParams:
         if not (math.isfinite(self.pathloss_exp) and self.pathloss_exp >= 1.0):
             raise ValueError(f"pathloss_exp must be >= 1, got {self.pathloss_exp}")
         _check_radius(self.cell_radius_m, self.pathloss_exp)
+        try:
+            scale = snr_scale(self)
+        except (OverflowError, ZeroDivisionError):
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"SNR scale c_L = L P / (N0 W) (lambda / 4 pi)^2 = {scale} "
+                             "leaves the float range")
 
     def with_radius(self, radius: float) -> NetworkParams:
         """These params at cell radius ``radius``, which gets the radius check;

@@ -275,14 +275,14 @@ def _indicators(kinds: list[type], m: np.ndarray, rate_sem: np.ndarray,
 
     Each rate is compared with r_out once: the hybrid outage is the bit
     outage, switched to the semantic one where the semantic mode is preferred.
+    Every event set a sweep asks for needs all three comparisons at each
+    cell width.
     """
     r_out, m_th = cfg.r_out, cfg.m_th
-    need = set(kinds)
-    bit_low = rate_bit <= r_out if need & {BitOutage, HybridOutage} else None
-    sem_low = rate_sem <= r_out if need - {BitOutage} else None
-    if need & {HybridOutage, SemUtilization}:
-        prefers_sem = m >= m_th
-        prefers_sem &= rate_sem >= rate_bit
+    bit_low = rate_bit <= r_out
+    sem_low = rate_sem <= r_out
+    prefers_sem = m >= m_th
+    prefers_sem &= rate_sem >= rate_bit
     out = []
     for kind in kinds:
         if kind is BitOutage:

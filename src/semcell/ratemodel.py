@@ -111,9 +111,9 @@ class RateThresholds:
     def hybrid_outage_parts(self) -> tuple[tuple[Interval, ...], tuple[Interval, ...]]:
         """The hybrid outage event split at the semantic window [g_min, g_max]:
         (bit part, semantic part), [0, g_bit] outside it and [0, sem_outage_edge]
-        inside it.  The pinned pi_h column and ``derived.hybrid_outage`` read
-        it; on a multi-crossing fit, whose window spans a second crossing, it
-        can differ from [0, outage_cdf_argument()] (ROADMAP item 16).
+        inside it.  Its only reader is the pinned pi_h column; on a
+        multi-crossing fit, whose window spans a second crossing, it can differ
+        from the event [0, outage_cdf_argument()] (ROADMAP item 16).
         """
         g_min, g_max, g_bit = self.g_min, self.g_max, self.g_bit
         if g_max <= g_min:
@@ -161,10 +161,18 @@ def similarity(g, fit: SimilarityFit):
 
 
 def inv_similarity(m: float, fit: SimilarityFit) -> float:
-    """Linear SNR at which the similarity curve reaches m in (a1, a2)."""
+    """Linear SNR at which the similarity curve reaches m in (a1, a2);
+    ValueError when that SNR is beyond the float range."""
     if not (fit.a1 < m < fit.a2):
         raise ValueError(f"inverse similarity needs a1 < m < a2, got m={m} for bounds ({fit.a1}, {fit.a2})")
-    return 10.0 ** (-(math.log((fit.a2 - m) / (m - fit.a1)) + fit.c2) / (10.0 * fit.c1))
+    try:
+        g = 10.0 ** (-(math.log((fit.a2 - m) / (m - fit.a1)) + fit.c2) / (10.0 * fit.c1))
+    except OverflowError:
+        g = math.inf
+    if g == math.inf:
+        raise ValueError(f"the similarity curve reaches {m} at an SNR beyond the float range "
+                         f"(c1={fit.c1}, c2={fit.c2})")
+    return g
 
 
 def gamma_gap(cfg: RateConfig) -> float:
@@ -177,6 +185,39 @@ def gamma_gap(cfg: RateConfig) -> float:
 def _bit_outage_edge(cfg: RateConfig) -> float:
     """g_bit = gamma (2^(mu r_out) - 1), where the bit rate equals r_out."""
     return gamma_gap(cfg) * (2.0 ** (cfg.mu * cfg.r_out) - 1.0)
+
+
+def rate_crossing_bracket(mu: int, fit: SimilarityFit, gap: float) -> float:
+    """g_hi = gamma (2^(mu a2 / k) - 1), where the bit rate passes the semantic
+    ceiling a2/k, so that every rate crossing lies below it; ValueError when
+    it overflows or rounds to 0."""
+    try:
+        g_hi = gap * (2.0 ** (mu * fit.a2 / fit.k) - 1.0)
+    except OverflowError:
+        g_hi = math.inf
+    if not 0.0 < g_hi < math.inf:
+        raise ValueError(f"rate-crossing bracket gamma (2^(mu a2 / k) - 1) "
+                         f"{'overflowed' if g_hi else 'rounded to 0'} "
+                         f"at mu={mu}, a2={fit.a2}, k={fit.k}")
+    return g_hi
+
+
+def semantic_edges(cfg: RateConfig, fit: SimilarityFit) -> tuple[float, float]:
+    """(g_min, sem_outage_edge): the SNRs where the similarity curve reaches
+    m_th and k r_out, the edge 0 or infinity as k r_out lies at most a1 or at
+    least a2.  ValueError when m_th lies outside the fit asymptotes or either
+    SNR is beyond the float range."""
+    if not (fit.a1 < cfg.m_th < fit.a2):
+        raise ValueError(
+            f"similarity threshold {cfg.m_th} must lie strictly between the fit asymptotes ({fit.a1}, {fit.a2})")
+    sim_out = fit.k * cfg.r_out
+    if sim_out <= fit.a1:
+        edge = 0.0
+    elif sim_out >= fit.a2:
+        edge = math.inf
+    else:
+        edge = inv_similarity(sim_out, fit)
+    return inv_similarity(cfg.m_th, fit), edge
 
 
 def bit_rate(g, cfg: RateConfig):
@@ -228,10 +269,9 @@ def _geomspace_grid(start: float, stop: float) -> list[float]:
 def _solve_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> float:
     """Largest g with sem_rate(g) = bit_rate(g): g_max.
 
-    The bit rate passes the semantic ceiling a2/k at
-    g_hi = gamma (2^(mu a2 / k) - 1), so the largest crossing lies below
-    g_hi; scan a log grid downwards for the first sign change, bisect,
-    then polish with safeguarded Newton steps to machine residual.
+    The largest crossing lies below :func:`rate_crossing_bracket` g_hi;
+    scan a log grid downwards for the first sign change, bisect, then
+    polish with safeguarded Newton steps to machine residual.
 
     The returned float is pinned, bit for bit, by the reference CSVs, so
     the work is cut without moving it.  Each 121-point grid is the one
@@ -248,11 +288,9 @@ def _solve_rate_crossing(mu: int, fit: SimilarityFit, gap: float) -> float:
     raises again on the next call.
     """
     try:
-        g_hi = gap * (2.0 ** (mu * fit.a2 / fit.k) - 1.0)
-    except OverflowError as exc:
-        raise SolverError(f"rate-crossing bracket overflowed for mu={mu}, a2={fit.a2}, k={fit.k}") from exc
-    if not math.isfinite(g_hi) or g_hi <= 0.0:
-        raise SolverError(f"rate-crossing upper bracket is not a positive finite SNR: {g_hi}")
+        g_hi = rate_crossing_bracket(mu, fit, gap)
+    except ValueError as exc:
+        raise SolverError(str(exc)) from exc
 
     slope, a1, span, c2, k = fit.c1 * 10.0, fit.a1, fit.a2 - fit.a1, fit.c2, fit.k
     log10, log2, exp = math.log10, math.log2, math.exp
@@ -328,19 +366,11 @@ def thresholds(cfg: RateConfig, fit: SimilarityFit) -> RateThresholds:
     use_capacity) and the fit, and the solve is memoized on exactly those,
     so configs that differ only in m_th or r_out solve it once per
     process.  The semantic outage edge is 0, ``g_sem`` or infinity as
-    k r_out lies at most a1, inside (a1, a2) or at least a2.
+    k r_out lies at most a1, inside (a1, a2) or at least a2
+    (:func:`semantic_edges`).
     """
-    if not (fit.a1 < cfg.m_th < fit.a2):
-        raise ValueError(
-            f"similarity threshold {cfg.m_th} must lie strictly between the fit asymptotes ({fit.a1}, {fit.a2})")
-    sim_out = fit.k * cfg.r_out
-    if sim_out <= fit.a1:
-        edge = 0.0
-    elif sim_out >= fit.a2:
-        edge = math.inf
-    else:
-        edge = inv_similarity(sim_out, fit)
-    return RateThresholds(g_min=inv_similarity(cfg.m_th, fit),
+    g_min, edge = semantic_edges(cfg, fit)
+    return RateThresholds(g_min=g_min,
                           g_bit=_bit_outage_edge(cfg),
                           sem_outage_edge=edge,
                           g_max=_solve_rate_crossing(cfg.mu, fit, gamma_gap(cfg)))

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_scenario
+from test_ratemodel import MULTI_CROSSING_CFG, MULTI_CROSSING_FIT
 from semcell import DesignTarget, RateConfig, Scenario, outage_report, thresholds
 from semcell.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, ConfigError,
                          ScenarioConfig, _point_state, build_parser, main,
@@ -116,6 +117,24 @@ class TestConfigParsing:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: sweep.grid[{index}]: {axis} = {grid[index]!r} ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("r_out, sweep, where", [
+        (0.14, {"axis": "radius_m", "grid": [300.0, 600.0]},
+         "similarity_fit: the similarity curve reaches 0.7"),
+        (0.04, {"axis": "r_out", "grid": [0.04, 0.14]}, "sweep.grid[1]: r_out = 0.14 "),
+    ], ids=["nominal", "r_out-grid-end"])
+    def test_semantic_outage_edge_beyond_the_float_range_exits_2(self, tmp_path, capsys,
+                                                                 r_out, sweep, where):
+        # the curve reaches m_th = (a1 + a2) / 2 at g = 1 whatever its slope, so at
+        # c1 = 1e-300 g_min is 1 while k r_out = 0.7 is reached beyond the float range
+        doc = table1_config()
+        doc["similarity_fit"].update(a1=0.25, a2=0.75, c1=1e-300, c2=0.0)
+        doc["rate"].update(similarity_threshold=0.5, outage_rate_threshold=r_out)
+        doc["sweep"] = sweep
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {where}")
         assert not (tmp_path / "out").exists()
 
     def test_both_noise_keys_rejected(self):
@@ -234,6 +253,13 @@ def _set(path, value):
     return mutate
 
 
+def _bracket_overflow(doc):
+    # the bit rate passes the semantic ceiling a2/k at 2^(mu a2 / k) = 2^1960
+    doc["rate"]["bit_symbols_per_word"] = 2000
+    doc["similarity_fit"]["symbols_per_word"] = 1
+    return doc
+
+
 def _not_json(doc):
     return "{" + json.dumps(doc)
 
@@ -243,6 +269,11 @@ def _unchanged(doc):
 
 
 _RUN = ["run", "--config", "CONFIG", "--out", "OUT"]
+_VALIDATE = ["validate", "--config", "CONFIG"]
+_RADIUS = ["design", "radius", "--config", "CONFIG", "--pth", "1e-3", "--ll", "3"]
+_UTIL = ["design", "util", "--config", "CONFIG", "--ll", "5", "--lu", "10"]
+_NO_SNR_SCALE = _set("network.carrier_freq_hz", 1e300)  # c_L underflows to 0
+_NO_G_MIN = _set("similarity_fit.c1", 1e-300)  # g_min = 10^(1.3e299)
 
 
 @pytest.mark.parametrize("mutate, argv, where", [
@@ -263,10 +294,22 @@ _RUN = ["run", "--config", "CONFIG", "--out", "OUT"]
     (_not_json, ["validate", "--config", "CONFIG"], "not valid JSON"),
     (_unchanged, _RUN + ["--mc-samples", "-1"], "--mc-samples"),
     (_unchanged, ["design", "util", "--config", "CONFIG", "--ll", "5", "--lu", "3"], "--ll"),
+    (_NO_SNR_SCALE, _RUN, "network: SNR scale c_L"),
+    (_NO_SNR_SCALE, _RADIUS, "network: SNR scale c_L"),
+    (_NO_SNR_SCALE, _UTIL, "network: SNR scale c_L"),
+    (_NO_G_MIN, _RUN, "similarity_fit: the similarity curve reaches 0.75"),
+    (_NO_G_MIN, _RADIUS, "similarity_fit: the similarity curve reaches 0.75"),
+    (_NO_G_MIN, _UTIL, "similarity_fit: the similarity curve reaches 0.75"),
+    (_bracket_overflow, _RUN, "rate: rate-crossing bracket gamma (2^(mu a2 / k) - 1) overflowed"),
+    (_bracket_overflow, _VALIDATE, "rate: rate-crossing bracket gamma (2^(mu a2 / k) - 1) overflowed"),
+    (_bracket_overflow, _RADIUS, "rate: rate-crossing bracket gamma (2^(mu a2 / k) - 1) overflowed"),
 ], ids=["root-run-preset", "root-validate", "root-run-seed", "network-validate",
         "network-design-radius", "network-design-util", "mc-run-seed", "empty-grid",
         "radius-not-positive", "counts-not-object", "m_th-outside-fit", "negative-mc-samples",
-        "not-json", "negative-mc-samples-flag", "design-util-ll-above-lu"])
+        "not-json", "negative-mc-samples-flag", "design-util-ll-above-lu",
+        "snr-scale-run", "snr-scale-design-radius", "snr-scale-design-util",
+        "g_min-run", "g_min-design-radius", "g_min-design-util",
+        "rate-bracket-run", "rate-bracket-validate", "rate-bracket-design-radius"])
 def test_malformed_config_exits_2(tmp_path, capsys, mutate, argv, where):
     doc = mutate(table1_config())
     config = tmp_path / "config.json"
@@ -351,22 +394,38 @@ class TestRunCommand:
 
     def test_manifest_records_the_event_intervals(self, tmp_path):
         # the semantic rate never (0.04), sometimes (0.12, 0.16) or always
-        # (0.2, an empty utilization window) misses r_out
+        # (0.2, an empty utilization window) misses r_out; on the multi-crossing
+        # corner the hybrid outage event is [0, g_bit], though the two-part
+        # split of the pinned pi_h column adds a semantic part beyond a gap
+        docs = {}
         for r_out in (0.04, 0.12, 0.16, 0.2):
-            doc = table1_config()
-            doc["rate"]["outage_rate_threshold"] = r_out
+            docs[r_out] = table1_config()
+            docs[r_out]["rate"]["outage_rate_threshold"] = r_out
+        fit, cfg = MULTI_CROSSING_FIT, replace(MULTI_CROSSING_CFG, r_out=0.04)
+        docs["corner"] = table1_config()
+        docs["corner"]["similarity_fit"] = {"a1": fit.a1, "a2": fit.a2, "c1": fit.c1,
+                                            "c2": fit.c2, "symbols_per_word": fit.k}
+        docs["corner"]["rate"] = {"bit_symbols_per_word": cfg.mu, "ber": cfg.ber,
+                                  "use_capacity": cfg.use_capacity,
+                                  "similarity_threshold": cfg.m_th,
+                                  "outage_rate_threshold": cfg.r_out}
+        for name, doc in docs.items():
             sc = parse_scenario_config(doc, label="events")
-            path = tmp_path / f"{r_out}.manifest.json"
+            path = tmp_path / f"{name}.manifest.json"
             write_manifest(path, sc, preset=None)
             text = path.read_text()
             assert "Infinity" not in text
             derived = json.loads(text)["derived"]
             thr = thresholds(sc.scenario.cfg, sc.scenario.fit)
-            bit, sem = thr.hybrid_outage_parts()
             window = thr.utilization_window()
-            assert derived["hybrid_outage"] == {"bit": [list(i) for i in bit],
-                                                "semantic": [list(i) for i in sem]}
+            assert "hybrid_outage" not in derived
+            assert derived["hybrid_outage_edge"] == thr.outage_cdf_argument()
             assert derived["utilization_window"] == (None if window is None else list(window))
+        # thr and derived are the corner's
+        assert derived["hybrid_outage_edge"] == thr.g_bit == 0.7411011265922482
+        assert thr.hybrid_outage_parts() == (((0.0, thr.g_bit),),
+                                             ((thr.g_min, thr.sem_outage_edge),))
+        assert thr.g_bit < thr.g_min < thr.sem_outage_edge
 
     def test_config_error_exit_code(self, tmp_path):
         doc = table1_config()

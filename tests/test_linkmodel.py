@@ -32,6 +32,12 @@ class TestSnrScale:
         assert value == pytest.approx(by_hand, rel=1e-12)
         assert value == pytest.approx(3.73e10, rel=5e-3)
 
+    @pytest.mark.parametrize("carrier_freq_hz", [1e300, 1e-160])
+    def test_scale_beyond_the_float_range_is_rejected(self, table1_params, carrier_freq_hz):
+        # c_L rounds to 0 at 1e300 Hz, and (lambda / 4 pi)^2 overflows at 1e-160 Hz
+        with pytest.raises(ValueError, match="SNR scale c_L"):
+            replace(table1_params, carrier_freq_hz=carrier_freq_hz)
+
     def test_power_linearity(self, table1_params):
         doubled = replace(table1_params, tx_power_w=2.0 * table1_params.tx_power_w)
         assert snr_scale(doubled) == pytest.approx(2.0 * snr_scale(table1_params), rel=1e-14)

@@ -1,11 +1,12 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semcell import (HybridOutage, NetOutageMode, RateConfig, RateThresholds,
+from semcell import (HybridOutage, NetOutageMode, OutageReport, RateConfig, RateThresholds,
                      Scenario, SemOutage, SemUtilization, BitOutage, binom_range_prob, bit_rate,
                      estimate_many, network_outage, outage_report, sem_rate, sem_util_prob,
                      sem_util_prob_deriv, similarity, snr_cdf, thresholds, user_outage_bit,
@@ -174,12 +175,11 @@ class TestIntervalEvents:
                             | ({thr.g_sem} if thr.g_sem is not None else set()))
             probes = ([1e-3 * breaks[0]] + [math.sqrt(a * b) for a, b in zip(breaks, breaks[1:])]
                       + [1e3 * breaks[-1]])
-            bit_part, sem_part = thr.hybrid_outage_parts()
             window = thr.utilization_window()
             events = {
                 "bit": ((0.0, thr.g_bit),),
                 "sem": thr.sem_outage(),
-                "hybrid": bit_part + sem_part,
+                "hybrid": ((0.0, thr.outage_cdf_argument()),),
                 "util": (window,) if window is not None else (),
             }
             for g in probes:
@@ -426,3 +426,15 @@ def _radius_for_moderate_outage(params, fit, cfg):
     x = _kummer_level_root(2.0 / params.pathloss_exp, 0.35)[0]
     radius = (x * snr_scale(params) / y_th) ** (1.0 / params.pathloss_exp)
     return replace(params, cell_radius_m=radius)
+
+
+def test_readme_library_example_runs():
+    # the README's Library block runs as printed, so renaming an export or a
+    # method it calls fails here instead of leaving the example stale
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    report, params = namespace["report"], namespace["params"]
+    assert isinstance(report, OutageReport)
+    assert snr_cdf(namespace["y_h"], params) == min(report.pi_b, report.pi_s)

@@ -175,8 +175,10 @@ _CFG = {"mu": 40, "ber": 1e-3, "m_th": 0.75, "r_out": 0.04}
     (lambda fit: RateConfig(**{**_CFG, "m_th": 1.0}), "similarity threshold"),
     (lambda fit: RateConfig(**{**_CFG, "r_out": 0.0}), "outage rate threshold"),
     (lambda fit: bit_rate(-1.0, RateConfig(**_CFG)), "nonnegative SNR"),
+    (lambda fit: thresholds(RateConfig(**_CFG), replace(fit, c1=1e-300)),
+     "reaches 0.75 at an SNR beyond the float range"),
 ], ids=["fit-asymptotes", "fit-slope", "fit-offset", "fit-k", "cfg-mu", "cfg-m_th",
-        "cfg-r_out", "bit-rate-negative-snr"])
+        "cfg-r_out", "bit-rate-negative-snr", "g_min-overflow"])
 def test_out_of_range_values_raise(table1_fit, call, match):
     with pytest.raises(ValueError, match=match):
         call(table1_fit)
