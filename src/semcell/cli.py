@@ -78,7 +78,7 @@ class ScenarioConfig:
 # JSON names of the schema fields whose config key is not the field name
 _JSON_NAMES = {"k": "symbols_per_word", "mu": "bit_symbols_per_word",
                "m_th": "similarity_threshold", "r_out": "outage_rate_threshold"}
-_KINDS = {bool: "true/false", int: "an integer", float: "a finite number"}
+_KINDS = {bool: "true/false", int: "an integer within the float range", float: "a finite number"}
 # the config sections are these dataclasses: (field, JSON key, type, default) per field
 _SCHEMA = {cls: [(f.name, _JSON_NAMES.get(f.name, f.name), get_type_hints(cls)[f.name], f.default)
                  for f in fields(cls)]
@@ -111,16 +111,18 @@ def _section(doc: dict, key: str) -> dict:
 
 
 def _value(value, kind: type, path: str):
-    """One JSON value checked against a field type; a float field comes back finite."""
+    """One JSON value checked against a field type: a number lies within the
+    float range, and a float field comes back as a float."""
     ok = (isinstance(value, bool) == (kind is bool)
           and isinstance(value, (int, float) if kind is float else kind))
-    if ok and kind is float:
+    if ok and kind is not bool:
         try:
-            value = float(value)
+            number = float(value)
         except OverflowError:  # an integer literal beyond the float range
             ok = False
         else:
-            ok = math.isfinite(value)
+            ok = math.isfinite(number)
+            value = number if kind is float else value
     if not ok:
         raise ConfigError(f"{path}: expected {_KINDS[kind]}, got {value!r}")
     return value

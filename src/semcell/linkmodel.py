@@ -11,6 +11,7 @@ the closed form implemented by :func:`snr_cdf`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .specfun import hyp1f1_ratio
@@ -38,8 +39,10 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value}")
 
 
-def _check_radius(radius, pathloss_exp: float) -> None:
-    """A cell radius R whose path-loss powers R^a and R^-a are finite positive floats."""
+def _check_radius(radius, pathloss_exp: float, scale: float) -> None:
+    """A cell radius R whose path-loss powers R^a and R^-a are finite positive
+    floats, and whose mean edge SNR c_L R^-a, at SNR scale ``scale``, is a
+    normal positive float, so that the Kummer scale t = R^a / c_L is finite."""
     _check_positive("cell_radius_m", radius)
     try:
         powers = (radius ** pathloss_exp, radius ** -pathloss_exp)
@@ -48,6 +51,10 @@ def _check_radius(radius, pathloss_exp: float) -> None:
     if not all(0.0 < power < math.inf for power in powers):
         raise ValueError(f"cell_radius_m {radius} at pathloss_exp {pathloss_exp} has R^a "
                          "or R^-a beyond the float range")
+    edge_snr = scale * powers[1]
+    if not sys.float_info.min <= edge_snr < math.inf:
+        raise ValueError(f"mean edge SNR c_L R^-a = {edge_snr} at cell_radius_m {radius} "
+                         "is not a normal positive float")
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,6 @@ class NetworkParams:
             _check_positive(name, getattr(self, name))
         if not (math.isfinite(self.pathloss_exp) and self.pathloss_exp >= 1.0):
             raise ValueError(f"pathloss_exp must be >= 1, got {self.pathloss_exp}")
-        _check_radius(self.cell_radius_m, self.pathloss_exp)
         try:
             scale = snr_scale(self)
         except (OverflowError, ZeroDivisionError):
@@ -78,12 +84,13 @@ class NetworkParams:
         if not 0.0 < scale < math.inf:
             raise ValueError(f"SNR scale c_L = L P / (N0 W) (lambda / 4 pi)^2 = {scale} "
                              "leaves the float range")
+        _check_radius(self.cell_radius_m, self.pathloss_exp, scale)
 
     def with_radius(self, radius: float) -> NetworkParams:
         """These params at cell radius ``radius``, which gets the radius check;
         the other fields were checked when ``self`` was built.  A sweep makes
         one per point, so this skips ``dataclasses.replace``'s field walk."""
-        _check_radius(radius, self.pathloss_exp)
+        _check_radius(radius, self.pathloss_exp, snr_scale(self))
         point = object.__new__(NetworkParams)
         vars(point).update(vars(self), cell_radius_m=radius)
         return point

@@ -385,6 +385,15 @@ def _shared(scenario: Scenario) -> tuple:
     return scenario.params.num_users, scenario.params.pathloss_exp, scenario.fit
 
 
+def _power_or_inf(base: float, exponent: float) -> float:
+    """``base ** exponent`` for base > 0, inf where it overflows: a ratio of SNR
+    scales beyond the float range, which :func:`_curves` takes as inf."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def estimate_many(events: list[Event], n: int, seed: int,
                   scenarios: list[Scenario]) -> list[list[McEstimate]]:
     """Estimate several events at several grid points from shared draws.
@@ -422,7 +431,7 @@ def estimate_many(events: list[Event], n: int, seed: int,
     p0 = first.params
     # (c_L R^(-a)) / (c_L0 R0^(-a)) as two ratios, so that neither scale can underflow
     points = [(s, snr_scale(s.params) / snr_scale(p0)
-               * (s.params.cell_radius_m / p0.cell_radius_m) ** (-p0.pathloss_exp),
+               * _power_or_inf(s.params.cell_radius_m / p0.cell_radius_m, -p0.pathloss_exp),
                gamma_gap(s.cfg)) for s in scenarios]
     tiles = _tiles(n, list(ranges))
     n_workers = min(resolve_workers(), _usable_cpus(), len(tiles))

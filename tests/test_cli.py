@@ -35,6 +35,15 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _fit_and_rate(fit, cfg):
+    """The similarity_fit and rate sections of a config with ``fit`` and ``cfg``."""
+    return {"similarity_fit": {"a1": fit.a1, "a2": fit.a2, "c1": fit.c1, "c2": fit.c2,
+                               "symbols_per_word": fit.k},
+            "rate": {"bit_symbols_per_word": cfg.mu, "ber": cfg.ber,
+                     "use_capacity": cfg.use_capacity, "similarity_threshold": cfg.m_th,
+                     "outage_rate_threshold": cfg.r_out}}
+
+
 def _without_versions(manifest_path):
     """A manifest outside its versions block, which names the machine that wrote it."""
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -274,6 +283,25 @@ _RADIUS = ["design", "radius", "--config", "CONFIG", "--pth", "1e-3", "--ll", "3
 _UTIL = ["design", "util", "--config", "CONFIG", "--ll", "5", "--lu", "10"]
 _NO_SNR_SCALE = _set("network.carrier_freq_hz", 1e300)  # c_L underflows to 0
 _NO_G_MIN = _set("similarity_fit.c1", 1e-300)  # g_min = 10^(1.3e299)
+_NO_G_BIT = _set("rate.outage_rate_threshold", 30.0)  # mu r_out = 1200
+
+
+def _far_radius(doc):
+    # R^4.5 = 1e360
+    doc["network"].update(pathloss_exp=4.5, cell_radius_m=1e80)
+    return doc
+
+
+def _no_edge_snr(doc):
+    # c_L = 2.1e-271 and R^3 = 1e300 are in range, but c_L R^-3 underflows to 0
+    doc["network"].update(carrier_freq_hz=1e150, cell_radius_m=1e100)
+    return doc
+
+
+def _no_edge_snr_at_grid_end(doc):
+    doc["network"]["carrier_freq_hz"] = 1e150
+    doc["sweep"] = {"axis": "radius_m", "grid": [500.0, 1e100]}
+    return doc
 
 
 @pytest.mark.parametrize("mutate, argv, where", [
@@ -303,13 +331,29 @@ _NO_G_MIN = _set("similarity_fit.c1", 1e-300)  # g_min = 10^(1.3e299)
     (_bracket_overflow, _RUN, "rate: rate-crossing bracket gamma (2^(mu a2 / k) - 1) overflowed"),
     (_bracket_overflow, _VALIDATE, "rate: rate-crossing bracket gamma (2^(mu a2 / k) - 1) overflowed"),
     (_bracket_overflow, _RADIUS, "rate: rate-crossing bracket gamma (2^(mu a2 / k) - 1) overflowed"),
+    (_NO_SNR_SCALE, _VALIDATE, "network: SNR scale c_L"),
+    (_NO_G_MIN, _VALIDATE, "similarity_fit: the similarity curve reaches 0.75"),
+    (_bracket_overflow, _UTIL, "rate: rate-crossing bracket gamma (2^(mu a2 / k) - 1) overflowed"),
+    (_far_radius, _RUN, "network: cell_radius_m 1e+80 at pathloss_exp 4.5 has R^a or R^-a"),
+    (_far_radius, _VALIDATE, "network: cell_radius_m 1e+80 at pathloss_exp 4.5 has R^a or R^-a"),
+    (_NO_G_BIT, _RUN, "rate: outage rate threshold 30.0 puts the bit outage edge"),
+    (_NO_G_BIT, _RADIUS, "rate: outage rate threshold 30.0 puts the bit outage edge"),
+    (_no_edge_snr, _RUN, "network: mean edge SNR c_L R^-a = 0.0"),
+    (_no_edge_snr, _VALIDATE, "network: mean edge SNR c_L R^-a = 0.0"),
+    (_no_edge_snr, _RADIUS, "network: mean edge SNR c_L R^-a = 0.0"),
+    (_no_edge_snr, _UTIL, "network: mean edge SNR c_L R^-a = 0.0"),
+    (_no_edge_snr_at_grid_end, _RUN, "sweep.grid[1]: radius_m = 1e+100 gives no point: mean edge SNR"),
 ], ids=["root-run-preset", "root-validate", "root-run-seed", "network-validate",
         "network-design-radius", "network-design-util", "mc-run-seed", "empty-grid",
         "radius-not-positive", "counts-not-object", "m_th-outside-fit", "negative-mc-samples",
         "not-json", "negative-mc-samples-flag", "design-util-ll-above-lu",
         "snr-scale-run", "snr-scale-design-radius", "snr-scale-design-util",
         "g_min-run", "g_min-design-radius", "g_min-design-util",
-        "rate-bracket-run", "rate-bracket-validate", "rate-bracket-design-radius"])
+        "rate-bracket-run", "rate-bracket-validate", "rate-bracket-design-radius",
+        "snr-scale-validate", "g_min-validate", "rate-bracket-design-util",
+        "far-radius-run", "far-radius-validate", "g_bit-run", "g_bit-design-radius",
+        "edge-snr-run", "edge-snr-validate", "edge-snr-design-radius", "edge-snr-design-util",
+        "edge-snr-grid-end"])
 def test_malformed_config_exits_2(tmp_path, capsys, mutate, argv, where):
     doc = mutate(table1_config())
     config = tmp_path / "config.json"
@@ -335,17 +379,17 @@ def test_unknown_key_exits_2(tmp_path, capsys, path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("field, literal", [
-    ("tx_power_w", "1" + "0" * 400),  # an integer no float can hold
-    ("noise_density_dbm_per_hz", "4000.0"),  # 10^397 W/Hz
-], ids=["int-literal", "dbm-overflow"])
-def test_number_beyond_float_range_is_a_config_error(tmp_path, capsys, field, literal):
-    doc = table1_config()
-    doc["network"][field] = "LITERAL"
+@pytest.mark.parametrize("path, literal", [
+    ("network.tx_power_w", "1" + "0" * 400),  # an integer no float can hold
+    ("network.noise_density_dbm_per_hz", "4000.0"),  # 10^397 W/Hz
+    ("similarity_fit.symbols_per_word", "1" + "0" * 400),  # the same in an integer field
+], ids=["int-literal", "dbm-overflow", "int-field"])
+def test_number_beyond_float_range_is_a_config_error(tmp_path, capsys, path, literal):
+    doc = _set(path, "LITERAL")(table1_config())
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc).replace('"LITERAL"', literal))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert f"config error: network.{field}: " in capsys.readouterr().err
+    assert f"config error: {path}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["mc.seed", "--seed"])
@@ -401,14 +445,8 @@ class TestRunCommand:
         for r_out in (0.04, 0.12, 0.16, 0.2):
             docs[r_out] = table1_config()
             docs[r_out]["rate"]["outage_rate_threshold"] = r_out
-        fit, cfg = MULTI_CROSSING_FIT, replace(MULTI_CROSSING_CFG, r_out=0.04)
-        docs["corner"] = table1_config()
-        docs["corner"]["similarity_fit"] = {"a1": fit.a1, "a2": fit.a2, "c1": fit.c1,
-                                            "c2": fit.c2, "symbols_per_word": fit.k}
-        docs["corner"]["rate"] = {"bit_symbols_per_word": cfg.mu, "ber": cfg.ber,
-                                  "use_capacity": cfg.use_capacity,
-                                  "similarity_threshold": cfg.m_th,
-                                  "outage_rate_threshold": cfg.r_out}
+        docs["corner"] = {**table1_config(), **_fit_and_rate(
+            MULTI_CROSSING_FIT, replace(MULTI_CROSSING_CFG, r_out=0.04))}
         for name, doc in docs.items():
             sc = parse_scenario_config(doc, label="events")
             path = tmp_path / f"{name}.manifest.json"
@@ -536,6 +574,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
         [row] = read_csv(tmp_path / "config.csv")
         assert float(row["pi_b"]) == float(row["pi_h"]) == 1.0
+
+    def test_wide_edge_snr_sweep_runs_with_monte_carlo(self, tmp_path):
+        # the ends' radii differ by 1e197, so the path-loss power of their ratio
+        # leaves the float range: the simulated SNR scale saturates to inf
+        doc = table1_config()
+        doc["sweep"] = {"axis": "edge_snr_db", "grid": [-2900.0, 3000.0]}
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--mc-samples", "1000"]) == EXIT_OK
+        rows = read_csv(tmp_path / "config.csv")
+        cells = [float(value) for row in rows for key, value in row.items()
+                 if key.startswith("mc_")]
+        # eight metrics, each with its standard error, at both points
+        assert len(rows) == 2 and len(cells) == 2 * 16
+        assert all(0.0 <= cell <= 1.0 for cell in cells)
 
     @pytest.mark.parametrize("where", ["existing_file", "under_a_file", "csv_is_a_directory"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
@@ -732,6 +785,21 @@ class TestValidateCommand:
             main(["validate", "--config", str(cfg_path), "--mc-samples", samples, "--seed", "3"])
             assert ("low precision" in capsys.readouterr().out) == noted, samples
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 8: thresholds() keeps only the largest rate "
+                              "crossing, so pi_g and util_range integrate over [g_min, g_max] "
+                              "where the bit rate wins part of the window")
+    def test_validate_passes_on_a_two_piece_utilization_window(self, tmp_path):
+        # the semantic rate wins on [0.100, 0.237] and [1.054, 9.653]; one interval
+        # over [g_min, g_max] reads pi_g = 0.7282 where the oracle sees 0.5458
+        doc = {**table1_config(), **_fit_and_rate(
+            MULTI_CROSSING_FIT, replace(MULTI_CROSSING_CFG, m_th=0.0647, r_out=0.005))}
+        doc["network"].update(num_users=10, cell_radius_m=2097.0)
+        del doc["sweep"]
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", str(cfg_path), "--mc-samples", "200000",
+                     "--seed", "42"]) == EXIT_OK
+
     def test_validate_catches_wrong_model(self, tmp_path, monkeypatch):
         # poison one closed form and the oracle must flag it
         import semcell.cli as cli_module
@@ -804,8 +872,9 @@ class TestDesignCommands:
         assert payload["semantic_possible"] is True
         assert payload["level_attainable"] is True
         assert len(payload["solutions"]) == 3
-        assert payload["best_radius_m"] == pytest.approx(
-            min(s["radius_m"] for s in payload["solutions"]), rel=1e-12)
+        # the two level radii tie, and the best radius is the smaller one
+        assert payload["best_radius_m"] == min(s["radius_m"] for s in payload["solutions"]
+                                               if s["equation"] == "level")
         for solution in payload["solutions"]:
             assert 1 <= solution["iterations"] <= 60
             assert abs(solution["residual"]) <= 1e-9

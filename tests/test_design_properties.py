@@ -2,9 +2,10 @@
 
 Scenarios come from ``conftest.draw_scenario`` (path-loss exponent
 1.5-4.5, every rate class, 2-50 users), seeded by hypothesis; the served
-count range and the outage cap are drawn by hypothesis too, and part of
-the outage draws move the cell to free space (a = 2 exactly).  The runs
-are derandomized so the suite stays reproducible.
+count range and the outage cap are drawn by hypothesis too.  Part of the
+outage draws move the cell to free space (a = 2 exactly), and every
+utilization draw is designed in free space as well.  The runs are
+derandomized so the suite stays reproducible.
 """
 
 from dataclasses import replace
@@ -38,6 +39,13 @@ def test_utilization_design_solves_every_nonempty_window(scenario, lo_frac, widt
     L = params.num_users
     count_lo = int(round(lo_frac * L))
     count_hi = count_lo + int(round(width_frac * (L - count_lo)))
+    # every draw also in free space, where s = 2 / a = 1 starts the peak solve
+    for cell in (params, replace(params, pathloss_exp=2.0)):
+        _check_utilization_design(thr, cell, count_lo, count_hi)
+
+
+def _check_utilization_design(thr, params, count_lo, count_hi):
+    L = params.num_users
     design = optimal_sem_util_radius(L, count_lo, count_hi, thr, params)
     if thr.utilization_window() is None:
         assert not design.semantic_possible and design.best is None
