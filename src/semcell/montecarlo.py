@@ -40,7 +40,10 @@ Draw sharing: :func:`estimate_many` estimates a whole sweep in one call.
 All grid points reuse one set of channel draws per block -- the draws
 they already shared through identical (seed, block) keys -- and a point
 whose SNR scale c_L R^(-a) differs from the first point's gets its SNRs
-by one multiplication with the ratio of the two scales.  The Monte Carlo
+by one multiplication with the ratio of the two scales.  A point whose
+ratio leaves the range in which :func:`_curves` is accurate computes its
+SNRs from the same draws at its own scale instead, and the points after
+it scale those (see :func:`_draw_runs`).  The Monte Carlo
 errors of the points of one sweep are therefore correlated (common
 random numbers): a curve is smoother than its per-point standard errors
 suggest, and its points are not independent checks.
@@ -69,6 +72,9 @@ BLOCK_SIZE = 1 << 16
 SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT)
 _TILE_VALUES = 1 << 16  # SNR values per unit of parallel work, up to rounding
 _LOG_MAX = math.log(sys.float_info.max)  # e^x is finite for |x| <= _LOG_MAX
+# |log of _curves' odds scale| up to which the similarity stays within 2^-53 (a2 - a1)
+# of the logistic, also where the odds of the drawn SNRs leave the float range
+_LOG_SCALE_LIMIT = _LOG_MAX - 53.0 * math.log(2.0)
 
 WORKERS_ENV_VAR = "SEMCELL_THREADS"
 
@@ -385,13 +391,47 @@ def _shared(scenario: Scenario) -> tuple:
     return scenario.params.num_users, scenario.params.pathloss_exp, scenario.fit
 
 
-def _power_or_inf(base: float, exponent: float) -> float:
-    """``base ** exponent`` for base > 0, inf where it overflows: a ratio of SNR
-    scales beyond the float range, which :func:`_curves` takes as inf."""
+def _snr_ratio(scenario: Scenario, reference: Scenario) -> float | None:
+    """c_L R^(-a) of ``scenario`` over that of ``reference``, by which the
+    reference's SNRs scale to the scenario's; None where :func:`_curves`
+    would not be accurate at that ratio.
+
+    A ratio other than 1 must be a normal float whose odds scale,
+    e^-(10 c1 log10(ratio) + c2), lies within e^(+-_LOG_SCALE_LIMIT).
+    There the similarity is accurate for every drawn SNR: where the odds
+    of a drawn SNR leave the float range, the logistic at the scaled SNR
+    is still within 2^-53 (a2 - a1) of the asymptote they give.
+    """
+    p, p0 = scenario.params, reference.params
     try:
-        return base ** exponent
+        # two ratios, so that neither scale can underflow
+        ratio = (snr_scale(p) / snr_scale(p0)
+                 * (p.cell_radius_m / p0.cell_radius_m) ** (-p0.pathloss_exp))
     except OverflowError:
-        return math.inf
+        return None
+    if ratio == 1.0:
+        return ratio
+    fit = scenario.fit
+    if (sys.float_info.min <= ratio < math.inf
+            and abs(10.0 * fit.c1 * math.log10(ratio) + fit.c2) <= _LOG_SCALE_LIMIT):
+        return ratio
+    return None
+
+
+def _draw_runs(scenarios: list[Scenario]) -> list[list[tuple[Scenario, float, float]]]:
+    """The points (scenario, ratio, gap) in runs of consecutive scenarios
+    that share one set of SNRs: a run's first point computes its SNRs from
+    the draws at its own scale, and each later one scales them by its
+    :func:`_snr_ratio` to the first.  A point whose ratio is None starts
+    a new run."""
+    runs = []
+    for s in scenarios:
+        ratio = _snr_ratio(s, runs[-1][0][0]) if runs else None
+        if ratio is None:
+            runs.append([])
+            ratio = 1.0
+        runs[-1].append((s, ratio, gamma_gap(s.cfg)))
+    return runs
 
 
 def estimate_many(events: list[Event], n: int, seed: int,
@@ -404,8 +444,9 @@ def estimate_many(events: list[Event], n: int, seed: int,
     and one tally per distinct (indicator, count range).  Each event
     at each point sees the samples a one-event, one-point call would draw
     for it, the SNRs scaled by c_L R^(-a) of that point over c_L R^(-a)
-    of the first (see the module docstring); on points with the first
-    point's network parameters the estimates are exactly that call's.
+    of the first point of its run (see :func:`_draw_runs`); on points with
+    the network parameters of their run's first point the estimates are
+    exactly that call's.
     A sample is a cell of one user for per-user events and of num_users
     users for the count events.  SEMCELL_THREADS (see
     :func:`resolve_workers`) sets the worker processes, at most one per
@@ -428,15 +469,11 @@ def estimate_many(events: list[Event], n: int, seed: int,
     ranges = {}
     for j, (width, kind, lo, hi) in enumerate(keys):
         ranges.setdefault(width, {}).setdefault(kind, []).append((j, lo, hi))
-    p0 = first.params
-    # (c_L R^(-a)) / (c_L0 R0^(-a)) as two ratios, so that neither scale can underflow
-    points = [(s, snr_scale(s.params) / snr_scale(p0)
-               * _power_or_inf(s.params.cell_radius_m / p0.cell_radius_m, -p0.pathloss_exp),
-               gamma_gap(s.cfg)) for s in scenarios]
+    runs = _draw_runs(scenarios)
     tiles = _tiles(n, list(ranges))
     n_workers = min(resolve_workers(), _usable_cpus(), len(tiles))
     if n_workers <= 1 or not hasattr(os, "fork"):
-        totals = _tally_tiles(tiles, seed, points, ranges)
+        tallies = [_tally_tiles(tiles, seed, points, ranges) for points in runs]
     else:
         # imported here, so that no command pays for it at start-up
         import multiprocessing
@@ -444,9 +481,10 @@ def estimate_many(events: list[Event], n: int, seed: int,
 
         # fork, not spawn: a worker starts from this process's imports, not a fresh numpy import
         with ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_tally_tiles, tiles[w::n_workers], seed, points, ranges)
-                       for w in range(n_workers)]
-            totals = sum(f.result() for f in futures)
+            futures = [[pool.submit(_tally_tiles, tiles[w::n_workers], seed, points, ranges)
+                        for w in range(n_workers)] for points in runs]
+            tallies = [sum(f.result() for f in run) for run in futures]
+    totals = np.concatenate(tallies)
     columns = [keys.index(c) for c in cell_events]
     results = []
     for row in totals:

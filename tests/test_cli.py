@@ -16,9 +16,9 @@ from conftest import draw_scenario
 from test_ratemodel import MULTI_CROSSING_CFG, MULTI_CROSSING_FIT
 from semcell import DesignTarget, RateConfig, Scenario, outage_report, thresholds
 from semcell.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, ConfigError,
-                         ScenarioConfig, _point_state, build_parser, main,
-                         parse_scenario_config, run_scenario, scenario_config_dict,
-                         write_manifest)
+                         ScenarioConfig, _METRICS, _Z_BOUND, _point_state, _score_z,
+                         build_parser, main, parse_scenario_config, run_scenario,
+                         scenario_config_dict, write_manifest)
 from semcell.presets import PRESETS, expand_preset, table1_config
 
 OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
@@ -284,6 +284,7 @@ _UTIL = ["design", "util", "--config", "CONFIG", "--ll", "5", "--lu", "10"]
 _NO_SNR_SCALE = _set("network.carrier_freq_hz", 1e300)  # c_L underflows to 0
 _NO_G_MIN = _set("similarity_fit.c1", 1e-300)  # g_min = 10^(1.3e299)
 _NO_G_BIT = _set("rate.outage_rate_threshold", 30.0)  # mu r_out = 1200
+_EDGE_SNR_OVERFLOW = _set("network.cell_radius_m", 1e-100)  # c_L = 3.7e10 times R^-3 = 1e300
 
 
 def _far_radius(doc):
@@ -343,6 +344,10 @@ def _no_edge_snr_at_grid_end(doc):
     (_no_edge_snr, _RADIUS, "network: mean edge SNR c_L R^-a = 0.0"),
     (_no_edge_snr, _UTIL, "network: mean edge SNR c_L R^-a = 0.0"),
     (_no_edge_snr_at_grid_end, _RUN, "sweep.grid[1]: radius_m = 1e+100 gives no point: mean edge SNR"),
+    (_EDGE_SNR_OVERFLOW, _RUN, "network: mean edge SNR c_L R^-a = inf"),
+    (_EDGE_SNR_OVERFLOW, _VALIDATE, "network: mean edge SNR c_L R^-a = inf"),
+    (_EDGE_SNR_OVERFLOW, _RADIUS, "network: mean edge SNR c_L R^-a = inf"),
+    (_EDGE_SNR_OVERFLOW, _UTIL, "network: mean edge SNR c_L R^-a = inf"),
 ], ids=["root-run-preset", "root-validate", "root-run-seed", "network-validate",
         "network-design-radius", "network-design-util", "mc-run-seed", "empty-grid",
         "radius-not-positive", "counts-not-object", "m_th-outside-fit", "negative-mc-samples",
@@ -353,7 +358,8 @@ def _no_edge_snr_at_grid_end(doc):
         "snr-scale-validate", "g_min-validate", "rate-bracket-design-util",
         "far-radius-run", "far-radius-validate", "g_bit-run", "g_bit-design-radius",
         "edge-snr-run", "edge-snr-validate", "edge-snr-design-radius", "edge-snr-design-util",
-        "edge-snr-grid-end"])
+        "edge-snr-grid-end", "edge-snr-overflow-run", "edge-snr-overflow-validate",
+        "edge-snr-overflow-design-radius", "edge-snr-overflow-design-util"])
 def test_malformed_config_exits_2(tmp_path, capsys, mutate, argv, where):
     doc = mutate(table1_config())
     config = tmp_path / "config.json"
@@ -575,20 +581,24 @@ class TestRunCommand:
         [row] = read_csv(tmp_path / "config.csv")
         assert float(row["pi_b"]) == float(row["pi_h"]) == 1.0
 
-    def test_wide_edge_snr_sweep_runs_with_monte_carlo(self, tmp_path):
-        # the ends' radii differ by 1e197, so the path-loss power of their ratio
-        # leaves the float range: the simulated SNR scale saturates to inf
+    @pytest.mark.parametrize("grid", [[-2900.0, 0.0, 10.0, 3000.0], [-2000.0, 0.0, 3000.0]],
+                             ids=["odds-overflow", "far-scaling"])
+    def test_wide_edge_snr_sweep_matches_the_closed_form(self, tmp_path, grid):
+        # -2900 dB draws SNRs of about 1e-290, whose similarity odds overflow, so 0 dB
+        # computes its own; -2000 dB draws 1e-200, which 0 dB scales by 1e200; the
+        # path-loss power of 3000 dB's radius ratio leaves the float range
         doc = table1_config()
-        doc["sweep"] = {"axis": "edge_snr_db", "grid": [-2900.0, 3000.0]}
+        doc["sweep"] = {"axis": "edge_snr_db", "grid": grid}
         cfg_path = write_config(tmp_path, doc)
+        n = 20_000
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path),
-                     "--mc-samples", "1000"]) == EXIT_OK
+                     "--mc-samples", str(n), "--seed", "7"]) == EXIT_OK
         rows = read_csv(tmp_path / "config.csv")
-        cells = [float(value) for row in rows for key, value in row.items()
-                 if key.startswith("mc_")]
-        # eight metrics, each with its standard error, at both points
-        assert len(rows) == 2 and len(cells) == 2 * 16
-        assert all(0.0 <= cell <= 1.0 for cell in cells)
+        assert [float(row["axis_value"]) for row in rows] == grid
+        for row in rows:
+            for name in _METRICS:
+                z = _score_z(float(row[f"mc_{name}"]), float(row[name]), n)
+                assert abs(z) <= _Z_BOUND, (row["axis_value"], name, z)
 
     @pytest.mark.parametrize("where", ["existing_file", "under_a_file", "csv_is_a_directory"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, where):

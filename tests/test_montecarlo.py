@@ -413,6 +413,29 @@ class TestSweep:
             hits = _reference_hits(events, n, seed, scenario)
             assert [e.estimate for e in estimates] == [h / n for h in hits]
 
+    def test_draw_runs(self, table1_scenario):
+        # Table-1's odds scale at SNR ratio r is e^-(2.525 log10 r - 0.7895), within
+        # e^(+-672) up to r = 10^266; a subnormal ratio starts a run however small its log
+        def at(tx_power_w):
+            return replace(table1_scenario,
+                           params=replace(table1_scenario.params, tx_power_w=tx_power_w))
+
+        runs = montecarlo._draw_runs([at(1e-150), at(1e115), at(1e117), at(1e117), at(1e-200)])
+        assert [[ratio for _, ratio, _ in run] for run in runs] == [
+            [1.0, pytest.approx(1e265, rel=1e-12)], [1.0, 1.0], [1.0]]
+
+    def test_point_beyond_the_shared_range_draws_its_own(self, table1_scenario, monkeypatch):
+        # draws at 1e-290 times Table-1's SNR scale have similarity odds beyond the
+        # float range, so the second point, at 1e290 times the first, does not scale
+        # them: both points get exactly their one-point estimates
+        params = table1_scenario.params
+        scenarios = [replace(table1_scenario, params=replace(params, tx_power_w=1e-290)),
+                     table1_scenario]
+        events = _sweep_events(params.num_users)
+        monkeypatch.setenv("SEMCELL_THREADS", "2")
+        swept = estimate_many(events, 5_001, 3, scenarios)
+        assert swept == [estimate_many(events, 5_001, 3, [s])[0] for s in scenarios]
+
     def test_identical_for_any_worker_count(self, table1_params, table1_fit, table1_cfg,
                                             monkeypatch):
         params = replace(table1_params, num_users=6)
