@@ -295,7 +295,7 @@ def load_config(path: str | Path) -> tuple[dict, str, str | None]:
     label, preset = Path(path).stem, None
     if isinstance(doc, dict) and doc.get("kind") == "semcell-manifest" and "config" in doc:
         doc, label, preset = doc["config"], doc.get("label"), doc.get("preset")
-        if not (isinstance(label, str) and Path(label).name == label):
+        if not (isinstance(label, str) and label and Path(label).name == label):
             raise ConfigError(f"label of manifest {path}: expected a file name, got {label!r}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config root of {path}: expected a JSON object")
@@ -437,17 +437,15 @@ def write_manifest(path: Path, sc: ScenarioConfig, preset: str | None) -> None:
 
 def run_scenario(sc: ScenarioConfig, out_dir: str | Path,
                  preset: str | None = None) -> tuple[Path, Path]:
-    """Evaluate one sweep and write its CSV and manifest; returns the paths.
-    An OSError making ``out_dir`` (before the sweep) or writing into it is a ConfigError."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {out}: {exc}") from exc
+    """Evaluate one sweep, then make ``out_dir`` and write its CSV and manifest;
+    returns the paths.  A sweep that fails leaves nothing behind, and an
+    OSError making ``out_dir`` or writing into it is a ConfigError."""
     rows = evaluate_sweep(sc)
+    out = Path(out_dir)
     csv_path = out / f"{sc.label}.csv"
     manifest_path = out / f"{sc.label}.manifest.json"
     try:
+        out.mkdir(parents=True, exist_ok=True)
         write_csv(csv_path, rows)
         write_manifest(manifest_path, sc, preset=preset)
     except OSError as exc:

@@ -40,13 +40,16 @@ Draw sharing: :func:`estimate_many` estimates a whole sweep in one call.
 All grid points reuse one set of channel draws per block -- the draws
 they already shared through identical (seed, block) keys -- and a point
 whose SNR scale c_L R^(-a) differs from the first point's gets its SNRs
-by one multiplication with the ratio of the two scales.  A point whose
-ratio leaves the range in which :func:`_curves` is accurate computes its
-SNRs from the same draws at its own scale instead, and the points after
-it scale those (see :func:`_draw_runs`).  The Monte Carlo
-errors of the points of one sweep are therefore correlated (common
-random numbers): a curve is smoother than its per-point standard errors
-suggest, and its points are not independent checks.
+by one multiplication with the ratio of the two scales.  Every point's
+odds scale in :func:`_curves` must lie within e^(+-_LOG_SCALE_LIMIT),
+where the similarity is accurate: a point whose ratio leaves that range
+computes its SNRs from the same draws at its own scale instead, and the
+points after it scale those (see :func:`_draw_runs`).  A point at its
+own scale has ratio 1 and odds scale e^(-c2), so a fit with |c2| beyond
+about 673 is refused.  The Monte Carlo errors of the points of one sweep
+are therefore correlated (common random numbers): a curve is smoother
+than its per-point standard errors suggest, and its points are not
+independent checks.
 
 Evaluation: a tile raises its SNRs to the similarity curve's power
 -10 c1 / ln 10 once, into the half of its draw buffer that held U1 (see
@@ -71,10 +74,9 @@ from .ratemodel import RateConfig, SimilarityFit, gamma_gap
 BLOCK_SIZE = 1 << 16
 SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT)
 _TILE_VALUES = 1 << 16  # SNR values per unit of parallel work, up to rounding
-_LOG_MAX = math.log(sys.float_info.max)  # e^x is finite for |x| <= _LOG_MAX
 # |log of _curves' odds scale| up to which the similarity stays within 2^-53 (a2 - a1)
 # of the logistic, also where the odds of the drawn SNRs leave the float range
-_LOG_SCALE_LIMIT = _LOG_MAX - 53.0 * math.log(2.0)
+_LOG_SCALE_LIMIT = math.log(sys.float_info.max) - 53.0 * math.log(2.0)
 
 WORKERS_ENV_VAR = "SEMCELL_THREADS"
 
@@ -249,21 +251,13 @@ def _curves(g0: np.ndarray, odds0: np.ndarray, scenario: Scenario, ratio: float,
       are odds0 times one scale per point;
     * rate_sem = m * (1 / k).
 
-    The scale is clamped to [e^-709, e^709], inside the float range, so
-    the odds are never NaN: m = a1 at g0 = 0 and m = a1 + (a2 - a1) at
-    g0 = inf, whatever the ratio.  A ``ratio`` of 0 or NaN takes the
-    largest scale and a ``ratio`` of inf the smallest (SNR scales beyond
-    the float range): for every g0 in [10^(-67 / c1), 10^(67 / c1)], m
-    then differs from that of the SNR g0 * ratio, a1 or a1 + (a2 - a1),
-    by at most 2e-17 (a2 - a1) plus rounding.
+    ``ratio`` is one that :func:`_snr_ratio` accepts, so the scale lies
+    within e^(+-_LOG_SCALE_LIMIT): it is positive and finite, the odds
+    are never NaN, and m = a1 at g0 = 0 and m = a1 + (a2 - a1) at g0 = inf.
     """
     fit, cfg = scenario.fit, scenario.cfg
-    if 0.0 < ratio < math.inf:
-        log_scale = -10.0 * fit.c1 * math.log10(ratio) - fit.c2
-    else:
-        log_scale = -_LOG_MAX if ratio == math.inf else _LOG_MAX
-    scale = math.exp(min(max(log_scale, -_LOG_MAX), _LOG_MAX))
-    with np.errstate(over="ignore", invalid="ignore"):
+    scale = math.exp(-10.0 * fit.c1 * math.log10(ratio) - fit.c2)
+    with np.errstate(over="ignore"):
         np.multiply(g0, ratio / gap, out=rate_bit)
         np.add(rate_bit, 1.0, out=rate_bit)
         np.log2(rate_bit, out=rate_bit)
@@ -396,8 +390,9 @@ def _snr_ratio(scenario: Scenario, reference: Scenario) -> float | None:
     reference's SNRs scale to the scenario's; None where :func:`_curves`
     would not be accurate at that ratio.
 
-    A ratio other than 1 must be a normal float whose odds scale,
-    e^-(10 c1 log10(ratio) + c2), lies within e^(+-_LOG_SCALE_LIMIT).
+    The ratio must be a normal float whose odds scale,
+    e^-(10 c1 log10(ratio) + c2), lies within e^(+-_LOG_SCALE_LIMIT); at
+    ratio 1, a run's first point, that reads |c2| <= _LOG_SCALE_LIMIT.
     There the similarity is accurate for every drawn SNR: where the odds
     of a drawn SNR leave the float range, the logistic at the scaled SNR
     is still within 2^-53 (a2 - a1) of the asymptote they give.
@@ -409,8 +404,6 @@ def _snr_ratio(scenario: Scenario, reference: Scenario) -> float | None:
                  * (p.cell_radius_m / p0.cell_radius_m) ** (-p0.pathloss_exp))
     except OverflowError:
         return None
-    if ratio == 1.0:
-        return ratio
     fit = scenario.fit
     if (sys.float_info.min <= ratio < math.inf
             and abs(10.0 * fit.c1 * math.log10(ratio) + fit.c2) <= _LOG_SCALE_LIMIT):
@@ -446,7 +439,8 @@ def estimate_many(events: list[Event], n: int, seed: int,
     for it, the SNRs scaled by c_L R^(-a) of that point over c_L R^(-a)
     of the first point of its run (see :func:`_draw_runs`); on points with
     the network parameters of their run's first point the estimates are
-    exactly that call's.
+    exactly that call's.  A fit with |c2| > _LOG_SCALE_LIMIT raises
+    ValueError: :func:`_snr_ratio` rejects its odds scale e^(-c2) at ratio 1.
     A sample is a cell of one user for per-user events and of num_users
     users for the count events.  SEMCELL_THREADS (see
     :func:`resolve_workers`) sets the worker processes, at most one per
@@ -462,6 +456,9 @@ def estimate_many(events: list[Event], n: int, seed: int,
     first = scenarios[0]
     if any(_shared(s) != _shared(first) for s in scenarios[1:]):
         raise ValueError("the scenarios of one sweep must share num_users, pathloss_exp and fit")
+    if abs(first.fit.c2) > _LOG_SCALE_LIMIT:  # the rule of _snr_ratio at a run's first point
+        raise ValueError(f"similarity_fit.c2: the Monte Carlo oracle needs |c2| <= "
+                         f"{_LOG_SCALE_LIMIT:.2f}, got {first.fit.c2!r}")
     cell_events = [_cell_event(e, first.params.num_users) for e in events]
     if not events:
         return [[] for _ in scenarios]

@@ -269,6 +269,17 @@ def _bracket_overflow(doc):
     return doc
 
 
+def _steep_fit(c2, radius_m):
+    """Table-1 at c1 = 10 and ``c2``, one point at ``radius_m``: a run's first
+    point draws at odds scale e^(-c2), which the oracle takes up to |c2| = 673.05."""
+    def mutate(doc):
+        doc["similarity_fit"].update(c1=10.0, c2=c2)
+        doc["network"]["cell_radius_m"] = radius_m
+        del doc["sweep"]
+        return doc
+    return mutate
+
+
 def _not_json(doc):
     return "{" + json.dumps(doc)
 
@@ -285,6 +296,7 @@ _NO_SNR_SCALE = _set("network.carrier_freq_hz", 1e300)  # c_L underflows to 0
 _NO_G_MIN = _set("similarity_fit.c1", 1e-300)  # g_min = 10^(1.3e299)
 _NO_G_BIT = _set("rate.outage_rate_threshold", 30.0)  # mu r_out = 1200
 _EDGE_SNR_OVERFLOW = _set("network.cell_radius_m", 1e-100)  # c_L = 3.7e10 times R^-3 = 1e300
+_MC_RUN = _RUN + ["--mc-samples", "1000"]
 
 
 def _far_radius(doc):
@@ -348,6 +360,12 @@ def _no_edge_snr_at_grid_end(doc):
     (_EDGE_SNR_OVERFLOW, _VALIDATE, "network: mean edge SNR c_L R^-a = inf"),
     (_EDGE_SNR_OVERFLOW, _RADIUS, "network: mean edge SNR c_L R^-a = inf"),
     (_EDGE_SNR_OVERFLOW, _UTIL, "network: mean edge SNR c_L R^-a = inf"),
+    (_steep_fit(720.0, 1.5e6), _MC_RUN, "similarity_fit.c2: "),
+    (_steep_fit(720.0, 1.5e6), _VALIDATE, "similarity_fit.c2: "),
+    (_steep_fit(-720.0, 13.0), _MC_RUN, "similarity_fit.c2: "),
+    (_steep_fit(-720.0, 13.0), _VALIDATE, "similarity_fit.c2: "),
+    (_steep_fit(800.0, 1.5e6), _MC_RUN, "similarity_fit.c2: "),
+    (_steep_fit(800.0, 1.5e6), _VALIDATE, "similarity_fit.c2: "),
 ], ids=["root-run-preset", "root-validate", "root-run-seed", "network-validate",
         "network-design-radius", "network-design-util", "mc-run-seed", "empty-grid",
         "radius-not-positive", "counts-not-object", "m_th-outside-fit", "negative-mc-samples",
@@ -359,7 +377,9 @@ def _no_edge_snr_at_grid_end(doc):
         "far-radius-run", "far-radius-validate", "g_bit-run", "g_bit-design-radius",
         "edge-snr-run", "edge-snr-validate", "edge-snr-design-radius", "edge-snr-design-util",
         "edge-snr-grid-end", "edge-snr-overflow-run", "edge-snr-overflow-validate",
-        "edge-snr-overflow-design-radius", "edge-snr-overflow-design-util"])
+        "edge-snr-overflow-design-radius", "edge-snr-overflow-design-util",
+        "c2-720-run-mc", "c2-720-validate", "c2-neg720-run-mc", "c2-neg720-validate",
+        "c2-800-run-mc", "c2-800-validate"])
 def test_malformed_config_exits_2(tmp_path, capsys, mutate, argv, where):
     doc = mutate(table1_config())
     config = tmp_path / "config.json"
@@ -504,7 +524,7 @@ class TestRunCommand:
         assert (tmp_path / csv_name).read_bytes() == (manifest.parent / csv_name).read_bytes()
         assert _without_versions(tmp_path / manifest.name) == _without_versions(manifest)
 
-    @pytest.mark.parametrize("label", ["../escaped", "/absolute", 7, None])
+    @pytest.mark.parametrize("label", ["../escaped", "/absolute", "", 7, None])
     def test_manifest_label_must_be_a_file_name(self, tmp_path, capsys, label):
         doc = table1_config()
         manifest = {"kind": "semcell-manifest", "label": label, "preset": None, "config": doc}
@@ -545,7 +565,7 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--mc-samples", "1000"]) == EXIT_CONFIG
         assert "SEMCELL_THREADS" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_config_without_sweep_runs_at_the_cell_radius(self, tmp_path):
         doc = table1_config()
@@ -599,6 +619,17 @@ class TestRunCommand:
             for name in _METRICS:
                 z = _score_z(float(row[f"mc_{name}"]), float(row[name]), n)
                 assert abs(z) <= _Z_BOUND, (row["axis_value"], name, z)
+
+    @pytest.mark.parametrize("c2, radius_m", [(720.0, 1.5e6), (-720.0, 13.0), (800.0, 1.5e6)])
+    def test_fit_beyond_the_oracle_range_runs_without_it(self, tmp_path, capsys, c2, radius_m):
+        # only the Monte Carlo oracle refuses such a c2: the closed forms and solvers run
+        cfg_path = write_config(tmp_path, _steep_fit(c2, radius_m)(table1_config()))
+        out = tmp_path / "out"
+        for argv in (_RUN, _RADIUS, _UTIL):
+            assert main([{"CONFIG": str(cfg_path), "OUT": str(out)}.get(arg, arg)
+                         for arg in argv]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (out / "config.csv").exists()
 
     @pytest.mark.parametrize("where", ["existing_file", "under_a_file", "csv_is_a_directory"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
@@ -810,6 +841,14 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(cfg_path), "--mc-samples", "200000",
                      "--seed", "42"]) == EXIT_OK
 
+    @pytest.mark.parametrize("c2, radius_m", [(672.0, 5.7e5), (-672.0, 19.0)],
+                             ids=["c2_672", "c2_neg672"])
+    def test_validate_passes_at_the_edge_of_the_odds_scale_range(self, tmp_path, c2, radius_m):
+        # |c2| just inside the oracle's limit of 673.05, at radii where pi_s is near 0.29
+        cfg_path = write_config(tmp_path, _steep_fit(c2, radius_m)(table1_config()))
+        assert main(["validate", "--config", str(cfg_path), "--mc-samples", "200000",
+                     "--seed", "3"]) == EXIT_OK
+
     def test_validate_catches_wrong_model(self, tmp_path, monkeypatch):
         # poison one closed form and the oracle must flag it
         import semcell.cli as cli_module
@@ -931,6 +970,23 @@ class TestSolverFailureExit:
         argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_SOLVER
         assert capsys.readouterr().err == "solver failure: no rate crossing\n"
+
+    def test_failed_rate_crossing_in_a_radius_sweep_leaves_no_output(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # the radius axis solves g_max only when the sweep is evaluated, after the
+        # parse: the failure still comes before --out is made
+        import semcell.ratemodel as ratemodel_module
+        from semcell import SolverError
+
+        def boom(*args):
+            raise SolverError("no rate crossing")
+
+        monkeypatch.setattr(ratemodel_module, "_solve_rate_crossing", boom)
+        cfg_path = write_config(tmp_path, table1_config())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == "solver failure: no rate crossing\n"
+        assert not out.exists()
 
 
 def test_one_parser_serves_consecutive_commands(tmp_path, capsys):

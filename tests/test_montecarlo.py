@@ -455,6 +455,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             estimate_many([HybridOutage()], 1_000, 1, [table1_scenario, change(table1_scenario)])
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["c2_high", "c2_low"])
+    def test_fit_beyond_the_odds_scale_range_rejected(self, table1_scenario, sign):
+        # a run's first point has odds scale e^(-c2): at |c2| = _LOG_SCALE_LIMIT it gets
+        # its per-point reference, and the next float beyond is refused, not clamped
+        edge = sign * montecarlo._LOG_SCALE_LIMIT
+        at, beyond = (replace(table1_scenario, fit=replace(table1_scenario.fit, c2=c2))
+                      for c2 in (edge, math.nextafter(edge, sign * math.inf)))
+        events = [HybridOutage(), SemOutage(), SemUtilization()]
+        with np.errstate(over="ignore"):
+            hits = _reference_hits(events, 1_000, 1, at)
+        [estimates] = estimate_many(events, 1_000, 1, [at])
+        assert [e.estimate for e in estimates] == [h / 1_000 for h in hits]
+        with pytest.raises(ValueError, match=r"^similarity_fit\.c2: "):
+            estimate_many(events, 1_000, 1, [beyond])
+
     def test_empty_inputs(self, table1_scenario):
         assert estimate_many([HybridOutage()], 1_000, 1, []) == []
         assert estimate_many([], 1_000, 1, [table1_scenario] * 2) == [[], []]
@@ -574,13 +589,6 @@ class TestCurves:
                             bit_rate(g[finite], cfg)]
             for got, want in zip((m, rate_sem, rate_bit), expected):
                 assert np.all(np.abs(got[finite] - want) <= 4 * np.spacing(np.abs(want)))
-        # SNR scales beyond the float range: the similarity still saturates at g0 = 0 and inf
-        for ratio in (0.0, np.inf, np.nan):
-            work = np.empty((3, g0.size))
-            montecarlo._curves(g0, odds0, scenario, ratio, gap, *work)
-            m = work[0]
-            assert not np.isnan(m).any()
-            assert m[0] == fit.a1 and m[-1] == similarity(np.inf, fit)
 
     @pytest.mark.parametrize("first, second, outage", [
         (dict(tx_power_w=1e200), dict(tx_power_w=1e-200), 1.0),
