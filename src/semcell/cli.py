@@ -435,12 +435,12 @@ def write_manifest(path: Path, sc: ScenarioConfig, preset: str | None) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def run_scenario(sc: ScenarioConfig, out_dir: str | Path,
-                 preset: str | None = None) -> tuple[Path, Path]:
-    """Evaluate one sweep, then make ``out_dir`` and write its CSV and manifest;
-    returns the paths.  A sweep that fails leaves nothing behind, and an
-    OSError making ``out_dir`` or writing into it is a ConfigError."""
-    rows = evaluate_sweep(sc)
+def run_scenario(sc: ScenarioConfig, out_dir: str | Path, preset: str | None = None,
+                 rows: list[dict[str, float]] | None = None) -> tuple[Path, Path]:
+    """Evaluate one sweep unless ``rows`` holds it, then make ``out_dir`` and write its
+    CSV and manifest; returns the paths.  A sweep that fails leaves nothing behind,
+    and an OSError making ``out_dir`` or writing into it is a ConfigError."""
+    rows = evaluate_sweep(sc) if rows is None else rows
     out = Path(out_dir)
     csv_path = out / f"{sc.label}.csv"
     manifest_path = out / f"{sc.label}.manifest.json"
@@ -476,9 +476,10 @@ def _cmd_run(args) -> int:
     else:
         labelled = [(label, doc)]
     with kernel_scope():  # a preset's variants share its grid, c_L and most breakpoints
-        for label, variant_doc in labelled:
-            sc = replace(parse_scenario_config(variant_doc, label=label), **overrides)
-            csv_path, manifest_path = run_scenario(sc, args.out, preset=preset)
+        # every variant is parsed and evaluated before --out is made: a failure writes nothing
+        configs = [replace(parse_scenario_config(d, label=lb), **overrides) for lb, d in labelled]
+        for sc, rows in [(sc, evaluate_sweep(sc)) for sc in configs]:
+            csv_path, manifest_path = run_scenario(sc, args.out, preset=preset, rows=rows)
             print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
 

@@ -41,7 +41,7 @@ All grid points reuse one set of channel draws per block -- the draws
 they already shared through identical (seed, block) keys -- and a point
 whose SNR scale c_L R^(-a) differs from the first point's gets its SNRs
 by one multiplication with the ratio of the two scales.  Every point's
-odds scale in :func:`_curves` must lie within e^(+-_LOG_SCALE_LIMIT),
+odds scale in :func:`_point_flags` must lie within e^(+-_LOG_SCALE_LIMIT),
 where the similarity is accurate: a point whose ratio leaves that range
 computes its SNRs from the same draws at its own scale instead, and the
 points after it scale those (see :func:`_draw_runs`).  A point at its
@@ -51,10 +51,9 @@ are therefore correlated (common random numbers): a curve is smoother
 than its per-point standard errors suggest, and its points are not
 independent checks.
 
-Evaluation: a tile raises its SNRs to the similarity curve's power
--10 c1 / ln 10 once, into the half of its draw buffer that held U1 (see
-:func:`_odds`), so each point costs one log2, one divide and
-multiplications over the tile (see :func:`_curves`).
+Evaluation: a tile raises its SNRs once to the logistic's odds, into the
+half of its draw buffer that held U1 (see :func:`_odds`); a point then
+costs one log2 and no divide per value (see :func:`_point_flags`).
 tests/data/mc_reference pins the Monte Carlo columns of three sweeps
 byte for byte.
 """
@@ -74,7 +73,7 @@ from .ratemodel import RateConfig, SimilarityFit, gamma_gap
 BLOCK_SIZE = 1 << 16
 SEED_LIMIT = 1 << 64  # seeds lie in [0, SEED_LIMIT)
 _TILE_VALUES = 1 << 16  # SNR values per unit of parallel work, up to rounding
-# |log of _curves' odds scale| up to which the similarity stays within 2^-53 (a2 - a1)
+# |log of a point's odds scale| up to which the similarity stays within 2^-53 (a2 - a1)
 # of the logistic, also where the odds of the drawn SNRs leave the float range
 _LOG_SCALE_LIMIT = math.log(sys.float_info.max) - 53.0 * math.log(2.0)
 
@@ -226,74 +225,77 @@ def sample_user(stream: np.random.Generator, params: NetworkParams, size,
 
 
 def _odds(g: np.ndarray, fit: SimilarityFit, out: np.ndarray | None = None) -> np.ndarray:
-    """e^(-c1 10 log10 g) = g^(-10 c1 / ln 10): the odds against the
-    similarity curve's logistic at SNR g, before its factor e^(-c2).
-
-    Taken once per tile.  Inf at g = 0 and 0 at g = inf, never NaN on
-    the SNRs :func:`sample_user` draws (in [0, inf]); it leaves the float
-    range where |c1 10 log10 g| exceeds about 709, far beyond the
-    logistic's transition.
-    """
+    """g^(-10 c1 / ln 10) = e^(-c1 10 log10 g), once per tile: the odds against the
+    similarity's logistic at SNR g, which a point multiplies by its odds scale.
+    Inf at g = 0 and 0 at g = inf, never NaN on the SNRs :func:`sample_user`
+    draws; it leaves the float range only where |c1 10 log10 g| exceeds about
+    709, far beyond the logistic's transition."""
     with np.errstate(divide="ignore", over="ignore"):
         return np.power(g, -10.0 * fit.c1 / math.log(10.0), out=out)
 
 
-def _curves(g0: np.ndarray, odds0: np.ndarray, scenario: Scenario, ratio: float, gap: float,
-            m: np.ndarray, rate_sem: np.ndarray, rate_bit: np.ndarray) -> None:
-    """Similarity, semantic rate and bit rate at SNR g0 * ratio, into the last three arguments.
+def _last(holds, lo: float) -> float:
+    """Largest float x >= lo at which ``holds``, a predicate that holds from lo
+    up to x and nowhere above it; -inf where it holds nowhere.  Bisects the
+    bit patterns, which order the non-negative floats."""
+    import struct  # loaded with numpy already; a module import would add start-up work
 
-    ``odds0`` is :func:`_odds` of g0, so a point costs one log2 and one
-    divide.  Operation by operation, in this order:
-
-    * rate_bit = log2(1 + g0 * (ratio / gap)) * (1 / mu);
-    * m = a1 + (a2 - a1) / (1 + odds0 * e^(-10 c1 log10(ratio) - c2)),
-      the logistic of z = c1 10 log10(g0 ratio) + c2, whose odds e^(-z)
-      are odds0 times one scale per point;
-    * rate_sem = m * (1 / k).
-
-    ``ratio`` is one that :func:`_snr_ratio` accepts, so the scale lies
-    within e^(+-_LOG_SCALE_LIMIT): it is positive and finite, the odds
-    are never NaN, and m = a1 at g0 = 0 and m = a1 + (a2 - a1) at g0 = inf.
-    """
-    fit, cfg = scenario.fit, scenario.cfg
-    scale = math.exp(-10.0 * fit.c1 * math.log10(ratio) - fit.c2)
-    with np.errstate(over="ignore"):
-        np.multiply(g0, ratio / gap, out=rate_bit)
-        np.add(rate_bit, 1.0, out=rate_bit)
-        np.log2(rate_bit, out=rate_bit)
-        np.multiply(rate_bit, 1.0 / cfg.mu, out=rate_bit)
-        np.multiply(odds0, scale, out=m)
-        np.add(m, 1.0, out=m)
-        np.divide(fit.a2 - fit.a1, m, out=m)
-        np.add(m, fit.a1, out=m)
-    np.multiply(m, 1.0 / fit.k, out=rate_sem)
+    if not holds(lo):
+        return -math.inf
+    a, b = struct.unpack("<2q", struct.pack("<2d", lo, math.inf))
+    b += 1  # holds at a, not at b: one past inf
+    while b - a > 1:
+        mid = (a + b) // 2
+        a, b = (mid, b) if holds(struct.unpack("<d", struct.pack("<q", mid))[0]) else (a, mid)
+    return struct.unpack("<d", struct.pack("<q", a))[0]
 
 
-def _indicators(kinds: list[type], m: np.ndarray, rate_sem: np.ndarray,
-                rate_bit: np.ndarray, cfg: RateConfig) -> list[np.ndarray]:
-    """Per-user indicator of each event type in ``kinds``, from the three curves.
+def _cuts(fit: SimilarityFit, cfg: RateConfig) -> tuple[float, ...]:
+    """The scalars :func:`_point_flags` compares with, at every point of one fit and config.
 
-    Each rate is compared with r_out once: the hybrid outage is the bit
-    outage, switched to the semantic one where the semantic mode is preferred.
-    Every event set a sweep asks for needs all three comparisons at each
-    cell width.
-    """
-    r_out, m_th = cfg.r_out, cfg.m_th
-    bit_low = rate_bit <= r_out
-    sem_low = rate_sem <= r_out
-    prefers_sem = m >= m_th
-    prefers_sem &= rate_sem >= rate_bit
-    out = []
-    for kind in kinds:
-        if kind is BitOutage:
-            out.append(bit_low)
-        elif kind is SemOutage:
-            out.append(sem_low | (m <= m_th))
-        elif kind is HybridOutage:
-            out.append(bit_low ^ (prefers_sem & (sem_low ^ bit_low)))
-        else:
-            out.append(prefers_sem & ~sem_low)
-    return out
+    In floats, the similarity is m = a1 + (a2 - a1) / d, the semantic rate
+    m (1 / k) and the bit rate y (1 / mu).  The first three cuts are the
+    largest y whose bit rate is at most r_out, and the largest d at which
+    the semantic rate exceeds r_out with m >= m_th and with m > m_th: those
+    floats are monotone, so a cut decides as they would, wherever m_th and
+    k r_out lie and at d = inf.  The last two put the semantic preference
+    m / k >= y / mu as (y - mu a1 / k) d <= mu (a2 - a1) / k."""
+    a1, spread, k_inv, mu_inv = fit.a1, fit.a2 - fit.a1, 1.0 / fit.k, 1.0 / cfg.mu
+
+    def last_served(met) -> float:
+        return _last(lambda d: met(a1 + spread / d) and (a1 + spread / d) * k_inv > cfg.r_out, 1.0)
+
+    return (_last(lambda y: y * mu_inv <= cfg.r_out, 0.0), last_served(lambda m: m >= cfg.m_th),
+            last_served(lambda m: m > cfg.m_th), cfg.mu * a1 / fit.k, cfg.mu * spread / fit.k)
+
+
+def _point_flags(kinds: list[type], g0: np.ndarray, odds0: np.ndarray, point: tuple,
+                 work: np.ndarray, flags: np.ndarray) -> list[np.ndarray]:
+    """Per-user indicator of each event type in ``kinds`` at SNRs g0 ratio, into ``flags``.
+
+    ``point`` is ratio / gap, the odds scale e^(-10 c1 log10(ratio) - c2)
+    and the :func:`_cuts`.  Per value, into ``work``: y = log2(1 + g0 ratio
+    / gap), mu times the bit rate, and d = 1 + odds0 times the odds scale,
+    the logistic's denominator; every event is then a comparison with the
+    cuts.  A user served semantically at or below r_out gets no more from
+    bits, so the hybrid outage is the bit outage outside the utilization."""
+    bit_gain, odds_scale, (y_out, d_util, d_served, y_offset, pref_bound) = point
+    (y, d), (bit_low, util, hybrid, sem_out) = work, flags
+    np.multiply(g0, bit_gain, out=y)
+    np.add(y, 1.0, out=y)
+    np.log2(y, out=y)
+    np.multiply(odds0, odds_scale, out=d)
+    np.add(d, 1.0, out=d)
+    np.less_equal(y, y_out, out=bit_low)
+    np.subtract(y, y_offset, out=y)
+    np.multiply(y, d, out=y)  # NaN, not preferred, where y = mu a1 / k and d = inf
+    np.less_equal(y, pref_bound, out=util)
+    util &= np.less_equal(d, d_util, out=hybrid)  # the hybrid row as scratch
+    np.greater(bit_low, util, out=hybrid)
+    if SemOutage in kinds:
+        np.greater(d, d_served, out=sem_out)
+    flag_of = {BitOutage: bit_low, SemOutage: sem_out, HybridOutage: hybrid, SemUtilization: util}
+    return [flag_of[kind] for kind in kinds]
 
 
 @dataclass(frozen=True)
@@ -331,7 +333,7 @@ def _tally_tiles(tiles: list[_Tile], seed: int, points: list[tuple[Scenario, flo
 
     ``ranges[width][kind]`` lists (j, lo, hi): range j counts the cells of
     ``width`` users in which the indicator of ``kind`` holds for lo to hi
-    users.  The draw and curve buffers hold as many values as the largest
+    users.  The draw and work buffers hold as many values as the largest
     tile and serve every tile.  A tile is evaluated users-major, so a
     cell's count is a sum down one column.
     """
@@ -340,26 +342,30 @@ def _tally_tiles(tiles: list[_Tile], seed: int, points: list[tuple[Scenario, flo
                      dtype=np.int64)
     count_type = np.min_scalar_type(params.num_users)  # holds any count, narrow for a fast sum
     largest = max((t.width * t.rows for t in tiles), default=0)
-    draws, users_major, work = np.empty(2 * largest), np.empty(largest), np.empty(3 * largest)
-    for tile in tiles:
-        width, rows = tile.width, tile.rows
-        size = width * rows
-        g0 = sample_user(user_stream(seed, tile.block, width * tile.first), params,
-                         size=(rows, width), u2_offset=width * BLOCK_SIZE,
-                         out=draws[:2 * size].reshape(2, rows, width))
-        cells = users_major[:size].reshape(width, rows)
-        np.copyto(cells, g0.T)
-        # the U1 half of the draw buffer is dead once the SNRs are drawn
-        odds0 = _odds(cells, fit, out=draws[:size].reshape(width, rows))
-        m, rate_sem, rate_bit = work[:3 * size].reshape(3, width, rows)
-        kinds = ranges[width]
-        for p, (scenario, ratio, gap) in enumerate(points):
-            _curves(cells, odds0, scenario, ratio, gap, m, rate_sem, rate_bit)
-            flags = _indicators(list(kinds), m, rate_sem, rate_bit, scenario.cfg)
-            for flag, kind_ranges in zip(flags, kinds.values()):
-                counts = flag.view(np.uint8).sum(axis=0, dtype=count_type)
-                for j, lo, hi in kind_ranges:
-                    tally[p, j] += np.count_nonzero((counts >= lo) & (counts <= hi))
+    draws, users_major, work = np.empty(2 * largest), np.empty(largest), np.empty(2 * largest)
+    flags = np.empty(4 * largest, dtype=bool)
+    cuts = {key: _cuts(*key) for key in dict.fromkeys((s.fit, s.cfg) for s, _, _ in points)}
+    consts = [(ratio / gap, math.exp(-10.0 * fit.c1 * math.log10(ratio) - fit.c2),
+               cuts[s.fit, s.cfg]) for s, ratio, gap in points]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tile in tiles:
+            width, rows = tile.width, tile.rows
+            size = width * rows
+            g0 = sample_user(user_stream(seed, tile.block, width * tile.first), params,
+                             size=(rows, width), u2_offset=width * BLOCK_SIZE,
+                             out=draws[:2 * size].reshape(2, rows, width))
+            cells = users_major[:size].reshape(width, rows)
+            np.copyto(cells, g0.T)
+            # the U1 half of the draw buffer is dead once the SNRs are drawn
+            odds0 = _odds(cells, fit, out=draws[:size].reshape(width, rows))
+            kinds = ranges[width]
+            buffers = work[:2 * size].reshape(2, width, rows), flags[:4 * size].reshape(4, width, rows)
+            for p, point in enumerate(consts):
+                for flag, kind_ranges in zip(_point_flags(list(kinds), cells, odds0, point, *buffers),
+                                             kinds.values()):
+                    counts = flag.view(np.uint8).sum(axis=0, dtype=count_type)
+                    for j, lo, hi in kind_ranges:
+                        tally[p, j] += np.count_nonzero((counts >= lo) & (counts <= hi))
     return tally
 
 
@@ -381,13 +387,9 @@ def _cell_event(event: Event, num_users: int) -> tuple[int, type, int, int]:
     return num_users, type(event.indicator), lo, hi
 
 
-def _shared(scenario: Scenario) -> tuple:
-    return scenario.params.num_users, scenario.params.pathloss_exp, scenario.fit
-
-
 def _snr_ratio(scenario: Scenario, reference: Scenario) -> float | None:
     """c_L R^(-a) of ``scenario`` over that of ``reference``, by which the
-    reference's SNRs scale to the scenario's; None where :func:`_curves`
+    reference's SNRs scale to the scenario's; None where :func:`_point_flags`
     would not be accurate at that ratio.
 
     The ratio must be a normal float whose odds scale,
@@ -454,7 +456,7 @@ def estimate_many(events: list[Event], n: int, seed: int,
     if not scenarios:
         return []
     first = scenarios[0]
-    if any(_shared(s) != _shared(first) for s in scenarios[1:]):
+    if len({(s.params.num_users, s.params.pathloss_exp, s.fit) for s in scenarios}) > 1:
         raise ValueError("the scenarios of one sweep must share num_users, pathloss_exp and fit")
     if abs(first.fit.c2) > _LOG_SCALE_LIMIT:  # the rule of _snr_ratio at a run's first point
         raise ValueError(f"similarity_fit.c2: the Monte Carlo oracle needs |c2| <= "
@@ -483,9 +485,6 @@ def estimate_many(events: list[Event], n: int, seed: int,
             tallies = [sum(f.result() for f in run) for run in futures]
     totals = np.concatenate(tallies)
     columns = [keys.index(c) for c in cell_events]
-    results = []
-    for row in totals:
-        p_hats = [int(row[j]) / n for j in columns]
-        results.append([McEstimate(p, math.sqrt(p * (1.0 - p) / n)) for p in p_hats])
-    return results
+    p_hats = [[int(row[j]) / n for j in columns] for row in totals]
+    return [[McEstimate(p, math.sqrt(p * (1.0 - p) / n)) for p in row] for row in p_hats]
 

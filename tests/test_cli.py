@@ -654,6 +654,18 @@ class TestRunCommand:
         files = sorted(p.name for p in out.glob("*.csv"))
         assert files == ["fig3_rout004.csv", "fig3_rout012.csv", "fig3_rout020.csv"]
 
+    def test_preset_with_a_failing_variant_writes_nothing(self, tmp_path, capsys):
+        # fig2's m_th 0.60 and 0.75 variants evaluate on this fit; its 0.90 variant
+        # lies above a2, so the run fails before any variant's files are written
+        doc = table1_config()
+        doc["similarity_fit"]["a2"] = 0.8
+        doc["rate"]["similarity_threshold"] = 0.6
+        out = tmp_path / "pre"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--preset", "fig2",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: rate.similarity_threshold: 0.9 ")
+        assert not out.exists()
+
 
 class TestPresetDefinitions:
     def test_golden_parameters(self):

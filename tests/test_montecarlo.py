@@ -8,10 +8,9 @@ from scipy import special as sp
 
 from semcell import (BitOutage, ExactCount, HybridOutage, RangeCount, RateConfig,
                      Scenario, SemOutage, SemUtilization, SimilarityFit, binom_range_prob,
-                     bit_rate, estimate_many, gamma_gap, network_outage,
-                     NetOutageMode, outage_report, sample_user, sem_rate, sem_util_prob,
-                     similarity, snr_cdf, snr_scale, thresholds, user_outage_hybrid,
-                     user_stream)
+                     estimate_many, gamma_gap, network_outage, NetOutageMode, outage_report,
+                     sample_user, sem_util_prob, snr_cdf, snr_scale, thresholds,
+                     user_outage_hybrid, user_stream)
 from semcell import montecarlo
 from semcell.montecarlo import BLOCK_SIZE
 from semcell.presets import table1_config
@@ -564,31 +563,57 @@ class TestRowTiles:
         assert multiprocessing.active_children() == []
 
 
+_STEEP = {"c1": 5.0, "c2": -150.0}  # Table-1's logistic, steep and centred at 30 dB
+
+
 class TestCurves:
-    """Rate curves from an SNR power taken once per tile."""
+    """Per-point event flags from an SNR power taken once per tile."""
 
     @pytest.mark.parametrize("case", range(12))
     def test_saturated_snrs(self, case):
+        # zero, subnormal, tiny, huge and infinite SNRs at three SNR ratios: every
+        # event reads as it does from the similarity and the rates at g0 * ratio
         scenario = _domain_scenario(case)
         fit, cfg = scenario.fit, scenario.cfg
         gap = gamma_gap(cfg)
         g0 = np.array([0.0, 5e-324, 1e-300, 1e300, np.inf])
         odds0 = montecarlo._odds(g0, fit)
+        kinds = [SemUtilization, HybridOutage, BitOutage, SemOutage]
+        cuts = montecarlo._cuts(fit, cfg)
         for ratio in (1.0, 0.37, 2.9e3):
-            work = np.empty((3, g0.size))
-            montecarlo._curves(g0, odds0, scenario, ratio, gap, *work)
-            m, rate_sem, rate_bit = work
-            assert not np.isnan(work).any()
-            # the closed form's own limits: a1 at zero SNR, a1 + (a2 - a1) at infinity
-            assert m[0] == fit.a1 and m[-1] == similarity(np.inf, fit)
-            assert rate_bit[0] == 0.0 and rate_bit[-1] == np.inf
-            g = g0 * ratio
-            finite = (g > 0.0) & np.isfinite(g)
-            with np.errstate(over="ignore"):
-                expected = [similarity(g[finite], fit), sem_rate(g[finite], cfg, fit),
-                            bit_rate(g[finite], cfg)]
-            for got, want in zip((m, rate_sem, rate_bit), expected):
-                assert np.all(np.abs(got[finite] - want) <= 4 * np.spacing(np.abs(want)))
+            scale = math.exp(-10.0 * fit.c1 * math.log10(ratio) - fit.c2)
+            work, flags = np.empty((2, g0.size)), np.empty((4, g0.size), dtype=bool)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = montecarlo._point_flags(kinds, g0, odds0, (ratio / gap, scale, cuts),
+                                              work, flags)
+                expected = [_reference_user_event_mask(kind(), g0 * ratio, scenario, gap)
+                            for kind in kinds]
+            for flag, want in zip(got, expected):
+                assert flag.tolist() == want.tolist()
+            assert got[2][0] and not got[2][-1]  # bit outage at zero SNR, none at infinity
+
+    @pytest.mark.parametrize("fit_change, cfg_change", [
+        pytest.param({}, {"m_th": 0.2}, id="m_th_below_a1"),
+        pytest.param(_STEEP, {"m_th": 0.37}, id="m_th_at_a1"),
+        pytest.param(_STEEP, {"m_th": 0.98}, id="m_th_at_a2"),
+        pytest.param({}, {"m_th": 0.99}, id="m_th_above_a2"),
+        pytest.param(_STEEP, {"r_out": 0.37 / 5}, id="k_r_out_at_a1"),
+        pytest.param(_STEEP, {"r_out": 0.98 / 5}, id="k_r_out_at_a2"),
+        pytest.param({"a1": 0.0}, {}, id="a1_zero"),
+    ])
+    def test_threshold_edges_match_per_point_reference(self, table1_scenario, fit_change,
+                                                       cfg_change, monkeypatch):
+        # thresholds at and beyond the similarity's asymptotes; the steep fit puts the
+        # similarity at exactly a1 in floats on about a fifth of the cell and at a2 on an
+        # eighth, so m and the semantic rate tie with their thresholds there
+        scenario = replace(table1_scenario, fit=replace(table1_scenario.fit, **fit_change),
+                           cfg=replace(table1_scenario.cfg, **cfg_change))
+        events = _sweep_events(30)
+        n = 20_000
+        monkeypatch.setenv("SEMCELL_THREADS", "2")
+        [estimates] = estimate_many(events, n, 17, [scenario])
+        hits = _reference_hits(events, n, 17, scenario)
+        assert [e.estimate for e in estimates] == [h / n for h in hits]
 
     @pytest.mark.parametrize("first, second, outage", [
         (dict(tx_power_w=1e200), dict(tx_power_w=1e-200), 1.0),
